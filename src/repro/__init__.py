@@ -35,7 +35,6 @@ from .api import (
     ProgressEvent,
     Session,
     SynthesisRequest,
-    SynthesisService,
     default_registry,
 )
 from .errors import CapacityError, InvalidSpecError, ReproError
@@ -57,7 +56,6 @@ __all__ = [
     "ProgressEvent",
     "Session",
     "SynthesisRequest",
-    "SynthesisService",
     "default_registry",
     "IncrementalSynthesizer",
     "SynthesisResult",

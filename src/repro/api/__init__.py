@@ -12,8 +12,6 @@ anything that serves it at scale:
   requests, per-request budgets/cancellation/progress, and
   :meth:`~repro.api.session.Session.synthesize_many` batched
   multi-spec serving from one shared enumeration sweep.
-* :class:`~repro.api.session.SynthesisService` — the long-lived serving
-  front wrapping one shared session.
 
 :func:`repro.synthesize` remains as a thin backward-compatible facade
 over this layer.
@@ -22,7 +20,7 @@ over this layer.
 from .config import EngineConfig, SynthesisRequest
 from .progress import CancellationToken, ProgressEvent
 from .registry import BackendInfo, BackendRegistry, default_registry
-from .session import Session, SessionStats, SynthesisService, staging_key_of
+from .session import Session, SessionStats, staging_key_of
 
 __all__ = [
     "EngineConfig",
@@ -34,6 +32,5 @@ __all__ = [
     "default_registry",
     "Session",
     "SessionStats",
-    "SynthesisService",
     "staging_key_of",
 ]

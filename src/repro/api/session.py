@@ -20,10 +20,6 @@ CS (its earlier occurrence would already have satisfied the spec), the
 answer each request receives is bit-identical to what a solo
 :func:`repro.synthesize` call returns — the property the test-suite and
 ``BENCH_session.json`` both assert.
-
-:class:`SynthesisService` is the long-lived front: a backend registry,
-a default :class:`~repro.api.config.EngineConfig`, and a shared session
-with a bounded staging cache.
 """
 
 from __future__ import annotations
@@ -319,7 +315,6 @@ class Session:
                 "resumed_levels": engine.resumed_levels,
                 "shard_failovers": engine.shard_failovers,
                 "partial_resumes": engine.partial_resumes,
-                "partial_checkpoints": engine.partial_checkpoints,
                 "phase_seconds": _phase_breakdown(
                     engine, staging_seconds, elapsed
                 ),
@@ -670,50 +665,3 @@ class _BatchQuery:
             result.regex = reconstruct(triple, provenance, universe.alphabet)
             result.cost = self.solution_cost
         return result
-
-
-class SynthesisService:
-    """A long-lived serving front over one shared :class:`Session`.
-
-    The service owns the registry and default config of a deployment;
-    request handlers call :meth:`synthesize`/:meth:`synthesize_many`
-    directly, or :meth:`session` to carve out an isolated session (own
-    staging cache, shared registry) for a tenant or an experiment.
-    """
-
-    def __init__(
-        self,
-        config: Optional[EngineConfig] = None,
-        registry: Optional[BackendRegistry] = None,
-        max_staged: Optional[int] = 128,
-    ) -> None:
-        self.config = config if config is not None else EngineConfig()
-        self.registry = registry if registry is not None else default_registry()
-        self._shared = Session(
-            self.config, registry=self.registry, max_staged=max_staged
-        )
-
-    def session(
-        self,
-        config: Optional[EngineConfig] = None,
-        max_staged: Optional[int] = None,
-    ) -> Session:
-        """A new isolated session sharing this service's registry."""
-        return Session(
-            config if config is not None else self.config,
-            registry=self.registry,
-            max_staged=max_staged,
-        )
-
-    def synthesize(self, request) -> SynthesisResult:
-        """Serve one request through the shared session."""
-        return self._shared.synthesize(request)
-
-    def synthesize_many(self, requests: Iterable[object]) -> List[SynthesisResult]:
-        """Serve a batch through the shared session."""
-        return self._shared.synthesize_many(requests)
-
-    @property
-    def stats(self) -> SessionStats:
-        """The shared session's statistics."""
-        return self._shared.stats

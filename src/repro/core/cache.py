@@ -39,14 +39,15 @@ DEFAULT_PLANE_CACHE_BYTES = 1 << 27
 #: The on-disk-relevant layout contract of the caches.  Any change that
 #: alters what a stored level *means* — row packing, dedupe discipline
 #: (which decides what gets stored at all), provenance or ordinal
-#: encoding — must be reflected here so persisted level checkpoints
-#: keyed by :func:`cache_version_fingerprint` invalidate instead of
-#: replaying rows under the wrong interpretation.
+#: encoding, the checkpoint record format — must be reflected here so
+#: persisted checkpoints keyed by :func:`cache_version_fingerprint`
+#: invalidate instead of replaying rows under the wrong interpretation.
 CACHE_SCHEMA = {
     "rows": "uint64-le-lanes/pow2-padded/v1",
     "dedupe": "two-tier-fingerprint-exact/v1",
     "provenance": "op-left-right-int64-columns/v1",
     "ordinals": "absolute-1based-generation-int64/v1",
+    "checkpoints": "one-record-per-cost-with-level-cursor/v2",
 }
 
 

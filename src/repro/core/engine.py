@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -56,18 +57,32 @@ class BudgetExhausted(Exception):
     """Internal control-flow signal: the ``max_generated`` cap was hit."""
 
 
-@dataclass
-class LevelCheckpoint:
-    """One completed cost level in replayable form.
+#: In-level checkpoint cadence: while a level is being built, a record
+#: goes to :attr:`SearchEngine.on_checkpoint` at the first safe point
+#: once this many candidates — or this many seconds — have passed since
+#: the level began or since the last record.  Both bound the rework a
+#: kill or a preemption can cost inside one wide level.
+CHECKPOINT_EVERY_CANDIDATES = 250_000
+CHECKPOINT_EVERY_S = 2.0
 
-    Everything a fresh engine needs to adopt the level without
-    re-enumerating it: the stored CS rows (packed uint64, the
-    cross-backend interchange format), their provenance columns, each
-    row's 1-based absolute generation ordinal, and the engine's
-    cumulative ``generated`` counter at level completion.  Because
-    enumeration, dedupe and storage are spec-independent, a checkpoint
-    taken under one spec replays bit-identically under any other spec
-    over the same universe and cost function.
+
+@dataclass
+class Checkpoint:
+    """A cost level's progress in replayable form.
+
+    Enumeration is a deterministic sequence over a staged universe, so
+    any point in it is a prefix of completed levels plus a cursor inside
+    the next one.  A record holds everything a fresh engine needs to
+    adopt one level up to its cursor without re-enumerating it: the rows
+    the level stored (packed uint64, the cross-backend interchange
+    format), their provenance columns, each row's 1-based absolute
+    generation ordinal, the engine's cumulative ``generated`` counter at
+    the snapshot, and ``level_progress`` — the number of candidates the
+    level had generated by then.  A finished level is simply the cursor
+    at the level's end.  Because enumeration, dedupe and storage are
+    spec-independent, a record taken under one spec replays
+    bit-identically under any other spec over the same universe and
+    cost function.
     """
 
     cost: int
@@ -76,72 +91,15 @@ class LevelCheckpoint:
     lefts: np.ndarray  # (n,) int64
     rights: np.ndarray  # (n,) int64
     ordinals: np.ndarray  # (n,) int64, 1-based absolute
-    generated_total: int
-
-    def to_payload(self) -> dict:
-        """A plain-dict form (what the checkpoint journal pickles)."""
-        return {
-            "cost": int(self.cost),
-            "rows": self.rows,
-            "ops": self.ops,
-            "lefts": self.lefts,
-            "rights": self.rights,
-            "ordinals": self.ordinals,
-            "generated_total": int(self.generated_total),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "LevelCheckpoint":
-        return cls(
-            cost=int(payload["cost"]),
-            rows=np.asarray(payload["rows"], dtype=np.uint64),
-            ops=np.asarray(payload["ops"], dtype=np.int64),
-            lefts=np.asarray(payload["lefts"], dtype=np.int64),
-            rights=np.asarray(payload["rights"], dtype=np.int64),
-            ordinals=np.asarray(payload["ordinals"], dtype=np.int64),
-            generated_total=int(payload["generated_total"]),
-        )
-
-
-@dataclass
-class PartialLevelCheckpoint:
-    """Progress *inside* a cost level, in replayable form.
-
-    Snapshotted at a safe point of the emit loop (all candidates up to
-    the cut fully deduped, solution-checked and stored; none beyond it
-    touched).  Because enumeration order is fully deterministic, the
-    position needs no emit-loop machinery: ``level_progress`` — the
-    number of candidates the level had generated at the snapshot — is a
-    complete cursor.  A resuming engine adopts the stored rows, then
-    structurally fast-forwards the level's emit steps past exactly that
-    many candidates, so rework is bounded by the snapshot interval.
-    Like full level checkpoints, partials are spec-independent.
-    """
-
-    cost: int
-    rows: np.ndarray  # (n, lanes) uint64 — rows stored so far this level
-    ops: np.ndarray  # (n,) int64
-    lefts: np.ndarray  # (n,) int64
-    rights: np.ndarray  # (n,) int64
-    ordinals: np.ndarray  # (n,) int64, 1-based absolute
     generated_total: int  # cumulative ``generated`` at the snapshot
-    level_progress: int  # candidates generated within this level so far
+    level_progress: int  # candidates generated within this level
 
     def to_payload(self) -> dict:
         """A plain-dict form (what the checkpoint journal pickles)."""
-        return {
-            "cost": int(self.cost),
-            "rows": self.rows,
-            "ops": self.ops,
-            "lefts": self.lefts,
-            "rights": self.rights,
-            "ordinals": self.ordinals,
-            "generated_total": int(self.generated_total),
-            "level_progress": int(self.level_progress),
-        }
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "PartialLevelCheckpoint":
+    def from_payload(cls, payload: dict) -> "Checkpoint":
         return cls(
             cost=int(payload["cost"]),
             rows=np.asarray(payload["rows"], dtype=np.uint64),
@@ -204,8 +162,8 @@ class SweepPreempted(Exception):
     """Internal control-flow signal: the preemption probe fired.
 
     Raised at the next safe point after :attr:`SearchEngine.preempt_check`
-    returns truthy — *after* a partial checkpoint has been handed to
-    :attr:`SearchEngine.on_partial` (when armed), so the engine's owner
+    returns truthy — *after* an in-level record has been handed to
+    :attr:`SearchEngine.on_checkpoint` (when armed), so the engine's owner
     can requeue the job and a later run resumes from that point.  The
     run ends with status :data:`STATUS_PREEMPTED`.
     """
@@ -280,30 +238,21 @@ class SearchEngine:
         #: mid-round (sharding is disabled for the rest of the run after
         #: the first failover).
         self.shard_failovers = 0
-        #: Cost levels adopted from checkpoints instead of enumerated
-        #: (see :meth:`restore_levels`).
+        #: Cost levels adopted whole from checkpoint records instead of
+        #: enumerated (see :meth:`restore`).
         self.resumed_levels = 0
-        #: Mid-level resumes performed from a partial checkpoint (0 or 1
-        #: per run; see :meth:`restore_partial`).
+        #: Levels resumed mid-way from a record's cursor (0 or 1 per run).
         self.partial_resumes = 0
-        #: Partial checkpoints handed to :attr:`on_partial` this run.
-        self.partial_checkpoints = 0
-        self._restored_levels: List[LevelCheckpoint] = []
-        self._restored_partial: Optional[PartialLevelCheckpoint] = None
-        #: Pending fast-forward: candidates of the current level already
-        #: accounted for by an adopted partial checkpoint.
-        self._level_skip = 0
-        #: ``(cost, cache_start, generated_at_level_start)`` of a
-        #: partially-adopted level, so the sweep loop attributes the
-        #: whole level (adopted prefix included) to one stats entry and
-        #: one level mark.
-        self._partial_base: Optional[Tuple[int, int, int]] = None
+        self._restored: List[Checkpoint] = []
+        #: Cursor of the record adopted for the level being built (None
+        #: when the level starts fresh); :meth:`_build_level` consumes it.
+        self._level_skip: Optional[int] = None
         # Safe-point bookkeeping (armed only while _build_level runs).
-        self._partial_active = False
+        self._safe_points_armed = False
         self._level_start_cache = 0
         self._level_start_generated = 0
-        self._last_partial_generated = 0
-        self._last_partial_monotonic = 0.0
+        self._last_checkpoint_generated = 0
+        self._last_checkpoint_monotonic = 0.0
         self._checks_disabled = False
         self.status: Optional[str] = None
         self.solution: Optional[Tuple[int, int, int]] = None  # provenance triple
@@ -334,26 +283,21 @@ class SearchEngine:
         #: cost levels.
         self.deadline: Optional[float] = None
         #: Optional preemption probe, polled at emit-loop safe points
-        #: and between levels.  When it fires, a partial checkpoint is
-        #: written (if :attr:`on_partial` is armed) and the run stops
-        #: with status :data:`STATUS_PREEMPTED` — the caller requeues
-        #: the request and a later run resumes from the checkpoint.
+        #: and between levels.  When it fires mid-level, an in-level
+        #: record goes to :attr:`on_checkpoint` (if armed) and the run
+        #: stops with status :data:`STATUS_PREEMPTED` — the caller
+        #: requeues the request and a later run resumes from the record.
         self.preempt_check: Optional[Callable[[], object]] = None
-        #: Optional partial-checkpoint sink ``(PartialLevelCheckpoint)
-        #: -> None``: called at safe points every
-        #: :attr:`partial_every_candidates` candidates or
-        #: :attr:`partial_every_s` seconds while a level is being built,
-        #: and right before a preemption stop.  The durability layer
-        #: points this at the checkpoint journal.
-        self.on_partial: Optional[
-            Callable[[PartialLevelCheckpoint], object]
-        ] = None
-        #: Interval knobs for :attr:`on_partial` (either may be None;
-        #: with both None only preemption writes partials).
-        self.partial_every_candidates: Optional[int] = None
-        self.partial_every_s: Optional[float] = None
+        #: Optional checkpoint sink ``(Checkpoint) -> None``, handed
+        #: every record the engine writes: the end of each level it
+        #: built (before the :meth:`_after_level` hooks run), an in-level
+        #: record on the :data:`CHECKPOINT_EVERY_CANDIDATES` /
+        #: :data:`CHECKPOINT_EVERY_S` cadence, and one right before a
+        #: preemption stop.  The durability layer points this at the
+        #: checkpoint journal.
+        self.on_checkpoint: Optional[Callable[[Checkpoint], object]] = None
         #: Optional :class:`repro.obs.trace.Tracer`.  When set, the
-        #: sweep records spans (checkpoint replay, seed level, one span
+        #: sweep records spans (checkpoint replay and saves, one span
         #: per cost level with dedupe/solve/store deltas, shard
         #: fan-outs); ``None`` (the default) is the zero-overhead path —
         #: one predicate test per level, nothing recorded.
@@ -387,7 +331,7 @@ class SearchEngine:
         """Build all ``op`` candidates over the Cartesian product of two
         cached index ranges (upper-triangular, diagonal excluded, when
         ``triangular``), except the first ``skip`` (already adopted from
-        a partial checkpoint); return True iff a solution was found."""
+        a checkpoint record); return True iff a solution was found."""
         raise NotImplementedError
 
     def _emit_pair_group(
@@ -556,7 +500,7 @@ class SearchEngine:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Level checkpointing (abstract half; see restore_levels below)
+    # Checkpointing (abstract half; see restore below)
     # ------------------------------------------------------------------
     def _level_payload(
         self, start: int, end: int
@@ -565,16 +509,14 @@ class SearchEngine:
         ordinals)`` in the packed interchange format."""
         raise NotImplementedError
 
-    def _adopt_restored(self, payload: LevelCheckpoint, lo: int, hi: int) -> None:
-        """Append rows ``[lo, hi)`` of a checkpointed level to the cache
+    def _adopt_restored(self, payload: Checkpoint, lo: int, hi: int) -> None:
+        """Append rows ``[lo, hi)`` of a checkpoint record to the cache
         and the dedupe set, exactly as enumeration would have."""
         raise NotImplementedError
 
-    def _scan_restored(
-        self, payload: LevelCheckpoint, limit: int
-    ) -> Optional[int]:
-        """Index of the first row in ``[0, limit)`` of a checkpointed
-        level that satisfies the spec, or None."""
+    def _scan_restored(self, payload: Checkpoint, limit: int) -> Optional[int]:
+        """Index of the first row in ``[0, limit)`` of a checkpoint
+        record that satisfies the spec, or None."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -654,241 +596,125 @@ class SearchEngine:
         if self._cancel_requested():
             raise SweepCancelled()
         if self.preempt_check is not None and self.preempt_check():
-            # The level just completed (and was journaled by any
-            # on_level checkpoint hook), so no partial record is needed.
+            # The level just completed and its record already went to
+            # on_checkpoint, so no in-level record is needed.
             raise SweepPreempted()
 
     # ------------------------------------------------------------------
-    # Level checkpointing (shared half)
+    # Checkpointing (shared half)
     # ------------------------------------------------------------------
-    def restore_levels(self, levels: List[LevelCheckpoint]) -> None:
-        """Arm the next :meth:`run` to adopt checkpointed levels.
+    def restore(self, records: List[Checkpoint]) -> None:
+        """Arm the next :meth:`run` to adopt checkpoint records.
 
-        ``levels`` must start at the seed cost and be consecutive; they
-        are replayed — dedupe-set inserts, cache appends, level marks,
-        solution scans and budget accounting included — before any
-        enumeration happens, so the run continues from the last adopted
-        level exactly as if it had enumerated them itself.
+        ``records`` hold at most one record per cost, ascending from the
+        seed cost.  The sweep adopts each level's record where the level
+        would begin — dedupe-set inserts, cache appends, solution scans
+        and budget accounting included — then fast-forwards the level's
+        emit loop past the record's cursor.  The first record that does
+        not start where the engine stands ends the replay, so the run
+        continues exactly as if it had enumerated everything itself.
         """
         if self.generated or self.levels_built or len(self.cache):
-            raise RuntimeError("restore_levels must precede the sweep")
-        self._restored_levels = list(levels)
+            raise RuntimeError("restore must precede the sweep")
+        self._restored = list(records)
 
-    def level_checkpoint(self, cost: int, start: int, end: int) -> LevelCheckpoint:
-        """Snapshot a just-completed level (call from an ``on_level``
-        hook, when ``generated`` still equals the level-end total)."""
-        rows, ops, lefts, rights, ordinals = self._level_payload(start, end)
-        return LevelCheckpoint(
-            cost=cost,
-            rows=rows,
-            ops=ops,
-            lefts=lefts,
-            rights=rights,
-            ordinals=ordinals,
-            generated_total=int(self.generated),
-        )
+    def _checkpoint(self, span: str) -> None:
+        """Hand the current level's progress to :attr:`on_checkpoint`.
 
-    def restore_partial(self, partial: PartialLevelCheckpoint) -> None:
-        """Arm the next :meth:`run` to resume mid-level from ``partial``.
-
-        Used together with :meth:`restore_levels`: the partial must
-        cover the cost right after the last restored complete level.
-        The stored prefix is adopted exactly as enumeration left it and
-        the level's emit loop fast-forwards past the already-generated
-        candidates, so the finished level — and everything after it —
-        is bit-identical to an uninterrupted run.
+        ``span`` names the trace span of the write: ``checkpoint-save``
+        at a level's end, ``partial-save`` inside a level.
         """
-        if self.generated or self.levels_built or len(self.cache):
-            raise RuntimeError("restore_partial must precede the sweep")
-        self._restored_partial = partial
+        self._last_checkpoint_generated = self.generated
+        self._last_checkpoint_monotonic = time.monotonic()
+        if self.on_checkpoint is None:
+            return
+        with self._span(span, cost=self._current_cost):
+            self.on_checkpoint(
+                Checkpoint(
+                    self._current_cost,
+                    *self._level_payload(self._level_start_cache, len(self.cache)),
+                    generated_total=int(self.generated),
+                    level_progress=int(
+                        self.generated - self._level_start_generated
+                    ),
+                )
+            )
 
-    def partial_checkpoint(self) -> PartialLevelCheckpoint:
-        """Snapshot the current level's progress (safe points only)."""
-        start = self._level_start_cache
-        rows, ops, lefts, rights, ordinals = self._level_payload(
-            start, len(self.cache)
-        )
-        return PartialLevelCheckpoint(
-            cost=self._current_cost,
-            rows=rows,
-            ops=ops,
-            lefts=lefts,
-            rights=rights,
-            ordinals=ordinals,
-            generated_total=int(self.generated),
-            level_progress=int(self.generated - self._level_start_generated),
-        )
-
-    def _write_partial(self) -> None:
-        if self.on_partial is not None:
-            self.on_partial(self.partial_checkpoint())
-            self.partial_checkpoints += 1
-        self._last_partial_generated = self.generated
-        self._last_partial_monotonic = time.monotonic()
+    def _span(self, name: str, **args):
+        """A trace span around a block (a no-op when untraced)."""
+        if self.tracer is None:
+            return nullcontext()
+        return self.tracer.span(name, **args)
 
     def _safe_point(self) -> None:
         """Emit-loop safe point: candidates so far are fully stored.
 
         Engines call this at batch boundaries (the vector engine's
         accumulator is empty, the scalar engine between candidates).
-        Preemption stops the sweep here after journaling a partial
-        checkpoint; otherwise a partial is written when the configured
-        candidate/second interval has elapsed.
+        Preemption stops the sweep here after writing an in-level
+        record; otherwise one is written on the checkpoint cadence.
         """
-        if not self._partial_active or self.otf:
-            # OnTheFly mode stops storing rows, so a partial snapshot
-            # could no longer describe the level; preemption then waits
-            # for the level boundary.
+        if not self._safe_points_armed or self.otf:
+            # OnTheFly mode stops storing rows, so a record could no
+            # longer describe the level; preemption then waits for the
+            # level boundary.
             return
         if self.preempt_check is not None and self.preempt_check():
-            self._write_partial()
+            self._checkpoint("partial-save")
             raise SweepPreempted()
-        if self.on_partial is None:
-            return
-        every = self.partial_every_candidates
-        if (
-            every is not None
-            and self.generated - self._last_partial_generated >= every
+        if self.on_checkpoint is not None and (
+            self.generated - self._last_checkpoint_generated
+            >= CHECKPOINT_EVERY_CANDIDATES
+            or time.monotonic() - self._last_checkpoint_monotonic
+            >= CHECKPOINT_EVERY_S
         ):
-            self._write_partial()
-            return
-        every_s = self.partial_every_s
-        if (
-            every_s is not None
-            and time.monotonic() - self._last_partial_monotonic >= every_s
-        ):
-            self._write_partial()
+            self._checkpoint("partial-save")
 
-    def _replay_restored(self, max_cost: int) -> Optional[int]:
-        """Adopt the armed checkpoints; returns the next cost to build.
+    def _adopt_checkpoint(self, cost: int) -> Optional[Checkpoint]:
+        """Adopt the restored record of ``cost`` if it starts where the
+        engine stands; returns it, or None once the replay has ended.
 
-        Returns None when the replay itself settles the run: a restored
-        row satisfies the spec (solution recorded, partial level
-        adopted — identical to enumeration stopping at that candidate),
-        or the generation budget lands inside a restored level
-        (:class:`BudgetExhausted` raised after adopting the in-budget
-        prefix).  Mirrors the solo sweep's bookkeeping exactly: no
-        ``level_stats`` entry for the seed level or a budget-interrupted
-        level, no level mark for a solved or budget-interrupted level.
+        Mirrors enumeration exactly: a restored row that satisfies the
+        spec becomes the solution (the rows before it adopted, as if
+        enumeration had stopped there), and a generation budget landing
+        inside the record adopts the in-budget prefix and raises
+        :class:`BudgetExhausted`.  Otherwise every row is adopted and
+        the level's build fast-forwards past the record's cursor.
         """
-        levels = self._restored_levels
-        self._restored_levels = []
-        c1 = self.cost_fn.literal
-        budget = self.max_generated
-        prev_total = self.generated  # the two trivial candidates
-        next_cost = c1
-        for payload in levels:
-            cost = payload.cost
-            if cost != next_cost or cost > max_cost:
-                break  # a gap or past the ceiling: enumerate from here
-            self._current_cost = cost
-            n = int(payload.ordinals.shape[0])
+        if not self._restored:
+            return None
+        record = self._restored.pop(0)
+        if (
+            record.cost != cost
+            or record.generated_total - record.level_progress != self.generated
+        ):
+            self._restored = []  # a gap or a stale record: enumerate
+            return None
+        n = int(record.ordinals.shape[0])
+        with self._span("checkpoint-replay", cost=cost, rows=n):
+            budget = self.max_generated
             cut = n
             if budget is not None:
-                cut = int(
-                    np.searchsorted(payload.ordinals, budget, side="right")
-                )
-            hit = None
-            if not self._checks_disabled:
-                hit = self._scan_restored(payload, cut)
-            start = len(self.cache)
+                cut = int(np.searchsorted(record.ordinals, budget, side="right"))
+            hit = None if self._checks_disabled else self._scan_restored(record, cut)
             if hit is not None:
-                self._adopt_restored(payload, 0, hit)
-                self.generated = int(payload.ordinals[hit])
-                if cost != c1:
-                    self.level_stats.append(
-                        {
-                            "cost": cost,
-                            "generated": self.generated - prev_total,
-                            "stored": len(self.cache) - start,
-                            "otf": False,
-                        }
-                    )
+                self._adopt_restored(record, 0, hit)
+                self.generated = int(record.ordinals[hit])
                 self._record_solution(
-                    int(payload.ops[hit]),
-                    int(payload.lefts[hit]),
-                    int(payload.rights[hit]),
+                    int(record.ops[hit]),
+                    int(record.lefts[hit]),
+                    int(record.rights[hit]),
                     cost,
                 )
-                return None
-            if budget is not None and payload.generated_total >= budget:
-                self._adopt_restored(payload, 0, cut)
+            elif budget is not None and record.generated_total >= budget:
+                self._adopt_restored(record, 0, cut)
                 self.generated = budget
                 raise BudgetExhausted()
-            self._adopt_restored(payload, 0, n)
-            self.generated = int(payload.generated_total)
-            if cost != c1:
-                self.level_stats.append(
-                    {
-                        "cost": cost,
-                        "generated": self.generated - prev_total,
-                        "stored": n,
-                        "otf": False,
-                    }
-                )
-            self.cache.levels.mark(cost, start, len(self.cache))
-            self.levels_built += 1
-            self.resumed_levels += 1
-            prev_total = self.generated
-            next_cost = cost + 1
-            self._after_level(cost, start, len(self.cache))
-        partial = self._restored_partial
-        self._restored_partial = None
-        if (
-            partial is not None
-            and partial.cost == next_cost
-            and next_cost <= max_cost
-        ):
-            self._adopt_partial(partial)
-            if self.status == STATUS_SUCCESS:
-                return None
-        return next_cost
-
-    def _adopt_partial(self, partial: PartialLevelCheckpoint) -> None:
-        """Adopt a partial level's stored prefix and arm the emit-loop
-        fast-forward (mirrors :meth:`_replay_restored` semantics: budget
-        cut by ordinal, solution scan under the *current* spec)."""
-        cost = partial.cost
-        self._current_cost = cost
-        budget = self.max_generated
-        n = int(partial.ordinals.shape[0])
-        cut = n
-        if budget is not None:
-            cut = int(np.searchsorted(partial.ordinals, budget, side="right"))
-        hit = None
-        if not self._checks_disabled:
-            hit = self._scan_restored(partial, cut)
-        start = len(self.cache)
-        level_start_generated = (
-            partial.generated_total - partial.level_progress
-        )
-        if hit is not None:
-            self._adopt_restored(partial, 0, hit)
-            self.generated = int(partial.ordinals[hit])
-            self.level_stats.append(
-                {
-                    "cost": cost,
-                    "generated": self.generated - level_start_generated,
-                    "stored": len(self.cache) - start,
-                    "otf": False,
-                }
-            )
-            self._record_solution(
-                int(partial.ops[hit]),
-                int(partial.lefts[hit]),
-                int(partial.rights[hit]),
-                cost,
-            )
-            return
-        if budget is not None and partial.generated_total >= budget:
-            self._adopt_restored(partial, 0, cut)
-            self.generated = budget
-            raise BudgetExhausted()
-        self._adopt_restored(partial, 0, n)
-        self.generated = int(partial.generated_total)
-        self._level_skip = int(partial.level_progress)
-        self._partial_base = (cost, start, level_start_generated)
-        self.partial_resumes += 1
+            else:
+                self._adopt_restored(record, 0, n)
+                self.generated = record.generated_total
+                self._level_skip = record.level_progress
+        return record
 
     def _run(self, max_cost: int) -> str:
         # An already-cancelled run (a job cancelled while queued, or a
@@ -900,77 +726,39 @@ class SearchEngine:
         self._current_cost = c1
         if self._check_trivials(c1):
             return self.status
-        next_cost = c1
-        if self._restored_levels:
-            if self.tracer is None:
-                next_cost = self._replay_restored(max_cost)
-            else:
-                with self.tracer.span(
-                    "checkpoint-replay", levels=len(self._restored_levels)
-                ):
-                    next_cost = self._replay_restored(max_cost)
-            if next_cost is None:
-                return self.status
-        if next_cost == c1:
-            # Nothing restored (or the checkpoints were unusable):
-            # enumerate the seed level as usual.
-            seed_span = (
-                self.tracer.start("seed-level", cost=c1)
-                if self.tracer is not None
-                else None
-            )
-            try:
-                if self._seed_alphabet():
-                    return self.status
-                self.cache.levels.mark(c1, 0, len(self.cache))
-                self.levels_built = 1
-            finally:
-                if seed_span is not None:
-                    self.tracer.finish(seed_span, stored=len(self.cache))
-            self._after_level(c1, 0, len(self.cache))
-            next_cost = c1 + 1
-
-        for cost in range(next_cost, max_cost + 1):
+        # The literal level is seeded even when max_cost lies below it.
+        for cost in range(c1, max(c1, max_cost) + 1):
             if self.otf and not self._otf_can_build(cost):
                 self.status = STATUS_OOM
                 return self.status
             start = len(self.cache)
             generated_before = self.generated
-            if (
-                self._partial_base is not None
-                and self._partial_base[0] == cost
-            ):
-                # Resuming mid-level from a partial checkpoint: the
-                # adopted prefix belongs to this level's cache range,
-                # stats entry and level mark.
-                _, start, generated_before = self._partial_base
-                self._partial_base = None
             self._current_cost = cost
             self._level_start_cache = start
             self._level_start_generated = generated_before
-            self._last_partial_generated = self.generated
-            self._last_partial_monotonic = time.monotonic()
-            self._partial_active = not self.otf
-            try:
-                if self.tracer is None:
-                    solved = self._build_level(cost)
-                else:
-                    solved = self._build_level_traced(cost)
-            finally:
-                self._partial_active = False
-            self.level_stats.append(
-                {
-                    "cost": cost,
-                    "generated": self.generated - generated_before,
-                    "stored": len(self.cache) - start,
-                    "otf": self.otf,
-                }
-            )
+            record = self._adopt_checkpoint(cost)
+            solved = self.status == STATUS_SUCCESS or self._build(cost)
+            if cost != c1:
+                self.level_stats.append(
+                    {
+                        "cost": cost,
+                        "generated": self.generated - generated_before,
+                        "stored": len(self.cache) - start,
+                        "otf": self.otf,
+                    }
+                )
             if solved:
                 return self.status
             self.levels_built += 1
-            if not self.otf:
+            if cost == c1 or not self.otf:
+                # The seed level is marked even when it overflowed a
+                # bounded cache: OnTheFly mode builds on it.
                 self.cache.levels.mark(cost, start, len(self.cache))
+            if record is not None and self.generated == record.generated_total:
+                # The record was the level's end: nothing new to write.
+                self.resumed_levels += 1
+            elif not self.otf:
+                self._checkpoint("checkpoint-save")
             self._after_level(cost, start, len(self.cache))
         self.status = STATUS_NOT_FOUND
         return self.status
@@ -1007,6 +795,19 @@ class SearchEngine:
             return False
         return cost - self.cost_fn.min_constructor_cost <= last
 
+    def _build(self, cost: int) -> bool:
+        """:meth:`_build_level` with the checkpoint cadence restarted and
+        safe points armed past the seed level (seeding has none)."""
+        self._last_checkpoint_generated = self.generated
+        self._last_checkpoint_monotonic = time.monotonic()
+        self._safe_points_armed = cost != self.cost_fn.literal and not self.otf
+        try:
+            if self.tracer is None:
+                return self._build_level(cost)
+            return self._build_level_traced(cost)
+        finally:
+            self._safe_points_armed = False
+
     def _build_level_traced(self, cost: int) -> bool:
         """:meth:`_build_level` inside a span, with the level's
         dedupe/solve/store phase-timer deltas attached at completion —
@@ -1015,7 +816,9 @@ class SearchEngine:
         phases_before = dict(self.phase_seconds)
         generated_before = self.generated
         stored_before = len(self.cache)
-        span = self.tracer.start("level", cost=cost)
+        span = self.tracer.start(
+            "seed-level" if cost == self.cost_fn.literal else "level", cost=cost
+        )
         try:
             return self._build_level(cost)
         finally:
@@ -1033,94 +836,71 @@ class SearchEngine:
             )
 
     def _build_level(self, cost: int) -> bool:
-        """Build every candidate of ``cost``: ``?``, ``*``, ``·``, ``+``.
+        """Build every candidate of ``cost`` (see :meth:`_level_steps`).
 
-        When resuming mid-level from a partial checkpoint,
-        ``self._level_skip`` holds the number of already-adopted
-        candidates: whole emit steps are skipped structurally (their
-        candidate counts are closed-form), and the step containing the
-        resume point is entered with the residual offset — rework is
-        bounded by one kernel batch, never a whole step.
+        After a checkpoint record of ``cost`` was adopted,
+        ``self._level_skip`` holds its cursor: whole emit steps are
+        skipped structurally (their candidate counts are closed-form),
+        and the step containing the cursor is entered with the residual
+        offset — rework is bounded by one kernel batch, never a whole
+        step.  A cursor at the level's end skips every step.
         """
-        cf = self.cost_fn
-        levels = self.cache.levels
-        c1 = cf.literal
         skip = self._level_skip
-        self._level_skip = 0
-
-        # Question mark.
-        bounds = levels.bounds(cost - cf.question)
-        if bounds is not None and bounds[0] < bounds[1]:
-            n = bounds[1] - bounds[0]
-            if skip >= n:
-                skip -= n
+        self._level_skip = None
+        for op, count, operands in self._level_steps(cost):
+            offset = 0
+            if skip is not None:
+                if skip >= count:
+                    skip -= count
+                    continue
+                offset, skip = skip, None
+                self.partial_resumes += 1
+            if op == OP_CHAR:
+                solved = self._seed_alphabet()
+            elif op in (OP_QUESTION, OP_STAR):
+                solved = self._emit_unary(op, operands[0] + offset, operands[1])
             else:
-                lo = bounds[0] + skip
-                skip = 0
-                if self._emit_unary(OP_QUESTION, lo, bounds[1]):
-                    return True
-                self._safe_point()
-
-        # Kleene star.
-        bounds = levels.bounds(cost - cf.star)
-        if bounds is not None and bounds[0] < bounds[1]:
-            n = bounds[1] - bounds[0]
-            if skip >= n:
-                skip -= n
-            else:
-                lo = bounds[0] + skip
-                skip = 0
-                if self._emit_unary(OP_STAR, lo, bounds[1]):
-                    return True
-                self._safe_point()
-
-        # Concatenation: all ordered pairs (L, R) with L + R = budget.
-        budget = cost - cf.concat
-        pairings: List[Tuple[Tuple[int, int], Tuple[int, int], bool]] = []
-        for left_cost in levels.costs():
-            right_cost = budget - left_cost
-            if right_cost < c1:
-                break
-            left = levels.bounds(left_cost)
-            right = levels.bounds(right_cost)
-            if left is None or right is None:
-                continue
-            if left[0] == left[1] or right[0] == right[1]:
-                continue
-            pairings.append((left, right, False))
-        if pairings:
-            total = sum(_pair_candidates(p) for p in pairings)
-            if skip >= total:
-                skip -= total
-            else:
-                group_skip, skip = skip, 0
-                if self._emit_pair_group(OP_CONCAT, pairings, group_skip):
-                    return True
-                self._safe_point()
-
-        # Union: commutative, so only pairs with L ≤ R (and i < j on the
-        # diagonal — ``r + r`` never yields a new CS nor a new solution,
-        # since ``r`` itself was checked when first constructed).
-        budget = cost - cf.union
-        pairings = []
-        for left_cost in levels.costs():
-            right_cost = budget - left_cost
-            if right_cost < left_cost:
-                break
-            left = levels.bounds(left_cost)
-            right = levels.bounds(right_cost)
-            if left is None or right is None:
-                continue
-            if left[0] == left[1] or right[0] == right[1]:
-                continue
-            pairings.append((left, right, left_cost == right_cost))
-        if pairings:
-            total = sum(_pair_candidates(p) for p in pairings)
-            if skip >= total:
-                skip -= total
-            else:
-                group_skip, skip = skip, 0
-                if self._emit_pair_group(OP_UNION, pairings, group_skip):
-                    return True
-                self._safe_point()
+                solved = self._emit_pair_group(op, operands, offset)
+            if solved:
+                return True
+            self._safe_point()
         return False
+
+    def _level_steps(self, cost: int) -> List[Tuple[int, int, object]]:
+        """Level ``cost``'s emit steps in enumeration order, as ``(op,
+        candidates, operands)``: the alphabet at the literal cost, else
+        ``?`` and ``*`` over one operand range, then ``·`` and ``+``
+        over operand-level pairings (line 12 of Algorithm 1)."""
+        cf = self.cost_fn
+        c1 = cf.literal
+        if cost == c1:
+            return [(OP_CHAR, len(self.universe.alphabet), None)]
+        levels = self.cache.levels
+        steps: List[Tuple[int, int, object]] = []
+        for op, op_cost in ((OP_QUESTION, cf.question), (OP_STAR, cf.star)):
+            bounds = levels.bounds(cost - op_cost)
+            if bounds is not None and bounds[0] < bounds[1]:
+                steps.append((op, bounds[1] - bounds[0], bounds))
+        for op, op_cost in ((OP_CONCAT, cf.concat), (OP_UNION, cf.union)):
+            budget = cost - op_cost
+            pairings = []
+            for left_cost in levels.costs():
+                right_cost = budget - left_cost
+                # Concatenation takes every ordered pair (L, R) with
+                # L + R = budget.  Union is commutative, so only L ≤ R
+                # (and i < j on the diagonal — ``r + r`` never yields a
+                # new CS nor a new solution, since ``r`` itself was
+                # checked when first constructed).
+                if right_cost < (left_cost if op == OP_UNION else c1):
+                    break
+                left = levels.bounds(left_cost)
+                right = levels.bounds(right_cost)
+                if left and right and left[0] < left[1] and right[0] < right[1]:
+                    pairings.append(
+                        (left, right, op == OP_UNION and left_cost == right_cost)
+                    )
+            if pairings:
+                steps.append(
+                    (op, sum(_pair_candidates(p) for p in pairings), pairings)
+                )
+        return steps

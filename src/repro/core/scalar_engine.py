@@ -95,7 +95,7 @@ class ScalarEngine(SearchEngine):
             if not self._seen.insert(cs):
                 self._check_budget()
                 # A dedupe-rejected candidate is fully processed too —
-                # counting it keeps the partial interval an exact bound.
+                # counting it keeps the checkpoint interval an exact bound.
                 self._safe_point()
                 return False
         if self.solves_int(cs):
@@ -222,7 +222,7 @@ class ScalarEngine(SearchEngine):
         return False
 
     # ------------------------------------------------------------------
-    # Level checkpointing (see SearchEngine.restore_levels)
+    # Checkpointing (see SearchEngine.restore)
     # ------------------------------------------------------------------
     def _level_payload(self, start: int, end: int):
         rows = ints_to_matrix(

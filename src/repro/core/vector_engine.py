@@ -390,7 +390,7 @@ class VectorEngine(SearchEngine):
         self._check_budget()
         # The batch is fully stored and the fused-emit accumulator is
         # empty whenever this runs (``_flush`` drains it before calling
-        # in), so this is a safe point for partial checkpoints and
+        # in), so this is a safe point for in-level checkpoints and
         # preemption.
         self._safe_point()
         return False
@@ -557,7 +557,7 @@ class VectorEngine(SearchEngine):
         return False
 
     # ------------------------------------------------------------------
-    # Level checkpointing (see SearchEngine.restore_levels)
+    # Checkpointing (see SearchEngine.restore)
     # ------------------------------------------------------------------
     def _level_payload(
         self, start: int, end: int

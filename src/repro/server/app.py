@@ -101,7 +101,6 @@ _WIRE_EXTRA_KEYS = (
     "preemptions",
     "resumed_levels",
     "partial_resumes",
-    "partial_checkpoints",
 )
 
 

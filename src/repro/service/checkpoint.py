@@ -1,46 +1,41 @@
-"""Durable level checkpoints: an append-only journal plus a manifest.
+"""Durable checkpoints: an append-only journal plus a manifest.
 
-The enumeration is strictly level-by-level over cost, which makes each
-*completed* cost level a natural checkpoint (the multicore-recovery
-recipe: lightweight logging, recovery replays only the tail).  The
-:class:`CheckpointStore` persists
-:class:`~repro.core.engine.LevelCheckpoint` snapshots per *checkpoint
-key* — the content address of an enumeration, hashed over the staging
-fingerprint, the cost function, the guide-table toggle and the
-:func:`~repro.core.cache.cache_version_fingerprint` (so a layout or
-dedupe change invalidates stale checkpoints wholesale, never replaying
-rows under the wrong interpretation).  The spec's masks and the backend
-are deliberately **excluded**: enumeration is spec-independent and
-bit-identical across backends, so one query's checkpoints serve every
-query over the same universe and cost function, from either engine.
+Enumeration is a deterministic sequence over cost levels, so any point
+in it is a prefix of completed levels plus a cursor inside the next one
+(the multicore-recovery recipe: lightweight logging, recovery replays
+only the tail).  The :class:`CheckpointStore` persists
+:class:`~repro.core.engine.Checkpoint` records — one level's stored rows
+up to a cursor, where a finished level is the cursor at the level's
+end — per *checkpoint key*: the content address of an enumeration,
+hashed over the staging fingerprint, the cost function, the guide-table
+toggle and the :func:`~repro.core.cache.cache_version_fingerprint` (so
+a layout, dedupe or record-format change invalidates stale journals
+wholesale, never replaying rows under the wrong interpretation).  The
+spec's masks and the backend are deliberately **excluded**: enumeration
+is spec-independent and bit-identical across backends, so one query's
+checkpoints serve every query over the same universe and cost function,
+from either engine.
 
 On-disk layout, per key::
 
     <key>.journal        RLVL | u64 payload-length | sha256 | pickle …
-    <key>.manifest.json  {"records": [{cost, offset, length, …}, …]}
+    <key>.manifest.json  {"records": [{cost, offset, length,
+                                       level_progress}, …]}
     <key>.lock           flock'd around append rounds
 
-Crash safety is the classic journal/manifest split: a record is
-appended and fsynced *before* the manifest is atomically rewritten to
-mention it.  A crash between the two leaves orphan bytes after the last
-manifest offset — skipped forever, harmlessly.  A torn or bit-rotten
-record fails its digest on load; the loader serves the valid
-consecutive prefix and rewrites the manifest down to it (self-healing),
-so recovery is never worse than a shorter resume.  Concurrent appenders
-(pool siblings finishing the same level) serialise on the lock file and
-dedupe by cost, and since enumeration is deterministic they would write
-identical payloads anyway.
-
-Alongside completed levels the journal also carries **partial-level**
-records (:class:`~repro.core.engine.PartialLevelCheckpoint`): the
-emit-loop progress inside the level currently being built, written at
-the engine's safe points so a SIGKILL — or a preemption — mid-wide-level
-resumes from the last partial instead of the level start.  Manifest
-records carry ``"kind": "level" | "partial"`` (absent means level, for
-journals written before partials existed).  Only the newest partial is
-manifest-reachable; superseded partials become orphan journal bytes like
-any torn append, and a completed level drops every partial at or below
-its cost.
+The manifest holds one entry per cost, the record with the largest
+cursor: a newer record of a cost replaces the older entry, whose
+journal bytes become unreachable orphans.  Crash safety is the classic
+journal/manifest split: a record is appended and fsynced *before* the
+manifest is atomically rewritten to mention it.  A crash between the
+two leaves orphan bytes after the last manifest offset — skipped
+forever, harmlessly.  A torn or bit-rotten record fails its digest on
+load; the loader serves the valid cost-consecutive prefix and rewrites
+the manifest down to it (self-healing), so recovery is never worse than
+a shorter resume.  Concurrent appenders (pool siblings at the same
+point) serialise on the lock file and keep the largest cursor, and
+since enumeration is deterministic they would write identical payloads
+anyway.
 """
 
 from __future__ import annotations
@@ -55,7 +50,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..core.cache import cache_version_fingerprint
-from ..core.engine import LevelCheckpoint, PartialLevelCheckpoint
+from ..core.engine import Checkpoint
 from ..regex.cost import CostFunction
 from ..testing.faults import fault_point
 from .store import atomic_write_bytes
@@ -69,6 +64,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 _RECORD_MAGIC = b"RLVL"
 _HEADER = struct.Struct("<4sQ")
 _DIGEST_SIZE = hashlib.sha256().digest_size
+_ENTRY_FIELDS = ("cost", "offset", "length", "level_progress")
 
 
 def checkpoint_key(
@@ -77,7 +73,7 @@ def checkpoint_key(
     """Content address of one enumeration's level sequence.
 
     Spec masks, budgets and the backend are excluded on purpose — none
-    of them changes what a completed level contains (the spec only
+    of them changes what a level's record contains (the spec only
     decides when the sweep *stops*, budgets only where it is cut, and
     the engines are bit-identical).
     """
@@ -92,7 +88,7 @@ def checkpoint_key(
 
 
 class CheckpointStore:
-    """A directory of per-key level journals (see the module docstring)."""
+    """A directory of per-key checkpoint journals (see the module docstring)."""
 
     def __init__(self, root) -> None:
         self.root = Path(root)
@@ -121,58 +117,32 @@ class CheckpointStore:
             os.close(fd)
 
     def _read_manifest(self, key: str) -> List[dict]:
-        """The manifest's record list (empty on absent/corrupt manifest)."""
+        """The manifest's entries up to the first malformed one (empty
+        on an absent or corrupt manifest)."""
         try:
             data = json.loads(
                 self._manifest_path(key).read_text(encoding="utf-8")
             )
         except (OSError, ValueError):
             return []
-        records = data.get("records") if isinstance(data, dict) else None
-        if not isinstance(records, list):
+        entries = data.get("records") if isinstance(data, dict) else None
+        if not isinstance(entries, list):
             return []
         out = []
-        for record in records:
-            if not isinstance(record, dict):
-                return out
+        for entry in entries:
             try:
-                kind = record.get("kind", "level")
-                if kind not in ("level", "partial"):
-                    return out
-                out.append(
-                    {
-                        "cost": int(record["cost"]),
-                        "offset": int(record["offset"]),
-                        "length": int(record["length"]),
-                        "generated_total": int(record["generated_total"]),
-                        "kind": kind,
-                    }
-                )
+                out.append({name: int(entry[name]) for name in _ENTRY_FIELDS})
             except (KeyError, TypeError, ValueError):
                 return out
         return out
 
-    @staticmethod
-    def _record_order(record: dict):
-        # Levels sort before a partial of the same cost (a partial always
-        # describes the level right after the last complete one).
-        return (record["cost"], 0 if record["kind"] == "level" else 1)
-
-    def _write_manifest(self, key: str, records: List[dict]) -> None:
+    def _write_manifest(self, key: str, entries: List[dict]) -> None:
         payload = json.dumps(
-            {"version": 1, "records": records}, indent=2, sort_keys=True
+            {"version": 2, "records": entries}, indent=2, sort_keys=True
         )
         atomic_write_bytes(self._manifest_path(key), payload.encode("utf-8"))
 
     # ------------------------------------------------------------------
-    def levels_recorded(self, key: str) -> List[int]:
-        """Level costs the manifest currently lists (no payload reads)."""
-        return [
-            record["cost"]
-            for record in self._read_manifest(key)
-            if record["kind"] == "level"
-        ]
-
     def _journal_record(self, key: str, payload: bytes) -> int:
         """Append one digest-framed record; returns its journal offset."""
         digest = hashlib.sha256(payload).digest()
@@ -185,98 +155,58 @@ class CheckpointStore:
             os.fsync(handle.fileno())
         return offset
 
-    def append_level(self, key: str, level: LevelCheckpoint) -> bool:
-        """Journal one completed level; returns False when its cost is
-        already recorded (a pool sibling got there first).
-
-        A completed level supersedes every partial at or below its cost:
-        those manifest records are dropped in the same atomic rewrite,
-        their journal bytes becoming unreachable orphans.
-        """
+    def append(self, key: str, record: Checkpoint) -> bool:
+        """Journal one record; returns False when the manifest already
+        holds a record of its cost with at least its cursor (a pool
+        sibling got there first, or the level already finished)."""
         with self._locked(key):
-            records = self._read_manifest(key)
+            entries = self._read_manifest(key)
             if any(
-                record["cost"] == level.cost and record["kind"] == "level"
-                for record in records
+                entry["cost"] == record.cost
+                and entry["level_progress"] >= record.level_progress
+                for entry in entries
             ):
                 return False
             payload = pickle.dumps(
-                level.to_payload(), protocol=pickle.HIGHEST_PROTOCOL
+                record.to_payload(), protocol=pickle.HIGHEST_PROTOCOL
             )
             offset = self._journal_record(key, payload)
             # A crash here (the injection point) loses only the manifest
             # update: the journal bytes become unreachable orphans and
-            # the level is re-journalled at the end of the file later.
+            # the record is re-journalled at the end of the file later.
             fault_point("checkpoint.append")
-            records = [
-                record
-                for record in records
-                if not (
-                    record["kind"] == "partial"
-                    and record["cost"] <= level.cost
-                )
-            ]
-            records.append(
+            entries = [e for e in entries if e["cost"] != record.cost]
+            entries.append(
                 {
-                    "cost": int(level.cost),
+                    "cost": int(record.cost),
                     "offset": offset,
                     "length": len(payload),
-                    "generated_total": int(level.generated_total),
-                    "kind": "level",
+                    "level_progress": int(record.level_progress),
                 }
             )
-            records.sort(key=self._record_order)
-            self._write_manifest(key, records)
+            entries.sort(key=lambda entry: entry["cost"])
+            self._write_manifest(key, entries)
             return True
 
-    def append_partial(
-        self, key: str, partial: PartialLevelCheckpoint
-    ) -> bool:
-        """Journal the current mid-level progress snapshot.
+    # The benchmark's probes (perfbench/probes.py) time journal writes
+    # through these two names.
+    def append_level(self, key: str, record: Checkpoint) -> bool:
+        """:meth:`append` (the name the durability sink writes through)."""
+        return self.append(key, record)
 
-        Keeps at most one partial per key — the newest one replaces any
-        older partial in the manifest.  Returns False when a completed
-        level already covers the partial's cost (nothing to resume).
-        """
-        with self._locked(key):
-            records = self._read_manifest(key)
-            if any(
-                record["kind"] == "level" and record["cost"] >= partial.cost
-                for record in records
-            ):
-                return False
-            payload = pickle.dumps(
-                partial.to_payload(), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            offset = self._journal_record(key, payload)
-            # Same crash window as append_level: dying here orphans the
-            # fresh bytes and keeps the previous partial reachable.
-            fault_point("checkpoint.append_partial")
-            records = [
-                record for record in records if record["kind"] != "partial"
-            ]
-            records.append(
-                {
-                    "cost": int(partial.cost),
-                    "offset": offset,
-                    "length": len(payload),
-                    "generated_total": int(partial.generated_total),
-                    "kind": "partial",
-                }
-            )
-            records.sort(key=self._record_order)
-            self._write_manifest(key, records)
-            return True
+    def append_partial(self, key: str, record: Checkpoint) -> bool:
+        """:meth:`append`, under the benchmark probes' second name."""
+        return self.append(key, record)
 
-    def _read_record(self, handle, record: dict, cls=LevelCheckpoint):
+    def _read_record(self, handle, entry: dict) -> Optional[Checkpoint]:
         """One verified journal record, or None when it fails any check."""
         try:
-            handle.seek(record["offset"])
+            handle.seek(entry["offset"])
             header = handle.read(_HEADER.size)
             if len(header) != _HEADER.size:
                 return None
             magic, length = _HEADER.unpack(header)
-            if magic != _RECORD_MAGIC or length != record["length"]:
+            if magic != _RECORD_MAGIC or length != entry["length"]:
                 return None
             digest = handle.read(_DIGEST_SIZE)
             payload = handle.read(length)
@@ -284,93 +214,45 @@ class CheckpointStore:
                 return None
             if hashlib.sha256(payload).digest() != digest:
                 return None
-            level = cls.from_payload(pickle.loads(payload))
+            record = Checkpoint.from_payload(pickle.loads(payload))
         except Exception:
             return None
-        if level.cost != record["cost"]:
+        if (record.cost, record.level_progress) != (
+            entry["cost"],
+            entry["level_progress"],
+        ):
             return None
-        return level
+        return record
 
-    def load_levels(
-        self, key: str, upto_cost: Optional[int] = None
-    ) -> List[LevelCheckpoint]:
-        """The valid consecutive level prefix recorded under ``key``.
+    def load(self, key: str) -> List[Checkpoint]:
+        """The valid cost-consecutive records under ``key``, ascending.
 
-        Verifies every record (magic, length, digest, cost) and stops at
-        the first failure or cost gap, so the result is always a
-        replayable prefix.  When damage shortened the prefix, the
-        manifest is rewritten to match (self-healing) — the bad tail is
-        simply re-enumerated and re-journalled by the next run.
+        Verifies every record (magic, length, digest, cost, cursor) and
+        stops at the first failure or cost gap, so the result is always
+        a replayable prefix.  When damage shortened it, the manifest is
+        rewritten to match (self-healing) — the lost tail is simply
+        re-enumerated and re-journalled by the next run.
         """
-        records = [
-            record
-            for record in self._read_manifest(key)
-            if record["kind"] == "level"
-        ]
-        if not records:
+        entries = self._read_manifest(key)
+        if not entries:
             return []
-        levels: List[LevelCheckpoint] = []
-        kept: List[dict] = []
+        records: List[Checkpoint] = []
         try:
             handle = open(self._journal_path(key), "rb")
         except OSError:
-            handle = None
-        if handle is None:
             self._heal(key, [])
             return []
         with handle:
-            for record in records:
-                if levels and record["cost"] != levels[-1].cost + 1:
+            for entry in entries:
+                if records and entry["cost"] != records[-1].cost + 1:
                     break
-                level = self._read_record(handle, record)
-                if level is None:
+                record = self._read_record(handle, entry)
+                if record is None:
                     break
-                levels.append(level)
-                kept.append(record)
-        if len(kept) != len(records):
-            self._heal(key, kept)
-        if upto_cost is not None:
-            levels = [level for level in levels if level.cost <= upto_cost]
-        return levels
-
-    def load_partial(self, key: str) -> Optional[PartialLevelCheckpoint]:
-        """The manifest's partial record, verified, or None.
-
-        A usable partial describes the cost right after the last
-        *consecutive* complete level (the engine re-checks that before
-        adopting it, so a stale or orphaned partial degrades to a
-        level-start resume, never a wrong one).  A partial that fails
-        its digest is dropped from the manifest on the spot — the level
-        prefix stays intact.
-        """
-        records = self._read_manifest(key)
-        partial_records = [r for r in records if r["kind"] == "partial"]
-        if not partial_records:
-            return None
-        record = partial_records[-1]
-        try:
-            handle = open(self._journal_path(key), "rb")
-        except OSError:
-            return None
-        with handle:
-            partial = self._read_record(
-                handle, record, cls=PartialLevelCheckpoint
-            )
-        if partial is None:
-            # Torn or bit-rotten: drop just the partial record so the
-            # next run resumes from the intact level prefix.
-            try:
-                with self._locked(key):
-                    current = self._read_manifest(key)
-                    survivors = [
-                        r for r in current if r["kind"] != "partial"
-                    ]
-                    if len(survivors) != len(current):
-                        self._write_manifest(key, survivors)
-            except OSError:
-                pass
-            return None
-        return partial
+                records.append(record)
+        if len(records) != len(entries):
+            self._heal(key, records)
+        return records
 
     # ------------------------------------------------------------------
     # GC / size budgeting
@@ -460,28 +342,20 @@ class CheckpointStore:
             pass
         return size
 
-    def _heal(self, key: str, kept: List[dict]) -> None:
-        """Rewrite the manifest down to the verified prefix (best-effort)."""
+    def _heal(self, key: str, kept: List[Checkpoint]) -> None:
+        """Rewrite the manifest down to the verified prefix (best-effort).
+
+        Another appender may have advanced the manifest since it was
+        read, so the rewrite keeps the current entries *below* the first
+        unverified cost rather than the ones read earlier.
+        """
+        upto = kept[-1].cost if kept else None
         try:
             with self._locked(key):
                 current = self._read_manifest(key)
-                kept_costs = {record["cost"] for record in kept}
-                # Another appender may have advanced the manifest since
-                # we read it; only drop records we actually verified bad
-                # (same offset/length as what we read).
-                checked = {
-                    (r["cost"], r["offset"], r["length"]) for r in kept
-                }
-                read_upto = max(kept_costs) if kept_costs else None
-                survivors = []
-                for record in current:
-                    triple = (record["cost"], record["offset"], record["length"])
-                    if triple in checked:
-                        survivors.append(record)
-                    elif read_upto is not None and record["cost"] <= read_upto:
-                        survivors.append(record)
-                    elif read_upto is None and kept:
-                        survivors.append(record)
-                self._write_manifest(key, survivors if kept else [])
+                self._write_manifest(
+                    key,
+                    [e for e in current if upto is not None and e["cost"] <= upto],
+                )
         except OSError:
             pass

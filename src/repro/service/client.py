@@ -40,16 +40,7 @@ class ServiceClient:
         retry_backoff_s: float = 0.05,
         retry_jitter: float = 0.25,
         checkpoints: bool = True,
-        partial_every_candidates: Optional[int] = None,
-        partial_every_s: Optional[float] = None,
     ) -> None:
-        pool_kwargs = {}
-        # None keeps the pool's defaults (the store-backed session's
-        # cadence constants) rather than disabling the intervals.
-        if partial_every_candidates is not None:
-            pool_kwargs["partial_every_candidates"] = partial_every_candidates
-        if partial_every_s is not None:
-            pool_kwargs["partial_every_s"] = partial_every_s
         self.pool = WorkerPool(
             workers=workers,
             config=config,
@@ -62,7 +53,6 @@ class ServiceClient:
             retry_backoff_s=retry_backoff_s,
             retry_jitter=retry_jitter,
             checkpoints=checkpoints,
-            **pool_kwargs,
         )
 
     # ------------------------------------------------------------------

@@ -83,8 +83,6 @@ def _worker_main(
     store_dir: Optional[str],
     max_staged: Optional[int],
     checkpoints: bool,
-    partial_every_candidates: Optional[int],
-    partial_every_s: Optional[float],
     task_queue,
     result_queue,
 ) -> None:
@@ -104,8 +102,6 @@ def _worker_main(
         max_staged=max_staged,
         staging_store=staging_store,
         checkpoint_store=checkpoint_store,
-        partial_every_candidates=partial_every_candidates,
-        partial_every_s=partial_every_s,
     )
     while True:
         message = task_queue.get()
@@ -179,7 +175,7 @@ def _worker_main(
             if result.status == "preempted":
                 # The injection point for dying between the preemption
                 # checkpoint and the handback — the reaper then retries
-                # the job, which resumes from the same partial record.
+                # the job, which resumes from the same in-level record.
                 fault_point("pool.worker.preempt")
             fault_point("pool.worker.after_job")
             result_queue.put(
@@ -207,8 +203,7 @@ def _session_stats(session: Session) -> Dict[str, int]:
         snapshot["store_saves"] = session.store_saves
         snapshot["checkpoint_loads"] = session.checkpoint_loads
         snapshot["checkpoint_saves"] = session.checkpoint_saves
-        snapshot["partial_saves"] = session.partial_saves
-        snapshot["partial_loads"] = session.partial_loads
+        snapshot["checkpoint_errors"] = session.checkpoint_errors
         snapshot["resumed_queries"] = session.resumed_queries
     return snapshot
 
@@ -279,12 +274,6 @@ class WorkerPool:
         retry_backoff_s: float = 0.05,
         retry_jitter: float = 0.25,
         checkpoints: bool = True,
-        partial_every_candidates: Optional[int] = (
-            StoreBackedSession.PARTIAL_EVERY_CANDIDATES
-        ),
-        partial_every_s: Optional[float] = (
-            StoreBackedSession.PARTIAL_EVERY_S
-        ),
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -313,10 +302,6 @@ class WorkerPool:
         #: orphaned or preempted together don't requeue in lockstep.
         self.retry_jitter = retry_jitter
         self.checkpoints = checkpoints
-        #: Mid-level checkpoint cadence handed to every worker session
-        #: (see :class:`~repro.service.store.StoreBackedSession`).
-        self.partial_every_candidates = partial_every_candidates
-        self.partial_every_s = partial_every_s
         # The parent only touches results (dedup fast path + persisting
         # answers); staging stores live worker-side, in each worker's
         # StoreBackedSession.
@@ -417,8 +402,6 @@ class WorkerPool:
                 self.store_dir,
                 self.max_staged_per_worker,
                 self.checkpoints,
-                self.partial_every_candidates,
-                self.partial_every_s,
                 task_queue,
                 result_queue,
             ),

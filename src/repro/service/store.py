@@ -220,13 +220,6 @@ class StoreBackedSession(Session):
     re-enumerating.  ``store_loads``/``store_saves`` count the traffic.
     """
 
-    #: Default mid-level checkpoint cadence: a partial is journalled
-    #: once this many candidates — or this many seconds — have passed
-    #: since the last safe-point snapshot.  Both bound the rework a
-    #: SIGKILL (or a preemption) can cost inside one wide level.
-    PARTIAL_EVERY_CANDIDATES = 250_000
-    PARTIAL_EVERY_S = 2.0
-
     def __init__(
         self,
         config: Optional[EngineConfig] = None,
@@ -234,20 +227,19 @@ class StoreBackedSession(Session):
         max_staged: Optional[int] = None,
         staging_store: Optional[StagingStore] = None,
         checkpoint_store=None,
-        partial_every_candidates: Optional[int] = PARTIAL_EVERY_CANDIDATES,
-        partial_every_s: Optional[float] = PARTIAL_EVERY_S,
     ) -> None:
         super().__init__(config, registry=registry, max_staged=max_staged)
         self.staging_store = staging_store
         self.checkpoint_store = checkpoint_store
-        self.partial_every_candidates = partial_every_candidates
-        self.partial_every_s = partial_every_s
         self.store_loads = 0
         self.store_saves = 0
+        #: Checkpoint records restored / journalled by this session.
         self.checkpoint_loads = 0
         self.checkpoint_saves = 0
-        self.partial_saves = 0
-        self.partial_loads = 0
+        #: Durability failures absorbed instead of failing the query: a
+        #: load or restore error (the run then starts cold) or an
+        #: ``OSError`` on a journal write.
+        self.checkpoint_errors = 0
         self.resumed_queries = 0
 
     def staging_for(self, spec: Spec) -> Tuple[Universe, GuideTable]:
@@ -266,19 +258,21 @@ class StoreBackedSession(Session):
         return universe, guide
 
     # ------------------------------------------------------------------
-    # Level checkpoints (see repro.service.checkpoint)
+    # Checkpoints (see repro.service.checkpoint)
     # ------------------------------------------------------------------
     def _attach_durability(self, engine) -> None:
-        """Restore checkpointed cost levels and arm the writer hook.
+        """Restore the engine's checkpoint records and arm the writer.
 
         Eligibility mirrors what makes a checkpoint replayable at all:
         engines with a bounded cache (OnTheFly fallback changes what is
         stored) or with dedupe disabled (the stored sequence is no
         longer the canonical first-occurrence sequence) are excluded.
-        Replay failures of any kind degrade to a cold run — durability
-        must never make a query fail that would otherwise succeed.
+        Durability must never make a query fail that would otherwise
+        succeed, so a failed restore runs cold and a failed write is
+        skipped — each counted in :attr:`checkpoint_errors`.
         """
-        if self.checkpoint_store is None:
+        store = self.checkpoint_store
+        if store is None:
             return
         if engine.max_cache_size is not None or not engine.check_uniqueness:
             return
@@ -290,94 +284,29 @@ class StoreBackedSession(Session):
             engine.use_guide_table,
         )
         tracer = engine.tracer
-        restore_span = (
-            tracer.start("checkpoint-restore") if tracer is not None else None
-        )
+        span = tracer.start("checkpoint-restore") if tracer is not None else None
         try:
-            levels = self.checkpoint_store.load_levels(key)
+            records = store.load(key)
+            engine.restore(records)
         except Exception:
-            levels = []
-        if restore_span is not None:
-            tracer.finish(restore_span, levels=len(levels))
-        restored = False
-        if levels and levels[0].cost == engine.cost_fn.literal:
+            records = []
+            self.checkpoint_errors += 1
+        if span is not None:
+            tracer.finish(span, levels=len(records))
+        if records:
+            self.checkpoint_loads += len(records)
+            self.resumed_queries += 1
+
+        def journal(record) -> None:
+            # The engine calls this before its level hooks: a cancel or
+            # progress hook that stops the run still leaves the level on
+            # disk, which is what makes kill-at-any-level resume work.
+            # (append_level is append under the name the benchmark's
+            # probes time.)
             try:
-                engine.restore_levels(levels)
-            except Exception:
-                pass
-            else:
-                restored = True
-                self.checkpoint_loads += len(levels)
-                self.resumed_queries += 1
-        if restored:
-            # A mid-level partial right after the restored prefix lets
-            # the run skip into the interrupted level instead of
-            # rebuilding it from its start; the engine re-validates the
-            # cost adjacency before adopting it.
-            try:
-                partial = self.checkpoint_store.load_partial(key)
-            except Exception:
-                partial = None
-            if (
-                partial is not None
-                and partial.cost == levels[-1].cost + 1
-            ):
-                try:
-                    engine.restore_partial(partial)
-                except Exception:
-                    pass
-                else:
-                    self.partial_loads += 1
-
-        store = self.checkpoint_store
-        session = self
-        previous = engine.on_level
-        # Don't re-journal what we just restored: the writer starts
-        # past the last restored cost.
-        state = {"last": levels[-1].cost if levels else 0}
-
-        def checkpoint_and_forward(cost: int, start: int, end: int):
-            # Journal FIRST, then forward: a cancel/progress hook that
-            # stops the run still leaves this level on disk, which is
-            # what makes kill-at-any-level resume work.
-            if cost > state["last"]:
-                state["last"] = cost
-                span = (
-                    engine.tracer.start("checkpoint-save", cost=cost)
-                    if engine.tracer is not None
-                    else None
-                )
-                try:
-                    if store.append_level(
-                        key, engine.level_checkpoint(cost, start, end)
-                    ):
-                        session.checkpoint_saves += 1
-                except OSError:
-                    pass
-                finally:
-                    if span is not None:
-                        engine.tracer.finish(span)
-            if previous is not None:
-                return previous(cost, start, end)
-            return False
-
-        engine.on_level = checkpoint_and_forward
-
-        def journal_partial(partial) -> None:
-            span = (
-                engine.tracer.start("partial-save", cost=partial.cost)
-                if engine.tracer is not None
-                else None
-            )
-            try:
-                if store.append_partial(key, partial):
-                    session.partial_saves += 1
+                if store.append_level(key, record):
+                    self.checkpoint_saves += 1
             except OSError:
-                pass
-            finally:
-                if span is not None:
-                    engine.tracer.finish(span)
+                self.checkpoint_errors += 1
 
-        engine.on_partial = journal_partial
-        engine.partial_every_candidates = self.partial_every_candidates
-        engine.partial_every_s = self.partial_every_s
+        engine.on_checkpoint = journal

@@ -157,11 +157,14 @@ def generate_suite(
         n_pos = rng.randint(*params.p_range)
         n_neg = rng.randint(*params.n_range)
         # Clamp counts to the number of available distinct strings so any
-        # parameter ranges are safe (relevant only for tiny ``le``).
+        # parameter ranges are safe (relevant only for tiny ``le``).  At
+        # ``le = 0`` only the empty word exists, so the spec keeps one
+        # positive and no negatives.
         capacity = _count_strings(len(params.alphabet), le)
+        min_neg = 1 if capacity >= 2 else 0
         while n_pos + n_neg > capacity:
             n_pos = max(1, n_pos - 1)
-            n_neg = max(1, n_neg - 1)
+            n_neg = max(min_neg, n_neg - 1)
         seed = base_seed * 100000 + i
         spec = sampler(
             seed, alphabet=params.alphabet, le=le, n_pos=n_pos, n_neg=n_neg

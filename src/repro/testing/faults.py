@@ -34,8 +34,6 @@ Injection points wired into the codebase:
 ==============================  =========================================
 ``store.atomic_write_bytes``    between temp-file write and ``os.replace``
 ``checkpoint.append``           between journal append and manifest write
-``checkpoint.append_partial``   between a partial checkpoint's journal
-                                append and its manifest write
 ``pool.worker.before_job``      worker received a job, not yet served
 ``pool.worker.after_job``       result computed, not yet reported
 ``pool.worker.preempt``         preempted result computed, not yet

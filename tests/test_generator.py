@@ -1,10 +1,13 @@
 """Type 1 / Type 2 benchmark-generator tests (§4.3)."""
 
+import random
+
 import pytest
 
 from repro.errors import InvalidSpecError
 from repro.suites.generator import (
     PAPER_TYPE1_PARAMS,
+    PAPER_TYPE2_PARAMS,
     SCALED_TYPE1_PARAMS,
     SCALED_TYPE2_PARAMS,
     _count_strings,
@@ -116,3 +119,28 @@ class TestSuite:
     def test_paper_params_exist(self):
         assert PAPER_TYPE1_PARAMS.le_range == (0, 7)
         assert PAPER_TYPE1_PARAMS.p_range == (8, 12)
+
+    @pytest.mark.parametrize("benchmark_type, params", [
+        (1, PAPER_TYPE1_PARAMS),
+        (2, PAPER_TYPE2_PARAMS),
+    ])
+    def test_every_paper_range_draw_terminates(self, benchmark_type, params):
+        # Draw 17 of the Type 1 suite has le = 0 (only the empty word
+        # exists); its count clamp used to loop forever.
+        suite = generate_suite(benchmark_type, 40, params)
+        assert any(b.le == 0 for b in suite)
+        rng = random.Random("suite|%d|0" % benchmark_type)
+        for bench in suite:
+            le = rng.randint(*params.le_range)
+            n_pos = rng.randint(*params.p_range)
+            n_neg = rng.randint(*params.n_range)
+            assert bench.le == le
+            capacity = _count_strings(len(params.alphabet), le)
+            assert 1 <= bench.n_pos and bench.n_pos + bench.n_neg <= capacity
+            if le >= 1:
+                # Unchanged: both counts keep their floor of one.
+                while n_pos + n_neg > capacity:
+                    n_pos, n_neg = max(1, n_pos - 1), max(1, n_neg - 1)
+                assert (bench.n_pos, bench.n_neg) == (n_pos, n_neg)
+            else:
+                assert (bench.spec.positive, bench.spec.negative) == (("",), ())

@@ -1,13 +1,14 @@
-"""Preemption tests: partial checkpoints, the preempt protocol, brownout.
+"""Preemption tests: in-level checkpoints, the preempt protocol, brownout.
 
 The headline acceptance criteria live in
-:class:`TestPartialCheckpointResume` (a run killed at *any* partial
-checkpoint resumes mid-level and answers **bit-identically** to an
-uninterrupted run, on both backends, with the rework bounded by the
-checkpoint interval) and :class:`TestPoolPreemption` (a running pool
-job asked to yield checkpoints at the next safe point, requeues at its
-prior priority without burning a retry attempt, and its eventual answer
-is bit-identical to an unpreempted run).  The admission-layer pieces —
+:class:`TestPartialCheckpointResume` (a run killed at *any* checkpoint
+record, mid-level ones included, resumes from it and answers
+**bit-identically** to an uninterrupted run, on both backends, with the
+rework bounded by the checkpoint interval) and
+:class:`TestPoolPreemption` (a running pool job asked to yield
+checkpoints at the next safe point, requeues at its prior priority
+without burning a retry attempt, and its eventual answer is
+bit-identical to an unpreempted run).  The admission-layer pieces —
 brownout shedding and the saturation-triggered eviction — are tested
 pure in :class:`TestBrownout`, and bearer-token auth end-to-end in
 :class:`TestAuth`.
@@ -17,6 +18,7 @@ import time
 
 import pytest
 
+import repro.core.engine as engine_module
 from repro import EngineConfig, Session, Spec, SynthesisRequest
 from repro.core.engine import STATUS_PREEMPTED
 from repro.server import (
@@ -69,88 +71,98 @@ def assert_identical(resumed, reference):
     assert resumed.extra["level_stats"] == reference.extra["level_stats"]
 
 
-def run_with_partials(backend, every=7):
-    """A solo run that records every level and partial checkpoint."""
+def run_with_records(backend, every=7):
+    """A solo run that keeps every checkpoint record: each level's end,
+    plus in-level records on a cadence of ``every`` candidates."""
     engine = Session(EngineConfig(backend=backend)).make_engine(
         SynthesisRequest(spec=SPEC)
     )
-    levels, partials = [], []
-
-    def snap(cost, start, end):
-        levels.append((cost, engine.level_checkpoint(cost, start, end)))
-        return False
-
-    engine.on_level = snap
-    engine.on_partial = partials.append
-    engine.partial_every_candidates = every
-    status = engine.run(40)
+    records = []
+    engine.on_checkpoint = records.append
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "CHECKPOINT_EVERY_CANDIDATES", every)
+        status = engine.run(40)
     reference = (
         status, engine.generated, engine.levels_built, engine.level_stats,
         engine.solution, engine.solution_cost, len(engine.cache),
     )
-    return engine, levels, partials, reference
+    return records, reference
+
+
+def level_ends_before(records, cost):
+    """The last record of every level below ``cost`` — its end."""
+    last = {record.cost: record for record in records}
+    return [last[c] for c in sorted(last) if c < cost]
+
+
+def in_level(records):
+    """Records that are not the last of their level's records."""
+    return [
+        record for record, following in zip(records, records[1:])
+        if following.cost == record.cost
+        and following.level_progress > record.level_progress
+    ]
 
 
 # ----------------------------------------------------------------------
-# Mid-level resume from partial checkpoints (the tentpole)
+# Resume from any checkpoint record, mid-level included (the tentpole)
 # ----------------------------------------------------------------------
 class TestPartialCheckpointResume:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_kill_at_every_partial_point_is_bit_identical(self, backend):
-        # Simulates a SIGKILL at each partial checkpoint in turn: a
-        # fresh engine restores the completed levels plus that partial
-        # and must finish exactly as the uninterrupted run did.
-        _, levels, partials, reference = run_with_partials(backend)
+        # Simulates a SIGKILL right after each record in turn: a fresh
+        # engine restores the completed levels plus that record and
+        # must finish exactly as the uninterrupted run did.
+        records, reference = run_with_records(backend)
         assert reference[0] == "success"
-        assert partials, "run produced no partial checkpoints"
-        for partial in partials:
+        assert in_level(records), "run produced no in-level records"
+        for record in records:
+            prior = level_ends_before(records, record.cost)
             engine = Session(EngineConfig(backend=backend)).make_engine(
                 SynthesisRequest(spec=SPEC)
             )
-            engine.restore_levels(
-                [lv for cost, lv in levels if cost < partial.cost]
-            )
-            engine.restore_partial(partial)
+            engine.restore(prior + [record])
             status = engine.run(40)
-            assert engine.partial_resumes == 1
+            # Every record is adopted: whole levels, or one level
+            # resumed mid-way from the record's cursor.
+            assert engine.resumed_levels + engine.partial_resumes == (
+                len(prior) + 1
+            )
             assert (
                 status, engine.generated, engine.levels_built,
                 engine.level_stats, engine.solution, engine.solution_cost,
                 len(engine.cache),
-            ) == reference, (partial.cost, partial.level_progress)
+            ) == reference, (record.cost, record.level_progress)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rework_is_bounded_by_the_checkpoint_interval(self, backend):
-        # Consecutive partials within one level may be at most the
+        # Consecutive records within one level may be at most the
         # interval plus one emit batch apart — that distance is exactly
-        # the work a crash between partials can lose.
+        # the work a crash between records can lose.
         every = 7
-        _, _, partials, _ = run_with_partials(backend, every=every)
+        records, _ = run_with_records(backend, every=every)
         slack = VECTOR_MAX_BATCH if backend == "vector" else 1
         previous = {}
-        for partial in partials:
-            prior = previous.get(partial.cost)
+        for record in records:
+            prior = previous.get(record.cost)
             if prior is not None:
-                assert partial.level_progress - prior <= every + slack
-            previous[partial.cost] = partial.level_progress
+                assert record.level_progress - prior <= every + slack
+            previous[record.cost] = record.level_progress
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_partials_reuse_across_backends(self, backend):
-        # Enumeration is backend-independent, so a partial written by
-        # one backend resumes on the other (same guarantee the level
-        # checkpoints already carry).
+        # Enumeration is backend-independent, so a mid-level record
+        # written by one backend resumes on the other.
         other = "scalar" if backend == "vector" else "vector"
-        _, levels, partials, _ = run_with_partials(backend)
+        records, _ = run_with_records(backend)
         reference = Session(EngineConfig(backend=other)).synthesize(SPEC)
-        partial = partials[-1]
+        record = in_level(records)[-1]
         engine = Session(EngineConfig(backend=other)).make_engine(
             SynthesisRequest(spec=SPEC)
         )
-        engine.restore_levels(
-            [lv for cost, lv in levels if cost < partial.cost]
-        )
-        engine.restore_partial(partial)
+        engine.restore(level_ends_before(records, record.cost) + [record])
         assert engine.run(40) == "success"
+        assert engine.partial_resumes == 1
         assert engine.solution_cost == reference.cost
         assert engine.generated == reference.generated
 
@@ -158,8 +170,8 @@ class TestPartialCheckpointResume:
     def test_preempt_probe_stops_with_a_partial(self, backend):
         session = Session(EngineConfig(backend=backend))
         engine = session.make_engine(SynthesisRequest(spec=SPEC))
-        partials = []
-        engine.on_partial = partials.append
+        records = []
+        engine.on_checkpoint = records.append
         calls = {"n": 0}
 
         def preempt():
@@ -169,10 +181,11 @@ class TestPartialCheckpointResume:
         engine.preempt_check = preempt
         assert engine.run(40) == STATUS_PREEMPTED
         assert engine.solution is None
-        # Mid-level preemption writes a partial; preemption probed at a
-        # level boundary needs none (the completed level is the resume
-        # point).  Either way there is something to resume from.
-        assert partials or engine.levels_built > 0
+        # Mid-level preemption writes an in-level record; preemption
+        # probed at a level boundary needs none (the level's end record
+        # is the resume point).  Either way the last record is exactly
+        # where the run stopped.
+        assert records[-1].generated_total == engine.generated
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_preempted_session_result_is_not_a_final_answer(self, backend):
@@ -197,76 +210,72 @@ def next_true(calls, after=5):
 
 
 # ----------------------------------------------------------------------
-# Partial records in the checkpoint store
+# In-level records in the checkpoint store
 # ----------------------------------------------------------------------
 class TestStorePartials:
-    def make_partial(self, backend="vector"):
-        _, levels, partials, _ = run_with_partials(backend)
-        return levels, partials
-
     def test_completed_level_supersedes_its_partials(self, tmp_path):
-        levels, partials = self.make_partial()
+        records, _ = run_with_records("vector")
         store = CheckpointStore(tmp_path)
-        completed = {cost for cost, _ in levels}
-        # The last partial sits in the (never-completed) solution level;
-        # supersession needs one whose level did finish.
-        partial = [p for p in partials if p.cost in completed][0]
-        for cost, level in levels:
-            if cost < partial.cost:
-                store.append_level("q", level)
-        assert store.append_partial("q", partial)
-        assert store.load_partial("q").cost == partial.cost
-        for cost, level in levels:
-            if cost == partial.cost:
-                store.append_level("q", level)
-        # The finished level covers everything the partial knew.
-        assert store.load_partial("q") is None
-        assert not store.append_partial("q", partial)
+        # The last in-level record sits in the (never-completed)
+        # solution level; supersession needs one whose level finished.
+        partial = in_level(records)[0]
+        level_end = [r for r in records if r.cost == partial.cost][-1]
+        for record in level_ends_before(records, partial.cost):
+            assert store.append("q", record)
+        assert store.append("q", partial)
+        assert store.load("q")[-1].level_progress == partial.level_progress
+        assert store.append("q", level_end)
+        # The finished level covers everything the in-level record knew.
+        assert store.load("q")[-1].level_progress == level_end.level_progress
+        assert not store.append("q", partial)
 
     def test_newer_partial_replaces_older(self, tmp_path):
-        _, partials = self.make_partial()
-        first, last = partials[0], partials[-1]
+        records, _ = run_with_records("vector")
+        first = in_level(records)[0]
+        last = [r for r in records if r.cost == first.cost][-1]
         store = CheckpointStore(tmp_path)
-        assert store.append_partial("q", first)
-        assert store.append_partial("q", last)
-        loaded = store.load_partial("q")
+        assert store.append("q", first)
+        assert store.append("q", last)
+        (loaded,) = store.load("q")
         assert (loaded.cost, loaded.level_progress) == (
             last.cost, last.level_progress
         )
-        kinds = [r["kind"] for r in store._read_manifest("q")]
-        assert kinds.count("partial") == 1
+        assert [e["cost"] for e in store._read_manifest("q")] == [last.cost]
 
     def test_corrupt_partial_heals_and_keeps_levels(self, tmp_path):
-        levels, partials = self.make_partial()
+        records, _ = run_with_records("vector")
         store = CheckpointStore(tmp_path)
-        partial = partials[-1]
-        prior = [lv for cost, lv in levels if cost < partial.cost]
-        for level in prior:
-            store.append_level("q", level)
-        store.append_partial("q", partial)
+        partial = records[-1]
+        prior = level_ends_before(records, partial.cost)
+        for record in prior + [partial]:
+            store.append("q", record)
         journal = store._journal_path("q")
         data = bytearray(journal.read_bytes())
-        data[-3] ^= 0xFF  # flip a bit inside the partial's payload
+        data[-3] ^= 0xFF  # flip a bit inside the last record's payload
         journal.write_bytes(bytes(data))
-        assert store.load_partial("q") is None  # digest mismatch → heal
-        restored = store.load_levels("q")
-        assert [lv.cost for lv in restored] == [lv.cost for lv in prior]
+        restored = store.load("q")  # digest mismatch → heal
+        assert [r.cost for r in restored] == [r.cost for r in prior]
+        assert [e["cost"] for e in store._read_manifest("q")] == [
+            r.cost for r in prior
+        ]
 
     def test_kill_between_partial_journal_and_manifest(self, tmp_path):
-        # The new fault point: the partial's journal bytes land but the
-        # manifest never sees them — the store must stay consistent and
-        # simply not know about that partial.
-        levels, partials = self.make_partial()
+        # The record's journal bytes land but the manifest never sees
+        # them — the store must stay consistent and simply not know
+        # about that record.
+        records, _ = run_with_records("vector")
         store = CheckpointStore(tmp_path)
-        store.append_level("q", levels[0][1])
-        faults.inject("checkpoint.append_partial", "raise")
+        partial = records[-1]
+        prior = level_ends_before(records, partial.cost)
+        for record in prior:
+            store.append("q", record)
+        faults.inject("checkpoint.append", "raise")
         with pytest.raises(OSError):
-            store.append_partial("q", partials[-1])
-        assert store.load_partial("q") is None
-        assert [lv.cost for lv in store.load_levels("q")] == [1]
+            store.append("q", partial)
+        assert [r.cost for r in store.load("q")] == [r.cost for r in prior]
         # And a later append works normally.
-        assert store.append_partial("q", partials[-1])
-        assert store.load_partial("q") is not None
+        assert store.append("q", partial)
+        assert store.load("q")[-1].level_progress == partial.level_progress
 
 
 # ----------------------------------------------------------------------
@@ -278,19 +287,17 @@ class TestStoreBackedPreemption:
         config = EngineConfig(backend=backend)
         reference = Session(config).synthesize(SPEC)
         store = CheckpointStore(tmp_path)
-        preempted = StoreBackedSession(
-            config, checkpoint_store=store,
-            partial_every_candidates=10, partial_every_s=None,
-        )
+        preempted = StoreBackedSession(config, checkpoint_store=store)
         calls = {"n": 0}
         result = preempted.synthesize(
-            SynthesisRequest(spec=SPEC, preempt=lambda: next_true(calls, 12))
+            SynthesisRequest(spec=SPEC, preempt=lambda: next_true(calls, 8))
         )
         assert result.status == STATUS_PREEMPTED
-        assert preempted.partial_saves >= 1
+        # One record per completed level plus the preemption's own.
+        assert preempted.checkpoint_saves == result.levels_built + 1
         resumed_session = StoreBackedSession(config, checkpoint_store=store)
         resumed = resumed_session.synthesize(SPEC)
-        assert resumed_session.partial_loads == 1
+        assert resumed_session.checkpoint_loads == result.levels_built + 1
         assert resumed.extra["partial_resumes"] == 1
         assert_identical(resumed, reference)
 
@@ -340,8 +347,6 @@ class TestPoolPreemption:
             config=config,
             store_dir=str(tmp_path / "store"),
             retry_backoff_s=0.02,
-            partial_every_candidates=2_000,
-            partial_every_s=None,
         ) as client:
             handle = client.submit(SLOW_SPEC)
             assert self.preempt_once_running(client, handle.job_id)
@@ -370,8 +375,6 @@ class TestPoolPreemption:
             config=config,
             store_dir=str(tmp_path / "store"),
             retry_backoff_s=0.02,
-            partial_every_candidates=2_000,
-            partial_every_s=None,
         ) as client:
             handle = client.submit(SLOW_SPEC)
             assert self.preempt_once_running(client, handle.job_id)

@@ -26,6 +26,7 @@ from repro.service import (
     checkpoint_key,
     staging_fingerprint,
 )
+from repro.service.pool import _session_stats
 from repro.service.store import StagingStore, atomic_write_bytes
 from repro.testing import faults
 from repro.testing.faults import (
@@ -191,17 +192,14 @@ class TestPickleStoreQuarantine:
 # The checkpoint store
 # ----------------------------------------------------------------------
 def checkpoints_of(backend, spec):
-    """Every completed level of a solo run, as LevelCheckpoints."""
+    """The checkpoint records of a solo run: one per completed level
+    (the run is far too small for an in-level record)."""
     session = Session(EngineConfig(backend=backend))
     engine = session.make_engine(SynthesisRequest(spec=spec))
     taken = []
-
-    def snap(cost, start, end):
-        taken.append(engine.level_checkpoint(cost, start, end))
-        return False
-
-    engine.on_level = snap
+    engine.on_checkpoint = taken.append
     engine.run(40)
+    assert [r.cost for r in taken] == list(range(1, engine.levels_built + 1))
     return taken
 
 
@@ -220,12 +218,16 @@ class TestCheckpointStore:
         assert len(levels) >= 4
         key = checkpoint_key(staging_fingerprint(SPEC), CostFunction.uniform())
         for level in levels:
-            assert store.append_level(key, level) is True
-        assert store.append_level(key, levels[0]) is False  # already there
-        loaded = store.load_levels(key)
+            assert store.append(key, level) is True
+        assert store.append(key, levels[0]) is False  # already there
+        # One entry kind: every record is a level up to its cursor.
+        for entry in store._read_manifest(key):
+            assert set(entry) == {"cost", "offset", "length", "level_progress"}
+        loaded = store.load(key)
         assert [lv.cost for lv in loaded] == [lv.cost for lv in levels]
         for got, want in zip(loaded, levels):
             assert got.generated_total == want.generated_total
+            assert got.level_progress == want.level_progress
             for field in ("rows", "ops", "lefts", "rights", "ordinals"):
                 assert np.array_equal(getattr(got, field), getattr(want, field))
 
@@ -234,21 +236,23 @@ class TestCheckpointStore:
         levels = checkpoints_of("vector", SPEC)
         key = checkpoint_key(staging_fingerprint(SPEC), CostFunction.uniform())
         for level in levels:
-            store.append_level(key, level)
+            store.append(key, level)
         return store, key, levels
 
     def test_truncated_journal_serves_prefix_and_heals(self, tmp_path):
         store, key, levels = self.fill(tmp_path)
         journal = store._journal_path(key)
         truncate_file(journal, journal.stat().st_size - 25)
-        loaded = store.load_levels(key)
+        loaded = store.load(key)
         assert 0 < len(loaded) == len(levels) - 1
         assert [lv.cost for lv in loaded] == [lv.cost for lv in levels[:-1]]
         # The manifest was healed down to the surviving prefix, and the
         # lost tail can be re-journalled (offsets skip the torn bytes).
-        assert store.levels_recorded(key) == [lv.cost for lv in loaded]
-        assert store.append_level(key, levels[-1]) is True
-        assert len(store.load_levels(key)) == len(levels)
+        assert [e["cost"] for e in store._read_manifest(key)] == [
+            lv.cost for lv in loaded
+        ]
+        assert store.append(key, levels[-1]) is True
+        assert len(store.load(key)) == len(levels)
 
     def test_bitrot_stops_the_prefix_at_the_damaged_record(self, tmp_path):
         store, key, levels = self.fill(tmp_path)
@@ -258,16 +262,16 @@ class TestCheckpointStore:
             store._journal_path(key),
             offset=records[1]["offset"] + 60,
         )
-        loaded = store.load_levels(key)
+        loaded = store.load(key)
         assert [lv.cost for lv in loaded] == [levels[0].cost]
 
     def test_missing_journal_or_manifest_is_empty(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        assert store.load_levels("nothing") == []
+        assert store.load("nothing") == []
         _, key, _ = self.fill(tmp_path / "full")
         full = CheckpointStore(tmp_path / "full")
         full._manifest_path(key).unlink()
-        assert full.load_levels(key) == []
+        assert full.load(key) == []
 
 
 # ----------------------------------------------------------------------
@@ -317,10 +321,10 @@ class TestCheckpointPrune:
         levels = checkpoints_of("vector", SPEC)
         key = checkpoint_key(staging_fingerprint(SPEC), CostFunction.uniform())
         for level in levels:
-            store.append_level(key, level)
+            store.append(key, level)
         assert store.prune(max_bytes=0)["removed_keys"] == 1
-        assert store.load_levels(key) == []  # cold, not corrupt
-        assert store.append_level(key, levels[0]) is True  # re-journals
+        assert store.load(key) == []  # cold, not corrupt
+        assert store.append(key, levels[0]) is True  # re-journals
 
     def test_size_of_counts_journal_and_manifest(self, tmp_path):
         store = self.seed(tmp_path, [64])
@@ -410,6 +414,33 @@ class TestCheckpointResume:
         assert session.resumed_queries == 0  # stale journals not replayed
         assert result.extra["resumed_levels"] == 0
         assert_identical(result, Session(config).synthesize(SPEC))
+
+    def test_failed_restore_runs_cold_and_is_counted(self, backend, tmp_path):
+        class BrokenLoads(CheckpointStore):
+            def load(self, key):
+                raise RuntimeError("unreadable checkpoint store")
+
+        config = EngineConfig(backend=backend)
+        session = StoreBackedSession(
+            config, checkpoint_store=BrokenLoads(tmp_path)
+        )
+        result = session.synthesize(SPEC)
+        assert_identical(result, Session(config).synthesize(SPEC))
+        assert result.extra["resumed_levels"] == 0
+        assert session.checkpoint_errors == 1
+        # Pool workers report the counter with their session stats.
+        assert _session_stats(session)["checkpoint_errors"] == 1
+
+    def test_failed_write_is_skipped_and_counted(self, backend, tmp_path):
+        config = EngineConfig(backend=backend)
+        session = StoreBackedSession(
+            config, checkpoint_store=CheckpointStore(tmp_path)
+        )
+        inject("checkpoint.append", "raise", hit=2)
+        result = session.synthesize(SPEC)
+        assert_identical(result, Session(config).synthesize(SPEC))
+        assert session.checkpoint_errors == 1
+        assert session.checkpoint_saves == result.levels_built - 1
 
 
 def test_batched_sweeps_checkpoint_and_resume(tmp_path):

@@ -9,7 +9,6 @@ from repro import (
     EngineConfig,
     Session,
     SynthesisRequest,
-    SynthesisService,
     Spec,
     synthesize,
 )
@@ -344,24 +343,3 @@ class TestRequestObjects:
                for s in _partitions_of(INTRO_SPEC.all_words, 2)]
         with pytest.raises(ValueError, match="allowed_error"):
             session.synthesize_many(bad)
-
-
-class TestSynthesisService:
-    def test_serves_requests(self):
-        service = SynthesisService()
-        assert service.synthesize(INTRO_SPEC).found
-        assert service.stats.requests_served == 1
-
-    def test_batch_through_service(self):
-        service = SynthesisService()
-        specs = _partitions_of(INTRO_SPEC.all_words, 4)
-        batch = service.synthesize_many(specs)
-        assert all(r.found for r in batch)
-        assert service.stats.batch_groups == 1
-
-    def test_isolated_sessions_share_registry(self):
-        service = SynthesisService()
-        session = service.session(EngineConfig(backend="cpu"))
-        assert session.registry is service.registry
-        assert session.synthesize(Spec(["0"], ["1"])).backend == "scalar"
-        assert service.stats.staging_builds == 0  # isolated cache

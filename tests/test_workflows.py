@@ -145,6 +145,18 @@ class TestCiContract:
             "BENCH_shard.json",
         }
 
+    def test_recovery_smoke_runs_a_traced_refine_benchmark_pass(self):
+        # The checkpoint read path and the benchmark's probe names, end
+        # to end: the step must fail unless every answer is correct.
+        runs = [
+            str(s.get("run", ""))
+            for s in load("ci.yml")["jobs"]["recovery-smoke"]["steps"]
+        ]
+        step = next(run for run in runs if "perfbench/run.py" in run)
+        for part in ("--workload refine", "--seed 1", "--seconds 3",
+                     "--trace 1", "tail -n 1", "'correct'", "'failed'"):
+            assert part in step, part
+
 
 class TestNightlyContract:
     def test_scheduled_and_dispatchable(self):
