@@ -14,8 +14,9 @@ Quick start::
 
 For many requests, use a :class:`Session` (staging reuse, batched
 serving); for multi-core, restart-durable serving, use
-:class:`repro.service.ServiceClient` or the ``repro serve`` /
-``repro submit`` CLI (see docs/README.md).
+:class:`repro.service.ServiceClient`, the ``repro server`` /
+``repro client`` HTTP service, or ``repro serve --jobs`` for a batch
+file (see docs/README.md).
 
 See docs/ARCHITECTURE.md for the system design and EXPERIMENTS.md for the
 reproduction of every table and figure of the paper.

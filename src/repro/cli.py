@@ -3,10 +3,9 @@
 Commands
 --------
 synth        infer a regex from --pos/--neg examples
-serve        run the multi-core synthesis service over a store directory
+serve        answer a JSONL file of jobs on the multi-core worker pool
 server       run the HTTP synthesis server (admission-controlled lanes)
 client       talk to a running `repro server` over HTTP
-submit       submit a job (or a cancellation) to a running service
 trace        fetch a job's trace: text waterfall + Chrome trace JSON
 report       render BENCH_*.json benchmark artifacts as markdown
 backends     list the registered engines, aliases and capabilities
@@ -18,17 +17,14 @@ error-table  regenerate the §5.2 allowed-error table
 ablations    run the E6 design-choice ablations
 suite        print a generated Type 1/2 benchmark suite
 
-``serve``/``submit`` speak a file-based protocol over the service store
-directory: ``submit`` drops a content-addressed job file into
-``<store>/inbox/`` (and a ``<id>.cancel`` marker to cancel), ``serve``
-watches the inbox, runs jobs on its worker pool, and answers into
-``<store>/outbox/<id>.json``.  The same store holds the persistent
-staging/result caches, so a restarted server warm-starts.
-
-``server``/``client`` are the network-native equivalents: ``server``
-exposes the same pool behind HTTP with admission control and two
-latency lanes (see :mod:`repro.server`), and ``client`` (or
-``submit --server URL``) talks to it.
+``server``/``client`` are the online path: ``server`` puts the worker
+pool behind HTTP with admission control and two latency lanes (see
+:mod:`repro.server`), and ``client`` submits, watches and cancels jobs
+on it.  ``serve --jobs FILE`` is the offline batch path: it runs every
+job of a JSONL file on the pool and writes each answer to
+``<store>/outbox/<fingerprint>.json``.  Both keep the persistent
+staging/result caches in their store directory, so a restart
+warm-starts.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -62,9 +57,8 @@ from .eval.tables import (
 )
 from .regex.cost import CostFunction
 from .service import (
-    PRIORITY_HIGH,
-    PRIORITY_LOW,
     PRIORITY_NORMAL,
+    JobFailedError,
     ServiceClient,
     WireRequest,
 )
@@ -196,34 +190,8 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     return 0
 
 
-_PRIORITIES = {"high": PRIORITY_HIGH, "normal": PRIORITY_NORMAL,
-               "low": PRIORITY_LOW}
-
-#: Service-store subdirectories of the file-based serve/submit protocol.
-INBOX_SUBDIR = "inbox"
+#: Service-store subdirectory that ``serve --jobs`` answers into.
 OUTBOX_SUBDIR = "outbox"
-
-#: How long (seconds) an unmatched ``.cancel`` marker is kept waiting
-#: for its job file.  Bounded so a stale marker cannot silently cancel
-#: a legitimate resubmission of the same content address days later.
-CANCEL_MARKER_TTL_S = 60.0
-
-
-def _store_dirs(store: str):
-    root = Path(store)
-    inbox = root / INBOX_SUBDIR
-    outbox = root / OUTBOX_SUBDIR
-    inbox.mkdir(parents=True, exist_ok=True)
-    outbox.mkdir(parents=True, exist_ok=True)
-    return root, inbox, outbox
-
-
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    """Write atomically so the serve loop never reads a partial file."""
-    atomic_write_bytes(
-        path,
-        json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"),
-    )
 
 
 def _result_payload(fingerprint: str, handle, result) -> dict:
@@ -235,84 +203,41 @@ def _result_payload(fingerprint: str, handle, result) -> dict:
     return payload
 
 
-#: Everything a malformed job payload can raise while being decoded.
+#: Everything a malformed JSONL job line can raise while being decoded.
 _JOB_PAYLOAD_ERRORS = (ValueError, KeyError, TypeError, ReproError)
 
 
-def _parse_job_payload(text: str, default_priority: int):
-    """Decode one job payload (inbox file or JSONL line) into a
-    ``(WireRequest, priority)`` pair; raises `_JOB_PAYLOAD_ERRORS`."""
+def _parse_job_line(text: str):
+    """Decode one JSONL job line into a ``(WireRequest, priority)``
+    pair; raises `_JOB_PAYLOAD_ERRORS`."""
     payload = json.loads(text)
-    priority = int(payload.pop("priority", default_priority))
+    priority = int(payload.pop("priority", PRIORITY_NORMAL))
     return WireRequest.from_json_dict(payload), priority
 
 
-def _serve_one_inbox_file(client, path: Path, inflight: dict,
-                          default_priority: int) -> Optional[str]:
-    """Submit one inbox job file; returns its fingerprint (None on a
-    malformed file, which is renamed aside instead of crashing the
-    server).
-
-    ``inflight`` is keyed by the payload's *computed* fingerprint —
-    never by the file name, which is only the protocol convention —
-    and a content-duplicate under a second name simply joins the live
-    entry's path list (both files are consumed when the job answers).
-    """
+def _write_answer(outbox: Path, fingerprint: str, handle) -> None:
+    """Wait for one job and write its answer (atomically, so a reader
+    never sees a partial file) to ``<outbox>/<fingerprint>.json``."""
     try:
-        wire, priority = _parse_job_payload(
-            path.read_text(encoding="utf-8"), default_priority)
-    except _JOB_PAYLOAD_ERRORS as exc:
-        sys.stderr.write("repro serve: skipping %s: %s\n" % (path.name, exc))
-        path.rename(path.with_suffix(".rejected"))
-        return None
-    fingerprint = wire.fingerprint()
-    entry = inflight.get(fingerprint)
-    if entry is not None:
-        # Duplicate content: still submit, so the pool counts the
-        # dedupe and escalates the live job's priority if this
-        # submission is more urgent; keep the first handle (the joined
-        # one answers identically).
-        client.submit(wire, priority=priority)
-        if path not in entry[1]:
-            entry[1].append(path)
-        return fingerprint
-    handle = client.submit(wire, priority=priority)
-    inflight[fingerprint] = (handle, [path])
-    return fingerprint
-
-
-def _drain_finished(outbox: Path, inflight: dict,
-                    submitted_paths: Optional[dict] = None) -> int:
-    """Write outbox answers for finished jobs; returns how many."""
-    finished = [fp for fp, (handle, _) in inflight.items() if handle.done]
-    for fp in finished:
-        handle, job_paths = inflight.pop(fp)
-        try:
-            result = handle.result(timeout=0)
-        except Exception as exc:  # worker crash: answer with the error
-            _atomic_write_json(outbox / ("%s.json" % fp),
-                               {"fingerprint": fp, "status": "failed",
-                                "error": str(exc)})
-        else:
-            _atomic_write_json(outbox / ("%s.json" % fp),
-                               _result_payload(fp, handle, result))
-            print("served %s: %s%s" % (
-                fp[:12], result.status,
-                " %s" % result.regex_str if result.found else ""))
-        for job_path in job_paths:
-            if job_path.exists():
-                job_path.unlink()
-            if submitted_paths is not None:
-                submitted_paths.pop(job_path, None)
-    return len(finished)
+        result = handle.result()
+    except JobFailedError as exc:  # worker crash: answer with the error
+        payload = {"fingerprint": fingerprint, "status": "failed",
+                   "error": str(exc)}
+    else:
+        payload = _result_payload(fingerprint, handle, result)
+        print("served %s: %s%s" % (
+            fingerprint[:12], result.status,
+            " %s" % result.regex_str if result.found else ""))
+    atomic_write_bytes(
+        outbox / ("%s.json" % fingerprint),
+        json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"),
+    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.jobs is None and not args.watch:
-        sys.stderr.write(
-            "repro serve: error: need --jobs FILE, --watch, or both\n")
-        return 2
-    root, inbox, outbox = _store_dirs(args.store)
+    root = Path(args.store)
+    outbox = root / OUTBOX_SUBDIR
+    outbox.mkdir(parents=True, exist_ok=True)
     if args.checkpoint_budget is not None:
         _prune_checkpoint_budget(root, args.checkpoint_budget)
     config = EngineConfig(backend=args.backend)
@@ -325,101 +250,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retry_max_attempts=args.max_attempts,
         checkpoints=args.checkpoints,
     )
-    inflight: dict = {}
-    served = 0
+    # fingerprint -> the first handle submitted for it
+    handles: dict = {}
     with client:
         print("repro serve: %d workers (%s), store %s"
               % (args.workers, args.backend, root))
-        if args.jobs is not None:
-            with open(args.jobs, "r", encoding="utf-8") as handle:
-                for number, line in enumerate(handle, start=1):
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    try:
-                        wire, priority = _parse_job_payload(
-                            line, PRIORITY_NORMAL)
-                    except _JOB_PAYLOAD_ERRORS as exc:
-                        sys.stderr.write(
-                            "repro serve: skipping %s line %d: %s\n"
-                            % (args.jobs, number, exc))
-                        continue
-                    # A duplicate line joins the live job at the pool
-                    # level (counted in the dedupe stats); keep the
-                    # FIRST handle so its answer is never dropped even
-                    # if the job finishes mid-submission.
-                    fingerprint = wire.fingerprint()
-                    handle = client.submit(wire, priority=priority)
-                    if fingerprint not in inflight:
-                        inflight[fingerprint] = (handle, [])
-        if not args.watch:
-            while inflight:
-                served += _drain_finished(outbox, inflight)
-                time.sleep(0.01)
-        else:
-            last_activity = time.monotonic()
-            submitted_paths: dict = {}
-            try:
-                while True:
-                    activity = 0
-                    # Job files first, so a cancellation that lands in
-                    # the same poll tick as (or before) its job file
-                    # finds the job in flight instead of being lost.
-                    # Paths (not names) are the seen-guard: file names
-                    # are only the protocol convention, the job's
-                    # identity is its computed content fingerprint.  A
-                    # changed mtime re-processes the file, so a repeat
-                    # `repro submit --priority high` of an in-flight
-                    # spec (same content address, new payload) still
-                    # reaches the pool and escalates the live job.
-                    for path in sorted(inbox.glob("*.json")):
-                        try:
-                            mtime = path.stat().st_mtime
-                        except OSError:
-                            continue
-                        if submitted_paths.get(path) == mtime:
-                            continue
-                        if _serve_one_inbox_file(client, path, inflight,
-                                                 PRIORITY_NORMAL):
-                            activity += 1
-                            submitted_paths[path] = mtime
-                    for path in sorted(inbox.glob("*.cancel")):
-                        fingerprint = path.stem
-                        entry = inflight.get(fingerprint)
-                        if entry is not None:
-                            entry[0].cancel()
-                            activity += 1
-                            path.unlink()
-                        elif (outbox / ("%s.json" % fingerprint)).exists():
-                            path.unlink()  # already answered: moot
-                        else:
-                            # Keep the marker briefly — the job file may
-                            # still be on its way (cancel-before-submit)
-                            # — but expire it so it cannot ambush a
-                            # future resubmission of the same spec.
-                            try:
-                                age = time.time() - path.stat().st_mtime
-                            except OSError:
-                                continue
-                            if age > CANCEL_MARKER_TTL_S:
-                                path.unlink()
-                    drained = _drain_finished(outbox, inflight,
-                                              submitted_paths)
-                    served += drained
-                    activity += drained
-                    if activity:
-                        last_activity = time.monotonic()
-                    elif (args.idle_timeout is not None and not inflight
-                          and time.monotonic() - last_activity
-                          > args.idle_timeout):
-                        break
-                    time.sleep(args.poll_interval)
-            except KeyboardInterrupt:  # pragma: no cover - interactive
-                pass
+        with open(args.jobs, "r", encoding="utf-8") as lines:
+            for number, line in enumerate(lines, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    wire, priority = _parse_job_line(line)
+                except _JOB_PAYLOAD_ERRORS as exc:
+                    sys.stderr.write(
+                        "repro serve: skipping %s line %d: %s\n"
+                        % (args.jobs, number, exc))
+                    continue
+                # A duplicate line joins the live job at the pool level
+                # (counted in the dedupe stats); keep the FIRST handle
+                # so its answer is never dropped even if the job
+                # finishes mid-submission.
+                handle = client.submit(wire, priority=priority)
+                handles.setdefault(wire.fingerprint(), handle)
+        for fingerprint, handle in handles.items():
+            _write_answer(outbox, fingerprint, handle)
         stats = client.stats
     print("repro serve: done (%d served, %d deduplicated, %d cancelled, "
           "%d affinity hits, %d steals)"
-          % (served, stats["deduplicated"], stats["cancelled"],
+          % (len(handles), stats["deduplicated"], stats["cancelled"],
              stats["affinity_hits"], stats["steals"]))
     return 0
 
@@ -446,110 +305,6 @@ def _print_result_summary(answer: dict) -> int:
         print("cost       :", answer.get("cost"))
     print("elapsed    : %.4f s" % (answer.get("elapsed_seconds") or 0.0))
     return 0 if answer.get("status") == "success" else 1
-
-
-def _submit_over_http(args: argparse.Namespace, wire) -> int:
-    """`repro submit --server URL`: route through the HTTP service."""
-    from .server.client import HttpServiceClient, OverloadedError, ServerError
-
-    client = HttpServiceClient(args.server, auth_token=args.auth_token)
-    if args.cancel is not None:
-        try:
-            answer = client.cancel(args.cancel)
-        except ServerError as exc:
-            sys.stderr.write("repro submit: %s\n" % exc)
-            return 3
-        print("cancellation %s for %s"
-              % ("delivered" if answer.get("cancelled") else "moot",
-                 args.cancel))
-        return 0
-    try:
-        job = client.submit(wire)
-    except OverloadedError as exc:
-        sys.stderr.write(
-            "repro submit: server overloaded; retry after %.0f s\n"
-            % exc.retry_after_s)
-        return 4
-    except (ServerError, OSError) as exc:
-        sys.stderr.write("repro submit: %s\n" % exc)
-        return 3
-    print("job id     :", job["job_id"])
-    print("class      :", job.get("class"))
-    if not args.wait:
-        return 0
-    try:
-        done = client.result(job["job_id"], timeout=args.timeout)
-    except TimeoutError:
-        sys.stderr.write("repro submit: timed out after %.0f s\n"
-                         % args.timeout)
-        return 3
-    except ServerError as exc:
-        sys.stderr.write("repro submit: %s\n" % exc)
-        return 3
-    return _print_result_summary(done.get("result") or {})
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    if args.server is None and args.store is None:
-        sys.stderr.write(
-            "repro submit: error: need --store DIR or --server URL\n")
-        return 2
-    if args.cancel is not None and args.server is not None:
-        return _submit_over_http(args, None)
-    if args.cancel is not None:
-        root, inbox, outbox = _store_dirs(args.store)
-        marker = inbox / ("%s.cancel" % args.cancel)
-        marker.write_text("", encoding="utf-8")
-        print("cancellation requested for %s" % args.cancel)
-        return 0
-    if args.spec_file is not None:
-        if args.pos or args.neg:
-            sys.stderr.write(
-                "repro submit: error: --spec-file cannot be combined with "
-                "--pos/--neg\n")
-            return 2
-        spec = args.spec_file
-    else:
-        spec = Spec(args.pos, args.neg)
-    wire = WireRequest(
-        spec=spec,
-        cost_fn=args.cost if isinstance(args.cost, CostFunction) else None,
-        max_cost=args.max_cost,
-        allowed_error=args.error,
-        max_generated=args.max_generated,
-        time_limit=args.time_limit,
-        config=EngineConfig(backend=default_registry().canonical(args.backend)),
-    )
-    if args.server is not None:
-        return _submit_over_http(args, wire)
-    root, inbox, outbox = _store_dirs(args.store)
-    fingerprint = wire.fingerprint()
-    payload = wire.to_json_dict()
-    payload["priority"] = _PRIORITIES[args.priority]
-    _atomic_write_json(inbox / ("%s.json" % fingerprint), payload)
-    print("job id     :", fingerprint)
-    if not args.wait:
-        print("submitted; result will appear at %s"
-              % (outbox / ("%s.json" % fingerprint)))
-        return 0
-    # Exponential backoff: poll fast while the answer is likely near,
-    # back off to a capped interval so a long job costs no busy-wait.
-    from .server.client import poll_intervals
-
-    answer_path = outbox / ("%s.json" % fingerprint)
-    deadline = time.monotonic() + args.timeout
-    for delay in poll_intervals():
-        if answer_path.exists():
-            break
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            sys.stderr.write(
-                "repro submit: timed out after %.0f s waiting for %s\n"
-                % (args.timeout, answer_path))
-            return 3
-        time.sleep(min(delay, remaining))
-    answer = json.loads(answer_path.read_text(encoding="utf-8"))
-    return _print_result_summary(answer)
 
 
 def _cmd_server(args: argparse.Namespace) -> int:
@@ -801,26 +556,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list registered engines and capabilities")
     p.set_defaults(func=_cmd_backends)
 
-    p = sub.add_parser("serve", help="run the multi-core synthesis service")
+    p = sub.add_parser("serve",
+                       help="answer a JSONL job file on the worker pool")
     p.add_argument("--store", required=True,
                    help="service store directory (staging/result caches, "
-                        "inbox/outbox protocol)")
+                        "outbox answers)")
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--backend", default="vector",
                    choices=sorted(registry.names())
                    + sorted(registry.aliases()))
     p.add_argument("--depth", type=int, default=2,
                    help="max jobs in flight per worker")
-    p.add_argument("--jobs", default=None, metavar="FILE",
-                   help="JSONL job file to serve (batch mode)")
-    p.add_argument("--watch", action="store_true",
-                   help="watch <store>/inbox for submitted jobs")
-    p.add_argument("--idle-timeout", type=float, default=None,
-                   dest="idle_timeout", metavar="SECONDS",
-                   help="with --watch: exit after this long without "
-                        "activity (default: run until interrupted)")
-    p.add_argument("--poll-interval", type=float, default=0.1,
-                   dest="poll_interval", help=argparse.SUPPRESS)
+    p.add_argument("--jobs", required=True, metavar="FILE",
+                   help="JSONL job file to serve")
     p.add_argument("--reuse-results", action="store_true",
                    dest="reuse_results",
                    help="answer repeat submissions from the persistent "
@@ -931,42 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_auth_token_arg(p, "bearer token for an authenticated server "
                            "(default: $REPRO_AUTH_TOKEN)")
     p.set_defaults(func=_cmd_client)
-
-    p = sub.add_parser("submit",
-                       help="submit a job to a running `repro serve` "
-                            "or `repro server`")
-    p.add_argument("--store", default=None,
-                   help="the service's store directory (file protocol)")
-    p.add_argument("--server", default=None, metavar="URL",
-                   help="route through a running `repro server` instead "
-                        "of the file-based store protocol")
-    p.add_argument("--pos", nargs="*", default=[], help="positive examples")
-    p.add_argument("--neg", nargs="*", default=[], help="negative examples")
-    p.add_argument("--spec-file", type=_parse_spec_file, default=None,
-                   dest="spec_file", metavar="PATH")
-    p.add_argument("--cost", type=_parse_cost, default=None,
-                   help="cost homomorphism c1,c2,c3,c4,c5")
-    p.add_argument("--backend", default="vector",
-                   choices=sorted(registry.names())
-                   + sorted(registry.aliases()))
-    p.add_argument("--error", type=float, default=0.0, help="allowed error")
-    p.add_argument("--max-cost", type=int, default=None, dest="max_cost")
-    p.add_argument("--max-generated", type=int, default=None,
-                   dest="max_generated")
-    p.add_argument("--time-limit", type=float, default=None,
-                   dest="time_limit")
-    p.add_argument("--priority", choices=sorted(_PRIORITIES),
-                   default="normal")
-    p.add_argument("--wait", action="store_true",
-                   help="block until the result appears in the outbox")
-    p.add_argument("--timeout", type=float, default=300.0,
-                   help="--wait timeout in seconds")
-    p.add_argument("--cancel", default=None, metavar="JOB_ID",
-                   help="cancel a previously submitted job id instead of "
-                        "submitting")
-    _add_auth_token_arg(p, "bearer token when submitting over --server "
-                           "(default: $REPRO_AUTH_TOKEN)")
-    p.set_defaults(func=_cmd_submit)
 
     p = sub.add_parser("trace",
                        help="fetch a job's trace from a running server")

@@ -73,6 +73,35 @@ class TraceContext:
         return cls(new_trace_id())
 
 
+def span_record(
+    name: str,
+    trace_id: str,
+    parent_id: Optional[str],
+    start_s: float,
+    end_s: Optional[float],
+    process: str,
+    args: Optional[Dict[str, object]] = None,
+    span_id: Optional[str] = None,
+) -> Dict[str, object]:
+    """One span in wire form, the dict :meth:`Span.to_dict` returns.
+
+    Also builds the spans a process stamps itself instead of through a
+    :class:`Tracer` (the server's request stages, the pool's queue
+    wait).  ``span_id`` defaults to a fresh id; ``end_s`` is None while
+    the span is still open.
+    """
+    return {
+        "name": name,
+        "trace_id": trace_id,
+        "span_id": span_id if span_id is not None else new_span_id(),
+        "parent_id": parent_id,
+        "start_s": start_s,
+        "end_s": end_s,
+        "process": process,
+        "args": args if args is not None else {},
+    }
+
+
 class Span:
     """One timed unit of work.  Mutable until :meth:`Tracer.finish`."""
 
@@ -113,16 +142,16 @@ class Span:
 
     def to_dict(self) -> Dict[str, object]:
         """The wire/export form (what crosses process boundaries)."""
-        return {
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "start_s": self.start_s,
-            "end_s": self.end_s if self.end_s is not None else self.start_s,
-            "process": self.process,
-            "args": dict(self.args),
-        }
+        return span_record(
+            self.name,
+            self.trace_id,
+            self.parent_id,
+            self.start_s,
+            self.end_s if self.end_s is not None else self.start_s,
+            self.process,
+            dict(self.args),
+            span_id=self.span_id,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "Span(%r, %s, %.6fs)" % (self.name, self.span_id, self.duration_s)

@@ -39,9 +39,9 @@ Endpoints (HTTP/1.1, keep-alive, JSON bodies):
 
 Threading model: the asyncio loop runs in one dedicated thread and owns
 every :class:`_JobRecord` — all record mutation happens via
-``call_soon_threadsafe``, so the request handlers need no locks.  Pool
-progress callbacks (collector thread) and per-job waiter threads cross
-into the loop the same way.
+``call_soon_threadsafe``, so the request handlers need no locks.  The
+pool's progress and done callbacks (collector thread) cross into the
+loop the same way.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from ..api.progress import ProgressEvent
 from ..core.result import SynthesisResult
 from ..obs.export import SPAN_STAGES, chrome_trace, stage_summary
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import TraceContext, new_span_id
+from ..obs.trace import TraceContext, new_span_id, span_record
 from ..service.checkpoint import CheckpointStore
 from ..service.client import ServiceClient
 from ..service.pool import CHECKPOINTS_SUBDIR
@@ -288,6 +288,8 @@ class SynthesisServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Open connections: handler task -> its stream writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._started = False
         self._stopping = threading.Event()
         self._last_activity = time.monotonic()
@@ -333,10 +335,18 @@ class SynthesisServer:
 
         async def close() -> None:
             self._server.close()
+            # Kept-alive connections may be parked in an idle read.
+            # Closing a transport feeds that read an EOF, so its handler
+            # returns on its own: a cancelled handler task would make
+            # Python 3.11's StreamReaderProtocol log a CancelledError
+            # traceback.
+            for writer in self._connections.values():
+                writer.close()
+            if self._connections:
+                await asyncio.wait(list(self._connections), timeout=5.0)
             await self._server.wait_closed()
-            # Kept-alive connections may be parked in an idle read;
-            # cancel them and wait for their transports to finish
-            # closing so the loop stops clean.
+            # Whatever is left (a handler stuck past the wait) is
+            # cancelled, so the loop stops clean.
             tasks = [
                 task
                 for task in asyncio.all_tasks()
@@ -391,6 +401,7 @@ class SynthesisServer:
         one TCP connection for its whole backoff loop), while chunked
         event streams and protocol errors are connection-terminal.
         """
+        self._connections[asyncio.current_task()] = writer
         try:
             first = True
             while True:
@@ -432,6 +443,7 @@ class SynthesisServer:
                 if terminal or request.wants_close:
                     return
         finally:
+            del self._connections[asyncio.current_task()]
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -603,43 +615,28 @@ class SynthesisServer:
             # off it via the child context that rides the wire.
             ctx = wire.trace_ctx or TraceContext.mint()
             trace_id, root_span_id = ctx.trace_id, new_span_id()
-
-            def server_span(name, start_s, end_s, **args):
-                return {
-                    "name": name,
-                    "trace_id": trace_id,
-                    "span_id": new_span_id(),
-                    "parent_id": root_span_id,
-                    "start_s": start_s,
-                    "end_s": end_s,
-                    "process": "server",
-                    "args": args,
-                }
-
             server_spans = [
-                {
-                    "name": "job",
-                    "trace_id": trace_id,
-                    "span_id": root_span_id,
-                    "parent_id": ctx.parent_span_id,
-                    "start_s": parse_started,
-                    "end_s": None,  # closed by _complete
-                    "process": "server",
-                    "args": {"job_id": job_id, "class": klass},
-                },
-                server_span("http-parse", parse_started, parse_ended),
-                server_span(
-                    "admission", admission_started, admission_ended,
-                    **{"class": klass},
+                span_record(
+                    "job", trace_id, ctx.parent_span_id, parse_started,
+                    None,  # closed by _complete
+                    "server", {"job_id": job_id, "class": klass},
+                    span_id=root_span_id,
+                ),
+                span_record(
+                    "http-parse", trace_id, root_span_id, parse_started,
+                    parse_ended, "server",
+                ),
+                span_record(
+                    "admission", trace_id, root_span_id, admission_started,
+                    admission_ended, "server", {"class": klass},
                 ),
             ]
             if preempted_job is not None:
                 server_spans.append(
-                    server_span(
-                        "preempt-batch",
-                        preempt_started,
-                        preempt_ended,
-                        preempted_job_id=preempted_job,
+                    span_record(
+                        "preempt-batch", trace_id, root_span_id,
+                        preempt_started, preempt_ended, "server",
+                        {"preempted_job_id": preempted_job},
                     )
                 )
             wire = dataclasses.replace(
@@ -680,60 +677,24 @@ class SynthesisServer:
             return
         if trace_enabled:
             record.server_spans.append(
-                {
-                    "name": "pool-submit",
-                    "trace_id": trace_id,
-                    "span_id": new_span_id(),
-                    "parent_id": root_span_id,
-                    "start_s": submit_started,
-                    "end_s": time.time(),
-                    "process": "server",
-                    "args": {"class": klass},
-                }
+                span_record(
+                    "pool-submit", trace_id, root_span_id, submit_started,
+                    time.time(), "server", {"class": klass},
+                )
             )
         record.handle = handle
-        if handle.done:
-            # Stored-result fast path: the pool answered from disk and
-            # already emitted the final done-event through on_progress.
-            try:
-                result = handle.result(timeout=0)
-            except JobFailedError as exc:
-                loop.call_soon_threadsafe(
-                    self._complete, job_id, None, str(exc)
-                )
-            else:
-                loop.call_soon_threadsafe(self._complete, job_id, result, None)
-        else:
-            waiter = threading.Thread(
-                target=self._wait_for,
-                args=(job_id, handle),
-                name="job-waiter-%s" % job_id[:8],
-                daemon=True,
+        # Progress events alone cannot signal completion: a job
+        # cancelled while still queued never reaches a worker and emits
+        # nothing.  The pool emits a job's final event before ending
+        # it, so _complete always runs after the last _on_event.
+        handle.add_done_callback(
+            lambda ended: loop.call_soon_threadsafe(
+                self._complete, job_id, ended
             )
-            waiter.start()
+        )
         data = record.status_dict()
         data["deduplicated"] = False
         await http11.send_response(writer, 202, data)
-
-    def _wait_for(self, job_id: str, handle) -> None:
-        """Waiter thread: block on the pool handle, report to the loop.
-
-        Progress events alone cannot signal completion — a job cancelled
-        while still queued never reaches a worker and emits nothing.
-        """
-        try:
-            result = handle.result()
-            error = None
-        except JobFailedError as exc:
-            result, error = None, str(exc)
-        except Exception as exc:  # pragma: no cover - defensive
-            result, error = None, "unexpected waiter error: %s" % exc
-        try:
-            self._loop.call_soon_threadsafe(
-                self._complete, job_id, result, error
-            )
-        except RuntimeError:  # loop already closed during shutdown
-            pass
 
     # ------------------------------------------------------------------
     # Record transitions (loop thread only)
@@ -749,18 +710,16 @@ class SynthesisServer:
         for queue in record.subscribers:
             queue.put_nowait(data)
 
-    def _complete(
-        self,
-        job_id: str,
-        result: Optional[SynthesisResult],
-        error: Optional[str],
-    ) -> None:
+    def _complete(self, job_id: str, handle) -> None:
         record = self._records.get(job_id)
         if record is None or record.finished:
             return
-        if error is not None:
+        try:
+            result = handle.result(timeout=0)
+        except JobFailedError as exc:
+            result = None
             record.state = "failed"
-            record.error = error
+            record.error = str(exc)
         else:
             record.result = result
             record.state = (
@@ -954,6 +913,7 @@ class SynthesisServer:
             "respawns": 0,
             "quarantined": 0,
             "preemptions": 0,
+            "checkpoint_errors": 0,
         }
         last_quarantine = None
         for klass, lane in self.lanes.items():
@@ -1063,6 +1023,17 @@ class SynthesisServer:
             [
                 ({"class": klass},
                  int(self.lanes[klass].stats.get("preemptions", 0)))
+                for klass in CLASSES
+            ],
+        )
+        metric(
+            "repro_checkpoint_errors_total",
+            "Checkpoint restores and writes that failed and were "
+            "skipped (the job ran cold or unjournalled), per lane.",
+            "counter",
+            [
+                ({"class": klass},
+                 int(self.lanes[klass].stats.get("checkpoint_errors", 0)))
                 for klass in CLASSES
             ],
         )

@@ -18,8 +18,8 @@ into a long-running, multi-core, restart-durable service:
   per-cost-level journals, so an interrupted query resumes from its
   last completed level and repeat traffic re-serves enumerated levels.
 * :mod:`repro.service.client` — :class:`ServiceClient`: the facade the
-  CLI (``repro serve`` / ``repro submit``), the evaluation harness and
-  the benchmarks all drive.
+  HTTP server's lanes, the ``repro serve --jobs`` batch CLI, the
+  evaluation harness and the benchmarks all drive.
 """
 
 from .checkpoint import CheckpointStore, checkpoint_key

@@ -54,7 +54,7 @@ from ..api.registry import BackendRegistry, default_registry
 from ..api.session import Session
 from ..core.result import SynthesisResult
 from ..obs.export import stage_summary, trace_payload
-from ..obs.trace import TraceContext, Tracer, new_span_id
+from ..obs.trace import TraceContext, Tracer, span_record
 from ..testing.faults import fault_point
 from .checkpoint import CheckpointStore
 from .queue import Job, JobHandle, JobQueue
@@ -323,6 +323,10 @@ class WorkerPool:
             "quarantined": 0,
             "respawns": 0,
             "preemptions": 0,
+            #: Checkpoint restores and writes that failed in the
+            #: workers' sessions (the run went on cold or unjournalled);
+            #: summed from each report's delta, so respawns keep it.
+            "checkpoint_errors": 0,
         }
         self._lock = threading.RLock()
         #: job_id → (job, backoff timer) for jobs waiting out a retry
@@ -805,16 +809,10 @@ class WorkerPool:
         if ctx is None or submitted is None:
             return
         self._parent_spans.setdefault(job.job_id, []).append(
-            {
-                "name": "queue-wait",
-                "trace_id": ctx.trace_id,
-                "span_id": new_span_id(),
-                "parent_id": ctx.parent_span_id,
-                "start_s": submitted,
-                "end_s": time.time(),
-                "process": "pool",
-                "args": {"job_id": job.job_id},
-            }
+            span_record(
+                "queue-wait", ctx.trace_id, ctx.parent_span_id, submitted,
+                time.time(), "pool", {"job_id": job.job_id},
+            )
         )
 
     def _cancel_running(self, job: Job) -> None:
@@ -884,7 +882,7 @@ class WorkerPool:
             elif kind == "stats":
                 _, worker_id, stats = message
                 with self._lock:
-                    self._workers[worker_id].stats = stats
+                    self._absorb_session_stats(self._workers[worker_id], stats)
         except Exception:  # pragma: no cover - defensive
             traceback.print_exc()
 
@@ -989,6 +987,7 @@ class WorkerPool:
             # warm-starts from disk, but the affinity map must not
             # promise memory-warmth the new process does not have.
             worker.warm.clear()
+            worker.stats = {}
             worker.dead = False
             self.stats["respawns"] += 1
 
@@ -1136,10 +1135,20 @@ class WorkerPool:
             worker.load = max(0, worker.load - slots)
         worker.served += 1
         if stats:
-            worker.stats = stats
+            self._absorb_session_stats(worker, stats)
         self._cancel_events.pop(job_id, None)
         self._preempt_events.pop(job_id, None)
         self._dispatched_at.pop(job_id, None)
+
+    def _absorb_session_stats(self, worker: "_WorkerState", stats) -> None:
+        """Adopt a worker session's cumulative stats snapshot (caller
+        holds ``self._lock``), adding its new checkpoint errors to the
+        pool total."""
+        new_errors = stats.get("checkpoint_errors", 0) - worker.stats.get(
+            "checkpoint_errors", 0
+        )
+        self.stats["checkpoint_errors"] += max(0, new_errors)
+        worker.stats = stats
 
     def _on_done(self, worker_id, job_id, result, stats) -> None:
         preempted = result.status == "preempted"
@@ -1176,16 +1185,11 @@ class WorkerPool:
                 traceback.print_exc()
             if write_started is not None:
                 parent_spans.append(
-                    {
-                        "name": "result-store-write",
-                        "trace_id": ctx.trace_id,
-                        "span_id": new_span_id(),
-                        "parent_id": ctx.parent_span_id,
-                        "start_s": write_started,
-                        "end_s": time.time(),
-                        "process": "pool",
-                        "args": {"fingerprint": job.fingerprint},
-                    }
+                    span_record(
+                        "result-store-write", ctx.trace_id,
+                        ctx.parent_span_id, write_started, time.time(),
+                        "pool", {"fingerprint": job.fingerprint},
+                    )
                 )
         # Parent-side spans join the worker's trace after persistence —
         # queue wait and store writes are per-submission operational
@@ -1199,11 +1203,13 @@ class WorkerPool:
                 result.extra["trace"] = trace_payload(
                     ctx.trace_id, parent_spans
                 )
-        self.queue.finish(job, result)
+        # The final event goes out before the job finishes, so a caller
+        # woken by completion has already seen every progress event.
         if final_event is not None:
             self._emit_progress(
                 job, dataclasses_replace(final_event, incumbent=result)
             )
+        self.queue.finish(job, result)
         self._dispatch()
 
     def _on_preempted(self, job: Job) -> None:
@@ -1229,19 +1235,12 @@ class WorkerPool:
             if ctx is not None:
                 now = time.time()
                 self._parent_spans.setdefault(job.job_id, []).append(
-                    {
-                        "name": "preempted",
-                        "trace_id": ctx.trace_id,
-                        "span_id": new_span_id(),
-                        "parent_id": ctx.parent_span_id,
-                        "start_s": now,
-                        "end_s": now,
-                        "process": "pool",
-                        "args": {
-                            "job_id": job.job_id,
-                            "preemptions": job.preemptions,
-                        },
-                    }
+                    span_record(
+                        "preempted", ctx.trace_id, ctx.parent_span_id, now,
+                        now, "pool",
+                        {"job_id": job.job_id,
+                         "preemptions": job.preemptions},
+                    )
                 )
             delay = self._backoff_delay(job.preemptions)
             timer = threading.Timer(

@@ -18,7 +18,9 @@ order to honour universe affinity (see
 
 from __future__ import annotations
 
+import functools
 import threading
+import traceback
 from typing import Callable, Dict, List, Optional
 
 from ..api.progress import ProgressEvent
@@ -56,6 +58,7 @@ class Job:
         "result",
         "error",
         "progress_callbacks",
+        "done_callbacks",
         "cancel_probes",
         "_finished",
     )
@@ -93,6 +96,9 @@ class Job:
         self.result: Optional[SynthesisResult] = None
         self.error: Optional[str] = None
         self.progress_callbacks: List[Callable[[object], None]] = []
+        #: Run once each, outside the queue lock, when the job reaches a
+        #: terminal state (see :meth:`JobHandle.add_done_callback`).
+        self.done_callbacks: List[Callable[[], None]] = []
         #: Parent-side cancellation probes (e.g. a request's own
         #: ``cancel`` token), polled by the pool between progress
         #: messages and on the collector's idle tick.
@@ -163,6 +169,20 @@ class JobHandle:
         delivered; a finished job is left untouched (False).
         """
         return self._queue._cancel(self._job)
+
+    def add_done_callback(
+        self, callback: Callable[["JobHandle"], None]
+    ) -> None:
+        """Call ``callback(handle)`` once the job reaches a terminal state.
+
+        It runs, outside the queue lock, on whichever thread ends the
+        job (usually the pool's collector), or at once on this thread
+        if the job has already ended; a job answered from the result
+        store is born ended.
+        """
+        self._queue._add_done_callback(
+            self._job, functools.partial(callback, self)
+        )
 
     def result(self, timeout: Optional[float] = None) -> SynthesisResult:
         """Block for the result.
@@ -320,9 +340,26 @@ class JobQueue:
             self._pending.sort(key=lambda j: j.sort_key)
             return True
 
+    def _add_done_callback(
+        self, job: Job, callback: Callable[[], None]
+    ) -> None:
+        with self._lock:
+            if not job.finished:
+                job.done_callbacks.append(callback)
+                return
+        callback()
+
     # ------------------------------------------------------------------
     # Terminal transitions (called by the pool's collector)
     # ------------------------------------------------------------------
+    def _end(self, job: Job) -> List[Callable[[], None]]:
+        """Make ``job`` terminal (caller holds the lock); returns the
+        done-callbacks for the caller to run once it has released it."""
+        self._live.pop(job.fingerprint, None)
+        job._finish()
+        callbacks, job.done_callbacks = job.done_callbacks, []
+        return callbacks
+
     def finish(self, job: Job, result: SynthesisResult) -> None:
         """Complete a job with its result (also used for ``cancelled``
         results coming back from a worker)."""
@@ -331,33 +368,35 @@ class JobQueue:
             job.state = (
                 JOB_CANCELLED if result.status == "cancelled" else JOB_DONE
             )
-            self._live.pop(job.fingerprint, None)
-            job._finish()
+            callbacks = self._end(job)
+        _run_done_callbacks(callbacks)
 
     def fail(self, job: Job, error: str) -> None:
         """Mark a job failed (worker crash); handles raise on `.result`."""
         with self._lock:
             job.error = error
             job.state = JOB_FAILED
-            self._live.pop(job.fingerprint, None)
-            job._finish()
+            callbacks = self._end(job)
+        _run_done_callbacks(callbacks)
 
     def _cancel(self, job: Job) -> bool:
         with self._lock:
             if job.finished:
                 return False
             self.cancelled += 1
-            if job.state == JOB_QUEUED:
+            queued = job.state == JOB_QUEUED
+            if queued:
                 # Never reached a worker: synthesise the cancelled
                 # result right here.
                 if job in self._pending:
                     self._pending.remove(job)
-                self._live.pop(job.fingerprint, None)
                 job.result = _cancelled_result(job.wire)
                 job.state = JOB_CANCELLED
-                job._finish()
-                return True
+                callbacks = self._end(job)
             hook = self._running_cancel_hook
+        if queued:
+            _run_done_callbacks(callbacks)
+            return True
         # Running: flip the cross-process event; the worker's watchdog
         # relays it to the engine, which reports back a ``cancelled``
         # result through the normal done path.  The hook runs OUTSIDE
@@ -372,6 +411,16 @@ class JobQueue:
     #: Installed by the pool: delivers cancellation to a running job's
     #: worker (e.g. by setting its Manager event).
     _running_cancel_hook: Optional[Callable[[Job], None]] = None
+
+
+def _run_done_callbacks(callbacks: List[Callable[[], None]]) -> None:
+    # A callback bug must not kill the thread that ended the job: most
+    # often the pool's collector, which every other job depends on.
+    for callback in callbacks:
+        try:
+            callback()
+        except Exception:  # pragma: no cover - defensive
+            traceback.print_exc()
 
 
 def _cancelled_result(wire: WireRequest) -> SynthesisResult:

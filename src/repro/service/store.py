@@ -62,13 +62,14 @@ def _fsync_directory(directory: Path) -> None:
 def atomic_write_bytes(path: Path, payload: bytes) -> None:
     """Write ``payload`` to ``path`` atomically and durably.
 
-    The single implementation of the store-and-protocol write idiom:
+    The single implementation of the store-and-outbox write idiom:
     the payload is flushed to a temp file (``fsync`` before the rename,
     so the replace can never expose an empty or partial file after a
     power cut), ``os.replace``\\ d into place, and the parent directory
     is fsynced so the rename itself survives a crash.  Readers (a pool
-    sibling, the serve loop, ``repro submit --wait``) never observe a
-    partial file, and the temp file is cleaned up when the write fails.
+    sibling, a consumer of ``repro serve``'s outbox answers) never
+    observe a partial file, and the temp file is cleaned up when the
+    write fails.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(

@@ -3,7 +3,7 @@
 A :class:`~repro.api.config.SynthesisRequest` may carry live hooks
 (``on_progress``/``cancel``) that cannot cross a process boundary.
 :class:`WireRequest` is the hook-free, picklable projection the queue,
-the worker pool, and the file-based ``repro submit`` protocol all share;
+the worker pool, the HTTP server and ``repro serve --jobs`` all share;
 it round-trips to a canonical JSON dict, and its SHA-256 fingerprint
 over that dict is the *content address* of the question — the key for
 in-flight deduplication and for the persistent result store.
@@ -123,7 +123,7 @@ class WireRequest:
         )
 
     # ------------------------------------------------------------------
-    # Canonical JSON codec (shared by ``repro serve``/``repro submit``)
+    # Canonical JSON codec (HTTP job bodies and ``repro serve --jobs``)
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
         """JSON-serialisable canonical form (drives the fingerprint)."""

@@ -175,58 +175,11 @@ class TestServeAndSubmit:
         assert list((store / "staging").glob("*.pkl"))
         assert list((store / "results").glob("*.pkl"))
 
-    def test_serve_requires_jobs_or_watch(self, tmp_path, capsys):
-        code = main(["serve", "--store", str(tmp_path / "store")])
-        assert code == 2
+    def test_serve_requires_jobs(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--store", str(tmp_path / "store")])
+        assert excinfo.value.code == 2
         assert "--jobs" in capsys.readouterr().err
-
-    def test_submit_writes_content_addressed_inbox_file(self, tmp_path,
-                                                        capsys):
-        import json
-
-        store = tmp_path / "store"
-        code = main(["submit", "--store", str(store),
-                     "--pos", "0", "00", "--neg", "1"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "job id" in out
-        inbox = list((store / "inbox").glob("*.json"))
-        assert len(inbox) == 1
-        payload = json.loads(inbox[0].read_text(encoding="utf-8"))
-        assert payload["spec"]["positive"] == ["0", "00"]
-        # The file name is the request fingerprint (content address).
-        from repro.service import WireRequest
-
-        payload.pop("priority")
-        assert inbox[0].stem == WireRequest.from_json_dict(
-            payload).fingerprint()
-
-    def test_submit_cancel_writes_marker(self, tmp_path, capsys):
-        store = tmp_path / "store"
-        assert main(["submit", "--store", str(store),
-                     "--cancel", "deadbeef"]) == 0
-        assert (store / "inbox" / "deadbeef.cancel").exists()
-
-    def test_submit_then_serve_round_trip(self, tmp_path, capsys):
-        store = tmp_path / "store"
-        assert main(["submit", "--store", str(store),
-                     "--pos", "10", "101", "--neg", "", "0"]) == 0
-        job_file = next((store / "inbox").glob("*.json"))
-        # Serve the inbox in watch mode just long enough to drain it.
-        code = main(["serve", "--store", str(store), "--workers", "1",
-                     "--watch", "--idle-timeout", "0.5",
-                     "--poll-interval", "0.02"])
-        assert code == 0
-        assert not job_file.exists()
-        answer = (store / "outbox" / job_file.name)
-        assert answer.exists()
-        # A re-submit with --wait finds the answer already there.
-        code = main(["submit", "--store", str(store),
-                     "--pos", "10", "101", "--neg", "", "0",
-                     "--wait", "--timeout", "5"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "status     : success" in out
 
     def test_serve_batch_skips_malformed_jsonl_lines(self, tmp_path,
                                                      capsys):
@@ -247,62 +200,6 @@ class TestServeAndSubmit:
         assert "1 served" in captured.out
         assert "skipping" in captured.err
         assert "line 1" in captured.err and "line 2" in captured.err
-
-    def test_cancel_marker_before_job_file_is_not_lost(self, tmp_path):
-        import json
-
-        from repro import SynthesisRequest, Spec
-        from repro.regex.cost import CostFunction
-        from repro.service import WireRequest
-
-        store = tmp_path / "store"
-        (store / "inbox").mkdir(parents=True)
-        (store / "outbox").mkdir(parents=True)
-        # A deliberately slow request, so cancellation (not completion)
-        # decides the outcome; the budget bounds the damage either way.
-        wire = WireRequest.of(SynthesisRequest(
-            spec=Spec(["10", "101", "100", "1010", "1011"],
-                      ["", "0", "1", "00", "11"]),
-            cost_fn=CostFunction.from_tuple((1, 1, 10, 1, 1)),
-            max_generated=20_000_000,
-        ))
-        fingerprint = wire.fingerprint()
-        # The cancel marker lands BEFORE the job file exists.
-        (store / "inbox" / ("%s.cancel" % fingerprint)).write_text("")
-        (store / "inbox" / ("%s.json" % fingerprint)).write_text(
-            json.dumps(wire.to_json_dict()), encoding="utf-8")
-        code = main(["serve", "--store", str(store), "--workers", "1",
-                     "--watch", "--idle-timeout", "1",
-                     "--poll-interval", "0.02"])
-        assert code == 0
-        answer = json.loads(
-            (store / "outbox" / ("%s.json" % fingerprint)).read_text())
-        assert answer["status"] == "cancelled"
-        assert not (store / "inbox" / ("%s.cancel" % fingerprint)).exists()
-
-    def test_watch_serves_job_files_not_named_by_fingerprint(self,
-                                                             tmp_path):
-        # The protocol names files by fingerprint, but a hand-dropped
-        # file under any name must be served once (not re-submitted
-        # every poll tick) and consumed on completion.
-        import json
-
-        store = tmp_path / "store"
-        (store / "inbox").mkdir(parents=True)
-        job_path = store / "inbox" / "myjob.json"
-        job_path.write_text(self._job_line(["0", "00"], ["1"]),
-                            encoding="utf-8")
-        code = main(["serve", "--store", str(store), "--workers", "1",
-                     "--watch", "--idle-timeout", "0.5",
-                     "--poll-interval", "0.02"])
-        assert code == 0
-        assert not job_path.exists()
-        answers = list((store / "outbox").glob("*.json"))
-        assert len(answers) == 1
-        payload = json.loads(answers[0].read_text(encoding="utf-8"))
-        assert payload["status"] == "success"
-        # The answer is filed under the computed content fingerprint.
-        assert answers[0].stem == payload["fingerprint"]
 
 
 class TestByteBudgetParsing:
@@ -360,21 +257,6 @@ class TestServerAndClientCommands:
             batch_workers=1,
         ) as server:
             yield server
-
-    def test_submit_requires_store_or_server(self, capsys):
-        code = main(["submit", "--pos", "0", "--neg", "1"])
-        assert code == 2
-        assert "--store" in capsys.readouterr().err
-
-    def test_submit_over_http_waits_with_backoff(self, running_server,
-                                                 capsys):
-        code = main(["submit", "--server", running_server.address,
-                     "--pos", "0", "00", "--neg", "1", "--wait",
-                     "--timeout", "120"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "job id" in out
-        assert "status     : success" in out
 
     def test_client_submit_status_events_health_metrics(self,
                                                         running_server,

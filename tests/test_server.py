@@ -8,14 +8,20 @@ processes); the HTTP tests share one running server per module.
 """
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import EngineConfig, Spec
 from repro.core.result import SynthesisResult
+from repro.obs.validate import parse_prometheus
 from repro.regex.cost import CostFunction
 from repro.server import (
     CLASS_BATCH,
@@ -33,6 +39,7 @@ from repro.server import (
 )
 from repro.server.client import poll_intervals
 from repro.service import ServiceClient, WireRequest
+from repro.testing import faults
 
 BACKENDS = ["scalar", "vector"]
 
@@ -492,3 +499,127 @@ class TestServerMaintenance:
         assert not again.get("deduplicated")
         client.cancel(again["job_id"])
         client.result(again["job_id"], timeout=120)
+
+
+# ----------------------------------------------------------------------
+# Job completion: the pool's done-callback ends every record
+# ----------------------------------------------------------------------
+class TestJobCompletion:
+    def test_cancel_while_queued_ends_the_job_and_its_stream(self, tmp_path):
+        with SynthesisServer(
+            store_dir=str(tmp_path / "store"),
+            interactive_workers=1,
+            batch_workers=1,
+            per_worker_depth=1,
+        ) as running:
+            client = HttpServiceClient(running.address)
+            blocker = client.submit(slow_wire(), klass=CLASS_BATCH)
+            try:
+                _wait(lambda: client.status(blocker["job_id"])["state"]
+                      == "running", timeout=60)
+                queued = client.submit(wire_of(INTRO_SPEC), klass=CLASS_BATCH)
+                job_id = queued["job_id"]
+                assert queued["state"] == "queued"
+                events = []
+                stream = threading.Thread(
+                    target=lambda: events.extend(
+                        HttpServiceClient(running.address).events(job_id)
+                    )
+                )
+                stream.start()
+                record = running._records[job_id]
+                _wait(lambda: len(record.subscribers) == 1, timeout=10)
+                assert client.cancel(job_id)["cancelled"] is True
+                stream.join(timeout=30)
+                assert not stream.is_alive()
+                assert len(events) == 1 and events[0].done
+                done = client.result(job_id, timeout=30)
+                assert done["state"] == "cancelled"
+                assert done["result"]["status"] == "cancelled"
+            finally:
+                client.cancel(blocker["job_id"])
+                client.result(blocker["job_id"], timeout=120)
+                client.close()
+
+    def test_resubmission_after_restart_is_answered_from_the_store(
+        self, tmp_path
+    ):
+        wire = wire_of(Spec(["0110", "01110"], ["", "0", "11"]))
+        answers = []
+        for restart in range(2):
+            with SynthesisServer(
+                store_dir=str(tmp_path / "store"),
+                interactive_workers=1,
+                batch_workers=1,
+            ) as running:
+                client = HttpServiceClient(running.address)
+                job = client.submit(wire, klass=CLASS_INTERACTIVE)
+                done = client.result(job["job_id"], timeout=120)
+                events = list(client.events(job["job_id"]))
+                client.close()
+                hits = running.lanes[CLASS_INTERACTIVE].stats["result_hits"]
+            assert done["state"] == "done"
+            assert events[-1].done
+            assert hits == restart
+            answers.append(done["result"]["regex"])
+        assert answers[0] == answers[1]
+
+
+# ----------------------------------------------------------------------
+# Shutdown and fallback counters
+# ----------------------------------------------------------------------
+def test_stop_under_an_open_keepalive_connection_is_quiet(tmp_path):
+    # A child interpreter, so whatever asyncio logs while the server
+    # stops reaches a stderr the test can read.
+    script = "\n".join([
+        "import sys",
+        "from repro.server import HttpServiceClient, SynthesisServer",
+        "server = SynthesisServer(store_dir=sys.argv[1],",
+        "                         interactive_workers=1, batch_workers=1)",
+        "server.start()",
+        "client = HttpServiceClient(server.address)",
+        "client.healthz()  # leaves its keep-alive connection open",
+        "server.stop()",
+        "client.close()",
+    ])
+    src = str(Path(repro.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "store")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == ""
+
+
+def test_failed_checkpoint_write_reaches_healthz_and_metrics(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv(faults.ENV_FAULTS, "checkpoint.append:raise:1:once")
+    monkeypatch.setenv(faults.ENV_FAULTS_DIR, str(tmp_path))
+    faults.reset()  # the forked pool workers re-read the environment
+    try:
+        with SynthesisServer(
+            store_dir=str(tmp_path / "store"),
+            interactive_workers=1,
+            batch_workers=1,
+        ) as running:
+            client = HttpServiceClient(running.address)
+            job = client.submit(wire_of(INTRO_SPEC), klass=CLASS_INTERACTIVE)
+            done = client.result(job["job_id"], timeout=120)
+            health = client.healthz()
+            metrics = client.metrics()
+            client.close()
+    finally:
+        faults.reset()
+    assert done["result"]["status"] == "success"
+    assert health["counters"]["checkpoint_errors"] == 1
+    samples = {
+        labels["class"]: value
+        for _name, labels, value in parse_prometheus(metrics)[
+            "repro_checkpoint_errors_total"
+        ]["samples"]
+    }
+    assert samples == {CLASS_INTERACTIVE: 1, CLASS_BATCH: 0}

@@ -272,6 +272,31 @@ class TestJobQueue:
         assert len(queue) == 0
         assert not handle.cancel()  # already finished
 
+    def test_done_callbacks_run_once_on_every_terminal_transition(self):
+        queue = JobQueue()
+        specs = partitions(3)
+        finished, failed, cancelled = (
+            queue.submit(WireRequest(spec=spec)) for spec in specs
+        )
+        ended = []
+        for handle in (finished, failed, cancelled):
+            handle.add_done_callback(ended.append)
+        for handle in (finished, failed):
+            assert queue.mark_running(handle._job, 0)
+        queue.finish(finished._job, synthesize(specs[0]))
+        queue.fail(failed._job, "worker died")
+        assert cancelled.cancel()
+        assert not cancelled.cancel()
+        assert ended == [finished, failed, cancelled]
+        # Registered on an ended job, or on one answered from the store
+        # (born ended), a callback runs at once.
+        stored = queue.submit(WireRequest(spec=INTRO_SPEC),
+                              stored_lookup=lambda fp: synthesize(INTRO_SPEC))
+        late = []
+        finished.add_done_callback(late.append)
+        stored.add_done_callback(late.append)
+        assert late == [finished, stored]
+
     def test_stored_lookup_fast_path(self, tmp_path):
         stored = synthesize(INTRO_SPEC)
         queue = JobQueue()
