@@ -293,7 +293,13 @@ class Session:
             engine.deadline = started + request.time_limit
         self._attach_durability(engine)
 
-        status = engine.run(max_cost)
+        try:
+            status = engine.run(max_cost)
+        finally:
+            # ``stream`` closes over the engine: unhooked, the pair would
+            # keep the engine's cache rows and planes alive until the
+            # cyclic collector happens to run.
+            engine.on_level = None
         elapsed = time.perf_counter() - started
 
         result = SynthesisResult(
@@ -464,7 +470,10 @@ class Session:
 
             engine.on_level = scan_level
             self._attach_durability(engine)
-            engine.run(max(query.max_cost for query in pending))
+            try:
+                engine.run(max(query.max_cost for query in pending))
+            finally:
+                engine.on_level = None  # break the scan_level cycle
             leftover_status = (
                 STATUS_BUDGET if engine.status == STATUS_BUDGET else STATUS_NOT_FOUND
             )

@@ -275,9 +275,9 @@ class SearchEngine:
         self.on_level: Optional[Callable[[int, int, int], object]] = None
         #: Optional cancellation probe, checked at sweep start and
         #: between cost levels.  Any zero-argument truth-valued callable
-        #: works; the service layer's worker watchdog points this at a
-        #: process-local flag it keeps in sync with the cross-process
-        #: cancellation event, so the poll itself never does IPC.
+        #: works; a pool worker points this at the job's byte in the
+        #: pool's shared-memory control array, so the poll itself never
+        #: does IPC.
         self.cancel_check: Optional[Callable[[], object]] = None
         #: Optional ``time.perf_counter()`` deadline, checked between
         #: cost levels.
@@ -718,8 +718,8 @@ class SearchEngine:
 
     def _run(self, max_cost: int) -> str:
         # An already-cancelled run (a job cancelled while queued, or a
-        # watchdog that fired before the sweep began) exits before doing
-        # any seeding work.
+        # cancel bit set before the sweep began) exits before doing any
+        # seeding work.
         if self._cancel_requested():
             raise SweepCancelled()
         c1 = self.cost_fn.literal

@@ -20,7 +20,11 @@ Endpoints (HTTP/1.1, keep-alive, JSON bodies):
                            request's content fingerprint, so duplicate
                            submissions *join* the live job.  Tracing is
                            on by default (``"trace": false`` opts out)
-``GET /jobs/<id>``         status (+ result once finished)
+``GET /jobs/<id>``         status (+ result once finished);
+                           ``?wait=S`` long-polls: the request parks
+                           until the job finishes or ``S`` seconds
+                           (clamped to :data:`MAX_WAIT_S`) pass, then
+                           answers with the same document
 ``GET /jobs/<id>/events``  chunked NDJSON progress stream — replayed
                            from the start, then live; the engine-side
                            ``elapsed_s`` clock is preserved verbatim
@@ -41,7 +45,8 @@ Threading model: the asyncio loop runs in one dedicated thread and owns
 every :class:`_JobRecord` — all record mutation happens via
 ``call_soon_threadsafe``, so the request handlers need no locks.  The
 pool's progress and done callbacks (collector thread) cross into the
-loop the same way.
+loop the same way; a long poll is a future parked on its record, which
+the done callback resolves.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import hmac
+import json
+import math
 import os
 import threading
 import time
@@ -92,6 +99,10 @@ MAINTENANCE_EVERY = 8
 #: Seconds a kept-alive connection may sit idle between requests.
 KEEPALIVE_IDLE_S = 10.0
 
+#: Longest a ``GET /jobs/<id>?wait=S`` long poll parks (larger ``S``
+#: are clamped to it).
+MAX_WAIT_S = 30.0
+
 
 #: ``result.extra`` keys forwarded in the HTTP job document — the
 #: scalar scheduling/durability counters, never the heavyweight
@@ -124,6 +135,8 @@ class _JobRecord:
         "trace_id",
         "root_span_id",
         "server_spans",
+        "spans_json",
+        "waiters",
     )
 
     def __init__(self, job_id: str, wire: WireRequest, klass: str,
@@ -143,6 +156,11 @@ class _JobRecord:
         self.trace_id = trace_id
         self.root_span_id = root_span_id
         self.server_spans: List[dict] = server_spans or []
+        #: Once finished and traced: every span of the job, serialised
+        #: once by :meth:`compact` (what ``/trace`` serves).
+        self.spans_json: Optional[str] = None
+        #: Futures of the long polls parked on this job.
+        self.waiters: List[asyncio.Future] = []
         #: Every progress event seen so far, already in wire form —
         #: late ``/events`` subscribers replay these before going live.
         self.events: List[dict] = []
@@ -186,6 +204,53 @@ class _JobRecord:
         if self.error is not None:
             data["error"] = self.error
         return data
+
+    def compact(self, spans: List[dict]) -> None:
+        """Keep only what the endpoints serve once the job finished.
+
+        ``/trace`` is served from ``spans`` serialised once; the kept
+        result is a copy whose ``extra`` holds just the keys the job
+        document forwards, so ``extra["trace"]`` and the level stats go
+        (the pool's object is shared with every joined handle and stays
+        as it is); the pool handle, the wire request and the span list
+        go too.
+        """
+        if self.trace_id is not None:
+            self.spans_json = json.dumps(spans, separators=(",", ":"))
+        result = self.result
+        if result is not None and isinstance(result.extra, dict):
+            self.result = dataclasses.replace(
+                result,
+                extra={
+                    key: result.extra[key]
+                    for key in _WIRE_EXTRA_KEYS
+                    if key in result.extra
+                },
+            )
+        self.handle = None
+        self.wire = None
+        self.server_spans = []
+
+    def wake_waiters(self) -> None:
+        """Answer every long poll parked on this job."""
+        for waiter in self.waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+        self.waiters = []
+
+
+def _wait_seconds(raw: Optional[str]) -> float:
+    """The ``?wait=`` of a job read, clamped to :data:`MAX_WAIT_S`;
+    0 without one.  A malformed or negative value is a 400."""
+    if raw is None:
+        return 0.0
+    try:
+        seconds = float(raw)
+    except ValueError:
+        raise ProtocolError("wait must be a number of seconds, not %r" % raw)
+    if not math.isfinite(seconds) or seconds < 0:
+        raise ProtocolError("wait must be a finite number >= 0, not %r" % raw)
+    return min(seconds, MAX_WAIT_S)
 
 
 class SynthesisServer:
@@ -290,6 +355,8 @@ class SynthesisServer:
         self._server: Optional[asyncio.AbstractServer] = None
         #: Open connections: handler task -> its stream writer.
         self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: Handler tasks parked in a long poll -> the future they wait on.
+        self._long_polls: Dict[asyncio.Task, asyncio.Future] = {}
         self._started = False
         self._stopping = threading.Event()
         self._last_activity = time.monotonic()
@@ -335,6 +402,14 @@ class SynthesisServer:
 
         async def close() -> None:
             self._server.close()
+            # Parked long polls answer first, with their job's current
+            # document, then close their connections themselves.
+            parked = list(self._long_polls)
+            for waiter in self._long_polls.values():
+                if not waiter.done():
+                    waiter.set_result(None)
+            if parked:
+                await asyncio.wait(parked, timeout=5.0)
             # Kept-alive connections may be parked in an idle read.
             # Closing a transport feeds that read an EOF, so its handler
             # returns on its own: a cancelled handler task would make
@@ -480,7 +555,7 @@ class SynthesisServer:
         job_id, sub = http11.split_job_path(path)
         if job_id is not None:
             if sub is None and method == "GET":
-                await self._get_job(job_id, writer)
+                return await self._get_job(job_id, request, writer)
             elif sub is None and method == "DELETE":
                 await self._delete_job(job_id, writer)
             elif sub == "events" and method == "GET":
@@ -728,10 +803,12 @@ class SynthesisServer:
             if result.status != "cancelled":
                 self.history.record(record.wire.staging_fingerprint(), result)
         elapsed = time.monotonic() - record.submitted_monotonic
+        spans: List[dict] = []
         if record.root_span_id is not None and record.server_spans:
             record.server_spans[0]["end_s"] = time.time()
             record.server_spans[0]["args"]["state"] = record.state
-            for span in self._job_spans(record):
+            spans = self._job_spans(record)
+            for span in spans:
                 stage = SPAN_STAGES.get(str(span.get("name")))
                 if stage is None:
                     continue
@@ -773,6 +850,8 @@ class SynthesisServer:
                 queue.put_nowait(final)
         for queue in record.subscribers:
             queue.put_nowait(None)  # stream-done sentinel
+        record.compact(spans)
+        record.wake_waiters()
         self._completions += 1
         if self._completions % MAINTENANCE_EVERY == 0:
             self.history.save()
@@ -781,14 +860,32 @@ class SynthesisServer:
     # ------------------------------------------------------------------
     # GET /jobs/<id>, DELETE /jobs/<id>
     # ------------------------------------------------------------------
-    async def _get_job(self, job_id: str, writer) -> None:
+    async def _get_job(self, job_id: str, request: Request, writer) -> bool:
+        """The job document, after an optional long poll; True when the
+        connection must close (the server stopped during the poll)."""
+        wait_s = _wait_seconds(request.query.get("wait"))
         record = self._records.get(job_id)
         if record is None:
             await http11.send_response(
                 writer, 404, {"error": "unknown job %s" % job_id}
             )
-            return
-        await http11.send_response(writer, 200, record.status_dict())
+            return False
+        if wait_s > 0 and not record.finished and not self._stopping.is_set():
+            task = asyncio.current_task()
+            waiter = self._loop.create_future()
+            record.waiters.append(waiter)
+            self._long_polls[task] = waiter
+            try:
+                await asyncio.wait((waiter,), timeout=wait_s)
+            finally:
+                del self._long_polls[task]
+                if waiter in record.waiters:
+                    record.waiters.remove(waiter)
+        stopping = self._stopping.is_set()
+        await http11.send_response(
+            writer, 200, record.status_dict(), close=stopping
+        )
+        return stopping
 
     async def _delete_job(self, job_id: str, writer) -> None:
         record = self._records.get(job_id)
@@ -816,6 +913,8 @@ class SynthesisServer:
     # ------------------------------------------------------------------
     def _job_spans(self, record: _JobRecord) -> List[dict]:
         """Server spans + the spans that came back with the result."""
+        if record.spans_json is not None:
+            return json.loads(record.spans_json)
         spans = list(record.server_spans)
         result = record.result
         if result is not None and isinstance(result.extra, dict):

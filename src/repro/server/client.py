@@ -10,6 +10,9 @@ the NDJSON stream a plain ``readline()`` loop.
 :class:`~repro.service.client.ServiceClient` surface where it can
 (``submit`` / ``result`` / ``cancel``), which is what lets the CLI and
 the tests swap one for the other and assert bit-identical answers.
+``result`` long-polls ``GET /jobs/<id>?wait=S``: the server answers the
+moment the job finishes, so waiting costs no sleeps and, for a job that
+finishes within one wait, a single request.
 """
 
 from __future__ import annotations
@@ -24,9 +27,14 @@ from ..api.progress import ProgressEvent
 from ..errors import ReproError
 from ..service.wire import WireRequest
 
-#: Result-poll backoff: start fast, back off exponentially to the cap.
+#: Result-poll backoff: start fast, back off exponentially to the cap
+#: (for callers that poll :meth:`HttpServiceClient.status` themselves).
 POLL_BASE_S = 0.05
 POLL_CAP_S = 1.0
+
+#: Longest one long poll of :meth:`HttpServiceClient.result` asks the
+#: server to park (further bounded by half the socket timeout).
+LONG_POLL_S = 10.0
 
 
 class ServerError(ReproError):
@@ -49,7 +57,7 @@ class OverloadedError(ServerError):
 def poll_intervals(
     base: float = POLL_BASE_S, cap: float = POLL_CAP_S
 ) -> Iterator[float]:
-    """The exponential-backoff schedule used by every ``--wait`` path:
+    """An exponential-backoff schedule for polling without ``wait``:
     ``base, 2·base, 4·base, …`` capped at ``cap``, then constant."""
     delay = base
     while True:
@@ -61,10 +69,10 @@ class HttpServiceClient:
     """One server address, one kept-alive connection, no threads.
 
     Fixed-length calls (submit/status/cancel/healthz/metrics) reuse a
-    single persistent HTTP connection — a polling ``result()`` loop
-    costs one TCP handshake total, not one per poll.  A connection the
-    server has quietly closed (idle timeout, restart) is detected on
-    the next call and retried once on a fresh connection.  The chunked
+    single persistent HTTP connection — a long-polling ``result()``
+    loop costs one TCP handshake total, not one per poll.  A connection
+    the server has quietly closed (idle timeout, restart) is detected
+    on the next call and retried once on a fresh connection.  The chunked
     ``/events`` stream is connection-terminal by design and always uses
     its own dedicated connection.
     """
@@ -208,9 +216,13 @@ class HttpServiceClient:
             payload["class"] = klass
         return self._json_call("POST", "/jobs", payload)
 
-    def status(self, job_id: str) -> dict:
-        """GET the job document."""
-        return self._json_call("GET", "/jobs/%s" % job_id)
+    def status(self, job_id: str, wait: Optional[float] = None) -> dict:
+        """GET the job document; with ``wait``, the server holds the
+        request until the job finishes or ``wait`` seconds pass."""
+        path = "/jobs/%s" % job_id
+        if wait is not None:
+            path += "?wait=%.6f" % wait
+        return self._json_call("GET", path)
 
     def trace(self, job_id: str) -> dict:
         """GET the job's trace document (spans + Chrome trace JSON)."""
@@ -223,28 +235,28 @@ class HttpServiceClient:
     def result(
         self, job_id: str, timeout: Optional[float] = None
     ) -> dict:
-        """Poll (with exponential backoff) until the job finishes.
+        """Long-poll until the job finishes.
 
-        Returns the terminal job document; raises :class:`TimeoutError`
-        past ``timeout`` and :class:`ServerError` when the job failed.
+        Each poll parks server-side for at most :data:`LONG_POLL_S`, and
+        for less than the socket timeout.  Returns the terminal job
+        document; raises :class:`TimeoutError` past ``timeout`` and
+        :class:`ServerError` when the job failed.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        for delay in poll_intervals():
-            data = self.status(job_id)
+        wait = min(LONG_POLL_S, self.timeout / 2)
+        while True:
+            if deadline is not None:
+                wait = min(wait, max(0.0, deadline - time.monotonic()))
+            data = self.status(job_id, wait=wait)
             state = data.get("state")
             if state in ("done", "cancelled"):
                 return data
             if state == "failed":
                 raise ServerError(500, data)
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        "job %s not finished within %r s" % (job_id, timeout)
-                    )
-                delay = min(delay, remaining)
-            time.sleep(delay)
-        raise AssertionError("unreachable")  # pragma: no cover
+            if deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError(
+                    "job %s not finished within %r s" % (job_id, timeout)
+                )
 
     def synthesize(self, request, timeout: Optional[float] = None) -> dict:
         """Submit and block; returns the result dict of the finished job."""

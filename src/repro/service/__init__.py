@@ -9,8 +9,8 @@ into a long-running, multi-core, restart-durable service:
   deduplication of identical requests, job-level cancellation.
 * :mod:`repro.service.pool` — :class:`WorkerPool`: one warm session per
   worker process, universe-affinity scheduling with work-stealing,
-  cross-process progress forwarding and a worker-side cancellation
-  watchdog.
+  cross-process progress forwarding, and cancel/preempt bits in a
+  shared-memory control array that the engine's probes read directly.
 * :mod:`repro.service.store` — :class:`StagingStore` /
   :class:`ResultStore`: content-addressed persistence so a restarted
   service warm-starts instead of re-enumerating.

@@ -23,9 +23,12 @@ Plumbing (all standard ``multiprocessing``):
   deadlock every other worker's reporting.  Per-worker queues confine
   that poisoning to the dead worker, and the reaper replaces its queue
   along with its process,
-* one ``Manager`` providing per-job cancellation events; inside the
-  worker a tiny watchdog thread mirrors the cross-process event into a
-  process-local flag that the engine's ``cancel_check`` polls for free.
+* one shared-memory array of control bytes, ``per_worker_depth``
+  slots per worker.  A dispatch claims one of its worker's free slots
+  and names it in the task; the parent sets the slot's cancel and
+  preempt bits under the pool lock, and the engine's ``cancel_check``
+  and ``preempt_check`` probes read the byte directly (no IPC, no
+  helper thread).
 
 Progress events stream back with their engine-side monotonic
 ``elapsed_s`` intact, so a cross-process progress stream reads exactly
@@ -72,9 +75,16 @@ RESULTS_SUBDIR = "results"
 CHECKPOINTS_SUBDIR = "checkpoints"
 QUARANTINE_SUBDIR = "quarantine"
 
-#: How often (seconds) a worker's watchdog mirrors the cross-process
-#: cancellation event into the engine-visible local flag.
-_WATCHDOG_POLL_S = 0.02
+#: Bits of a job's control byte (see :meth:`WorkerPool._claim_slot`):
+#: cancel stops the job for good, preempt checkpoints it at the next
+#: safe point and hands it back.
+_CANCEL = 1
+_PREEMPT = 2
+
+
+def _control_probe(control, slot: int, bit: int) -> Callable[[], bool]:
+    """An engine probe: is ``bit`` set in control byte ``slot``?"""
+    return lambda: bool(control[slot] & bit)
 
 
 def _worker_main(
@@ -83,6 +93,7 @@ def _worker_main(
     store_dir: Optional[str],
     max_staged: Optional[int],
     checkpoints: bool,
+    control,
     task_queue,
     result_queue,
 ) -> None:
@@ -107,30 +118,8 @@ def _worker_main(
         message = task_queue.get()
         if message[0] == "shutdown":
             break
-        _, job_id, wire, cancel_event, preempt_event = message
+        _, job_id, wire, slot = message
         fault_point("pool.worker.before_job")
-        local_cancel = threading.Event()
-        local_preempt = threading.Event()
-        stop_watchdog = threading.Event()
-
-        def watch() -> None:
-            # One watchdog mirrors both cross-process control events
-            # into process-local flags the engine's probes poll for
-            # free: ``cancel`` stops the job for good, ``preempt``
-            # checkpoints it at the next safe point and hands it back.
-            while not stop_watchdog.is_set():
-                try:
-                    if cancel_event.is_set():
-                        local_cancel.set()
-                        return
-                    if preempt_event.is_set():
-                        local_preempt.set()
-                except (BrokenPipeError, EOFError, ConnectionError):
-                    return
-                stop_watchdog.wait(_WATCHDOG_POLL_S)
-
-        watchdog = threading.Thread(target=watch, daemon=True)
-        watchdog.start()
 
         def forward_progress(event) -> None:
             # The final event's incumbent is the full result, which the
@@ -142,8 +131,8 @@ def _worker_main(
             result_queue.put(("progress", worker_id, job_id, event))
 
         request = wire.to_request().replace(
-            cancel=local_cancel.is_set,
-            preempt=local_preempt.is_set,
+            cancel=_control_probe(control, slot, _CANCEL),
+            preempt=_control_probe(control, slot, _PREEMPT),
             on_progress=forward_progress,
         )
         tracer = None
@@ -185,9 +174,6 @@ def _worker_main(
             result_queue.put(
                 ("error", worker_id, job_id, traceback.format_exc())
             )
-        finally:
-            stop_watchdog.set()
-            watchdog.join()
     result_queue.put(("stats", worker_id, _session_stats(session)))
 
 
@@ -334,8 +320,10 @@ class WorkerPool:
         self._retrying: Dict[str, Tuple[Job, threading.Timer]] = {}
         self._workers: List[_WorkerState] = []
         self._jobs_by_id: Dict[str, Job] = {}
-        self._cancel_events: Dict[str, object] = {}
-        self._preempt_events: Dict[str, object] = {}
+        #: Control bytes shared with every worker (created by start()),
+        #: and job_id → the slot its current attempt owns in them.
+        self._control = None
+        self._slots: Dict[str, int] = {}
         #: job_id → monotonic dispatch epoch of the current attempt
         #: (what "longest-running" means to the preemption picker).
         self._dispatched_at: Dict[str, float] = {}
@@ -347,7 +335,6 @@ class WorkerPool:
         #: Epoch of the most recent quarantine (surfaced by /healthz).
         self.last_quarantine_at: Optional[float] = None
         self._mp = multiprocessing.get_context()
-        self._manager = None
         self._collector: Optional[threading.Thread] = None
         self._collector_stop = threading.Event()
         self._atexit_hook = None
@@ -362,7 +349,9 @@ class WorkerPool:
         with self._lock:
             if self._started:
                 return self
-            self._manager = self._mp.Manager()
+            self._control = self._mp.RawArray(
+                "B", self.n_workers * self.per_worker_depth
+            )
             for worker_id in range(self.n_workers):
                 task_queue = self._mp.Queue()
                 result_queue = self._mp.Queue()
@@ -406,6 +395,7 @@ class WorkerPool:
                 self.store_dir,
                 self.max_staged_per_worker,
                 self.checkpoints,
+                self._control,
                 task_queue,
                 result_queue,
             ),
@@ -457,7 +447,6 @@ class WorkerPool:
         self._collector_stop.set()
         if self._collector is not None:
             self._collector.join(timeout=10)
-        self._manager.shutdown()
         # Release the queues without the interpreter-exit join: a
         # killed worker can leave a feeder thread wedged, and the
         # default atexit handler would join it forever.  Nothing useful
@@ -499,13 +488,12 @@ class WorkerPool:
                 self._atexit_hook = None
             self._workers = []
             self._jobs_by_id.clear()
-            self._cancel_events.clear()
-            self._preempt_events.clear()
+            self._control = None
+            self._slots.clear()
             self._dispatched_at.clear()
             self._pending_final_events.clear()
             self._submitted_at.clear()
             self._parent_spans.clear()
-            self._manager = None
             self._collector = None
             self._started = False
             self._closing = False
@@ -627,13 +615,10 @@ class WorkerPool:
         True).
         """
         with self._lock:
-            event = self._preempt_events.get(job_id)
-        if event is None:
-            return False
-        try:
-            event.set()
-        except (BrokenPipeError, EOFError, ConnectionError):
-            return False  # pool tearing down
+            slot = self._slots.get(job_id)
+            if slot is None:
+                return False
+            self._control[slot] |= _PREEMPT
         return True
 
     def preempt_longest_running(self) -> Optional[str]:
@@ -648,31 +633,15 @@ class WorkerPool:
         nothing is preemptible.
         """
         with self._lock:
-            candidates = sorted(
-                (
-                    (dispatched, job_id)
-                    for job_id, dispatched in self._dispatched_at.items()
-                    if job_id in self._preempt_events
-                ),
-            )
-            picked = None
-            for _, job_id in candidates:
-                event = self._preempt_events[job_id]
-                try:
-                    if event.is_set():
-                        continue
-                except (BrokenPipeError, EOFError, ConnectionError):
-                    return None
-                picked = (job_id, event)
-                break
-        if picked is None:
-            return None
-        job_id, event = picked
-        try:
-            event.set()
-        except (BrokenPipeError, EOFError, ConnectionError):
-            return None
-        return job_id
+            for _, job_id in sorted(
+                (dispatched, job_id)
+                for job_id, dispatched in self._dispatched_at.items()
+            ):
+                slot = self._slots[job_id]
+                if not self._control[slot] & _PREEMPT:
+                    self._control[slot] |= _PREEMPT
+                    return job_id
+        return None
 
     # ------------------------------------------------------------------
     # Scheduling: universe affinity with work-stealing
@@ -772,6 +741,7 @@ class WorkerPool:
             for index, alive_index, kind in plan:
                 job = pending[index]
                 worker = alive[alive_index]
+                slot = self._claim_slot(worker)
                 if not self.queue.mark_running(job, worker.worker_id):
                     continue  # cancelled since the snapshot
                 key = (
@@ -780,20 +750,32 @@ class WorkerPool:
                     else "cold_assignments"
                 )
                 self.stats[key] += 1
-                cancel_event = self._manager.Event()
-                preempt_event = self._manager.Event()
-                self._cancel_events[job.job_id] = cancel_event
-                self._preempt_events[job.job_id] = preempt_event
+                self._slots[job.job_id] = slot
                 self._dispatched_at[job.job_id] = time.monotonic()
                 self._jobs_by_id[job.job_id] = job
                 worker.inflight.add(job.job_id)
                 worker.load += job.slots
                 worker.mark_warm(job.staging_fp)
                 self._record_queue_wait(job)
-                worker.task_queue.put(
-                    ("job", job.job_id, job.wire, cancel_event,
-                     preempt_event)
-                )
+                worker.task_queue.put(("job", job.job_id, job.wire, slot))
+
+    def _claim_slot(self, worker: _WorkerState) -> int:
+        """Zero and return a control slot of ``worker`` that no job in
+        flight on it owns (caller holds ``self._lock``).
+
+        The scheduler never puts more than ``per_worker_depth`` jobs on
+        one worker, so a free slot always exists; if none does, raise
+        rather than let two jobs share their cancel and preempt bits.
+        """
+        base = worker.worker_id * self.per_worker_depth
+        owned = {self._slots.get(job_id) for job_id in worker.inflight}
+        for slot in range(base, base + self.per_worker_depth):
+            if slot not in owned:
+                self._control[slot] = 0
+                return slot
+        raise RuntimeError(
+            "worker %d has no free control slot" % worker.worker_id
+        )
 
     def _record_queue_wait(self, job: Job) -> None:
         """Close a traced job's queue-wait span at dispatch time.
@@ -818,12 +800,9 @@ class WorkerPool:
     def _cancel_running(self, job: Job) -> None:
         """JobQueue hook: deliver cancellation to a running job."""
         with self._lock:
-            event = self._cancel_events.get(job.job_id)
-        if event is not None:
-            try:
-                event.set()
-            except (BrokenPipeError, EOFError, ConnectionError):
-                pass  # pool already tearing down
+            slot = self._slots.get(job.job_id)
+            if slot is not None:
+                self._control[slot] |= _CANCEL
 
     # ------------------------------------------------------------------
     # Collector: results, progress, stats
@@ -938,8 +917,7 @@ class WorkerPool:
                 worker.dead = True
                 for job_id in sorted(worker.inflight):
                     job = self._jobs_by_id.pop(job_id, None)
-                    self._cancel_events.pop(job_id, None)
-                    self._preempt_events.pop(job_id, None)
+                    self._slots.pop(job_id, None)
                     self._dispatched_at.pop(job_id, None)
                     self._pending_final_events.pop(job_id, None)
                     self._parent_spans.pop(job_id, None)
@@ -1136,8 +1114,7 @@ class WorkerPool:
         worker.served += 1
         if stats:
             self._absorb_session_stats(worker, stats)
-        self._cancel_events.pop(job_id, None)
-        self._preempt_events.pop(job_id, None)
+        self._slots.pop(job_id, None)
         self._dispatched_at.pop(job_id, None)
 
     def _absorb_session_stats(self, worker: "_WorkerState", stats) -> None:

@@ -397,19 +397,20 @@ class JobQueue:
         if queued:
             _run_done_callbacks(callbacks)
             return True
-        # Running: flip the cross-process event; the worker's watchdog
-        # relays it to the engine, which reports back a ``cancelled``
-        # result through the normal done path.  The hook runs OUTSIDE
-        # the queue lock: it takes the pool lock, and the pool's
-        # dispatcher takes pool-then-queue — calling it under the queue
-        # lock would be an AB-BA deadlock.  (If the job finishes in the
-        # window, setting its stale event is a harmless no-op.)
+        # Running: set the cancel bit of the job's shared control byte;
+        # the engine's probe reads it at its next check and reports
+        # back a ``cancelled`` result through the normal done path.
+        # The hook runs OUTSIDE the queue lock: it takes the pool lock,
+        # and the pool's dispatcher takes pool-then-queue — calling it
+        # under the queue lock would be an AB-BA deadlock.  (If the job
+        # finishes in the window, its slot is already released and the
+        # hook does nothing.)
         if hook is not None:
             hook(job)
         return True
 
     #: Installed by the pool: delivers cancellation to a running job's
-    #: worker (e.g. by setting its Manager event).
+    #: worker (by setting the cancel bit of its control byte).
     _running_cancel_hook: Optional[Callable[[Job], None]] = None
 
 

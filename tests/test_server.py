@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from repro.server import (
     classify,
     estimate_cost,
 )
+from repro.server.app import _JobRecord
 from repro.server.client import poll_intervals
 from repro.service import ServiceClient, WireRequest
 from repro.testing import faults
@@ -63,11 +65,11 @@ def wire_of(spec, backend="vector", **kwargs):
     )
 
 
-def slow_wire(**kwargs):
+def slow_wire(star_cost=10, **kwargs):
     kwargs.setdefault("max_generated", 20_000_000)
     return WireRequest(
         spec=SLOW_SPEC,
-        cost_fn=CostFunction.from_tuple((1, 1, 10, 1, 1)),
+        cost_fn=CostFunction.from_tuple((1, 1, star_cost, 1, 1)),
         config=EngineConfig(backend="vector"),
         **kwargs,
     )
@@ -443,6 +445,204 @@ class TestEndpoints:
 
 
 # ----------------------------------------------------------------------
+# Long poll: GET /jobs/<id>?wait=S parks until the job finishes
+# ----------------------------------------------------------------------
+class TestLongPoll:
+    # The timed jobs below use star costs no other test in this module
+    # uses, so no checkpoint written earlier can shorten them.
+    def test_long_poll_answers_at_completion_not_at_the_deadline(
+        self, client
+    ):
+        job = client.submit(slow_wire(star_cost=9, max_generated=2_000_000))
+        assert job["state"] == "queued"
+        asked = time.monotonic()
+        done = client.status(job["job_id"], wait=25)
+        answered_at = time.time()
+        assert done["state"] == "done"
+        assert time.monotonic() - asked < 25
+        root = next(
+            span for span in client.trace(job["job_id"])["spans"]
+            if span["name"] == "job"
+        )
+        # The root span closes when the job completes on the server.
+        assert answered_at - root["end_s"] < 0.05
+
+    def test_expired_wait_answers_with_the_unfinished_document(self, client):
+        job = client.submit(slow_wire(max_generated=20_000_001))
+        try:
+            asked = time.monotonic()
+            doc = client.status(job["job_id"], wait=0.3)
+            waited = time.monotonic() - asked
+            assert doc["job_id"] == job["job_id"]
+            assert doc["state"] in ("queued", "running")
+            assert "result" not in doc
+            assert 0.25 <= waited < 5.0
+        finally:
+            client.cancel(job["job_id"])
+            client.result(job["job_id"], timeout=120)
+
+    def test_bad_wait_is_400_and_a_plain_status_answers_at_once(
+        self, client, monkeypatch
+    ):
+        job = client.submit(slow_wire(max_generated=20_000_002))
+        job_id = job["job_id"]
+        try:
+            for raw in ("abc", "-1"):
+                with pytest.raises(ServerError) as err:
+                    client._json_call("GET", "/jobs/%s?wait=%s" % (job_id, raw))
+                assert err.value.status == 400
+            paths = []
+            json_call = client._json_call
+
+            def recording(method, path, body=None):
+                paths.append(path)
+                return json_call(method, path, body)
+
+            monkeypatch.setattr(client, "_json_call", recording)
+            asked = time.monotonic()
+            doc = client.status(job_id)
+            assert time.monotonic() - asked < 1.0
+            assert doc["state"] in ("queued", "running")
+            assert paths == ["/jobs/%s" % job_id]
+        finally:
+            client.cancel(job_id)
+            client.result(job_id, timeout=120)
+
+    def test_result_polls_once_for_a_job_done_within_the_wait(
+        self, client, monkeypatch
+    ):
+        waits = []
+        status = client.status
+
+        def counting(job_id, wait=None):
+            waits.append(wait)
+            return status(job_id, wait=wait)
+
+        monkeypatch.setattr(client, "status", counting)
+        job = client.submit(slow_wire(star_cost=8, max_generated=1_000_000))
+        asked = time.monotonic()
+        done = client.result(job["job_id"], timeout=120)
+        assert done["state"] == "done"
+        assert len(waits) == 1 and waits[0] > 0
+        # The job ran for a while and the one poll answered as it
+        # ended, not when its wait ran out.
+        assert done["result"]["elapsed_seconds"] > 0.1
+        assert time.monotonic() - asked < 5.0
+
+    def test_cancel_of_a_queued_job_wakes_its_long_poll(self, tmp_path):
+        with SynthesisServer(
+            store_dir=str(tmp_path / "store"),
+            interactive_workers=1,
+            batch_workers=1,
+            per_worker_depth=1,
+        ) as running:
+            client = HttpServiceClient(running.address)
+            blocker = client.submit(slow_wire(), klass=CLASS_BATCH)
+            try:
+                _wait(lambda: client.status(blocker["job_id"])["state"]
+                      == "running", timeout=60)
+                queued = client.submit(wire_of(INTRO_SPEC), klass=CLASS_BATCH)
+                job_id = queued["job_id"]
+                assert queued["state"] == "queued"
+                answers = []
+
+                def long_poll():
+                    with HttpServiceClient(running.address) as poller:
+                        answers.append(poller.status(job_id, wait=25))
+
+                thread = threading.Thread(target=long_poll)
+                thread.start()
+                record = running._records[job_id]
+                _wait(lambda: len(record.waiters) == 1, timeout=10)
+                cancelled_at = time.monotonic()
+                assert client.cancel(job_id)["cancelled"] is True
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+                assert time.monotonic() - cancelled_at < 5
+                assert answers[0]["state"] == "cancelled"
+                assert answers[0]["result"]["status"] == "cancelled"
+            finally:
+                client.cancel(blocker["job_id"])
+                client.result(blocker["job_id"], timeout=120)
+                client.close()
+
+
+# ----------------------------------------------------------------------
+# Finished records keep only what the endpoints serve
+# ----------------------------------------------------------------------
+#: Bytes a finished, traced record of a small spec may retain (deep
+#: size; before compaction such a record held about 47 KB, most of it
+#: the trace as dicts, the level stats and the live handle).
+FINISHED_RECORD_BYTES = 24_000
+
+
+def _deep_size(obj, seen=None) -> int:
+    """``sys.getsizeof`` summed over everything ``obj`` reaches."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(
+        obj, (type, types.ModuleType, types.FunctionType, types.MethodType)
+    ):
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        size += sum(_deep_size(k, seen) + _deep_size(v, seen)
+                    for k, v in obj.items())
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        size += sum(_deep_size(item, seen) for item in obj)
+    if hasattr(obj, "__dict__"):
+        size += _deep_size(vars(obj), seen)
+    for klass in type(obj).__mro__:
+        for name in getattr(klass, "__slots__", ()):
+            if hasattr(obj, name):
+                size += _deep_size(getattr(obj, name), seen)
+    return size
+
+
+class TestRecordCompaction:
+    def test_compaction_keeps_every_response_and_bounds_the_record(
+        self, client, server, monkeypatch
+    ):
+        served = {}
+        compact = _JobRecord.compact
+
+        def documents(record):
+            return json.loads(json.dumps({
+                "job": record.status_dict(),
+                "trace": server.trace_document(record),
+                "events": record.events,
+            }))
+
+        def observed(record, spans):
+            before = documents(record)
+            compact(record, spans)
+            served[record.job_id] = (before, documents(record),
+                                     _deep_size(record))
+
+        monkeypatch.setattr(_JobRecord, "compact", observed)
+        job = client.submit(wire_of(Spec(["0101", "01"], ["", "1", "10"])))
+        done = client.result(job["job_id"], timeout=120)
+        before, after, retained = served[job["job_id"]]
+        assert after == before
+        assert before["trace"]["spans"], "the job was traced"
+        # What the endpoints answer now is what they answered before.
+        assert done == before["job"]
+        assert client.trace(job["job_id"]) == before["trace"]
+        events = [
+            event.incumbent if event.done else event.cost
+            for event in client.events(job["job_id"])
+        ]
+        assert events == [
+            event["incumbent"] if event["done"] else event["cost"]
+            for event in before["events"]
+        ]
+        record = server._records[job["job_id"]]
+        assert record.handle is None and record.wire is None
+        assert "trace" not in record.result.extra
+        assert retained < FINISHED_RECORD_BYTES
+
+
+# ----------------------------------------------------------------------
 # Overload: a bounded queue answers 429, never hangs
 # ----------------------------------------------------------------------
 class TestOverload:
@@ -592,6 +792,63 @@ def test_stop_under_an_open_keepalive_connection_is_quiet(tmp_path):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stderr == ""
+
+
+def test_stop_with_a_long_poll_parked_on_a_running_job_is_prompt_and_quiet(
+    tmp_path,
+):
+    script = "\n".join([
+        "import sys, threading, time",
+        "from repro import EngineConfig, Spec",
+        "from repro.regex.cost import CostFunction",
+        "from repro.server import HttpServiceClient, SynthesisServer",
+        "from repro.service import WireRequest",
+        "server = SynthesisServer(store_dir=sys.argv[1],",
+        "                         interactive_workers=1, batch_workers=1)",
+        "server.start()",
+        "client = HttpServiceClient(server.address)",
+        "wire = WireRequest(",
+        "    spec=Spec(['0110100101', '1010010110'],",
+        "              ['', '0', '1', '0011001100']),",
+        "    cost_fn=CostFunction.from_tuple((1, 1, 10, 1, 1)),",
+        "    config=EngineConfig(backend='vector'), max_generated=4_000_000)",
+        "job_id = client.submit(wire)['job_id']",
+        "while client.status(job_id)['state'] != 'running':",
+        "    time.sleep(0.005)",
+        "answers = []",
+        "def long_poll():",
+        "    with HttpServiceClient(server.address) as poller:",
+        "        answers.append((poller.status(job_id, wait=25)['state'],",
+        "                        time.monotonic()))",
+        "thread = threading.Thread(target=long_poll)",
+        "thread.start()",
+        "while not server._long_polls:",
+        "    time.sleep(0.005)",
+        "stopping = time.monotonic()",
+        "server.stop()",
+        "stopped = time.monotonic()",
+        "thread.join(timeout=30)",
+        "client.close()",
+        "state, answered = answers[0]",
+        "print(state, answered - stopping, stopped - stopping)",
+    ])
+    src = str(Path(repro.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "store")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == ""
+    state, answered_s, stop_s = completed.stdout.split()
+    # The parked poll is answered with the job's current document as
+    # the stop begins, not at its 25 s deadline; the stop itself waits
+    # only for the worker to finish its job.
+    assert state == "running"
+    assert float(answered_s) < 1.0
+    assert float(stop_s) < 15.0
 
 
 def test_failed_checkpoint_write_reaches_healthz_and_metrics(

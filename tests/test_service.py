@@ -7,6 +7,8 @@ bit-identical to solo ``Session.synthesize`` on both backends.
 """
 
 import pickle
+import sys
+import threading
 import time
 
 import pytest
@@ -481,7 +483,7 @@ class TestPoolBehaviour:
         assert cancelled.status == "cancelled"
         assert stats["cancelled"] == 1
 
-    def test_cancel_running_job_via_watchdog(self):
+    def test_cancel_running_job_via_control_byte(self):
         # A deliberately long search (expensive-star cost function and a
         # large candidate budget); the budget bounds the damage if
         # cancellation were broken, so the test fails instead of hanging.
@@ -496,6 +498,93 @@ class TestPoolBehaviour:
             assert handle.cancel()
             result = handle.result(timeout=120)
         assert result.status == "cancelled"
+
+    def test_jobs_in_flight_on_a_worker_own_distinct_control_slots(self):
+        slow = [slow_request(max_cost=60 + k) for k in range(2)]
+        with ServiceClient(workers=1, per_worker_depth=2) as client:
+            pool = client.pool
+            handles = [client.submit(request) for request in slow]
+            with pool._lock:
+                slots = sorted(pool._slots[h.job_id] for h in handles)
+                assert slots == [0, 1]
+                # Both slots of the worker are owned: a third claim
+                # must fail instead of sharing one.
+                with pytest.raises(RuntimeError, match="no free control"):
+                    pool._claim_slot(pool._workers[0])
+            for handle in handles:
+                handle.cancel()
+            results = [h.result(timeout=120) for h in handles]
+            assert not pool._slots
+        assert [r.status for r in results] == ["cancelled", "cancelled"]
+
+    def test_reused_control_slots_never_cancel_a_neighbour(self):
+        # More workers than cores, each at full depth, twelve jobs
+        # through six slots, and cancels racing dispatch from their own
+        # threads: a slot handed on with a stale cancel bit, or shared by
+        # two jobs, would cancel a job nobody cancelled.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServiceClient(workers=3, per_worker_depth=2) as client:
+                jobs = []
+                for k in range(12):
+                    running = threading.Event()
+                    handle = client.submit(
+                        slow_request().replace(max_generated=2_000_000 + k),
+                        on_progress=lambda event, flag=running: flag.set(),
+                    )
+                    jobs.append((handle, running))
+
+                def cancel_once_running(handle, running):
+                    running.wait(timeout=60)
+                    handle.cancel()
+
+                cancellers = [
+                    threading.Thread(target=cancel_once_running, args=job)
+                    for job in jobs[::2]
+                ]
+                for thread in cancellers:
+                    thread.start()
+                for thread in cancellers:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                results = [handle.result(timeout=120) for handle, _ in jobs]
+                assert not client.pool._slots
+        finally:
+            sys.setswitchinterval(switch)
+        assert [r.status for r in results[1::2]] == ["budget"] * 6
+        assert "cancelled" in [r.status for r in results[::2]]
+
+    def test_cancel_and_preempt_reach_a_respawned_worker(self):
+        events = []
+
+        def wait_for_new_events(seen):
+            deadline = time.monotonic() + 60
+            while len(events) <= seen and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert len(events) > seen, "job never reported progress"
+
+        with ServiceClient(workers=1, retry_backoff_s=0.01) as client:
+            pool = client.pool
+            handle = client.submit(slow_request(), on_progress=events.append)
+            wait_for_new_events(0)
+            pool._workers[0].process.kill()
+            deadline = time.monotonic() + 60
+            while pool.stats["respawns"] < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert pool.stats["respawns"] == 1
+            # The retried attempt runs on the replacement process, which
+            # must read the same control array as the parent writes.
+            wait_for_new_events(len(events))
+            assert pool.preempt(handle.job_id)
+            while pool.stats["preemptions"] < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert pool.stats["preemptions"] == 1
+            wait_for_new_events(len(events))  # resumed after the preempt
+            assert handle.cancel()
+            result = handle.result(timeout=120)
+        assert result.status == "cancelled"
+        assert result.extra["preemptions"] == 1
 
     def test_worker_crash_fails_only_that_job(self):
         # allowed_error=1.5 passes the wire layer (it is just JSON) but

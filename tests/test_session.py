@@ -1,6 +1,9 @@
 """Session & serving-layer tests: staging reuse, request/config objects,
 batched multi-spec serving, progress streaming and cancellation."""
 
+import gc
+import weakref
+
 import pytest
 
 import repro.api.session as session_module
@@ -321,6 +324,67 @@ class TestProgressAndCancellation:
             SynthesisRequest(spec=Spec(["0"], ["1"]), time_limit=60.0)
         )
         assert result.found
+
+
+class TestEngineLifetime:
+    """A served engine dies with its request, without the cyclic
+    collector: its level hooks close over it, so the session must unhook
+    them (a long-lived pool worker would otherwise keep every engine's
+    cache rows until the collector happens to run)."""
+
+    @staticmethod
+    def _engines_alive(monkeypatch, serve):
+        engines = []
+        make_engine = Session.make_engine
+
+        def tracking(self, *args, **kwargs):
+            engine = make_engine(self, *args, **kwargs)
+            engines.append(weakref.ref(engine))
+            return engine
+
+        monkeypatch.setattr(Session, "make_engine", tracking)
+        gc.collect()
+        gc.disable()
+        try:
+            serve()
+            alive = [ref() is not None for ref in engines]
+        finally:
+            gc.enable()
+        assert engines
+        return alive
+
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    def test_engine_of_a_progress_request_is_freed(self, monkeypatch, backend):
+        session = Session(EngineConfig(backend=backend))
+        request = SynthesisRequest(spec=INTRO_SPEC, on_progress=lambda e: None)
+        alive = self._engines_alive(
+            monkeypatch, lambda: session.synthesize(request)
+        )
+        assert alive == [False]
+
+    def test_engine_of_a_store_backed_progress_request_is_freed(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.service import CheckpointStore, StoreBackedSession
+
+        session = StoreBackedSession(
+            EngineConfig(backend="vector"),
+            checkpoint_store=CheckpointStore(str(tmp_path)),
+        )
+        request = SynthesisRequest(spec=INTRO_SPEC, on_progress=lambda e: None)
+        for _ in range(2):  # a cold run, then one restored from the store
+            alive = self._engines_alive(
+                monkeypatch, lambda: session.synthesize(request)
+            )
+            assert alive == [False]
+
+    def test_shared_sweep_engine_is_freed(self, monkeypatch):
+        words = ["0", "1", "00", "01", "10", "11", "010", "101"]
+        specs = _partitions_of(words, 3)
+        alive = self._engines_alive(
+            monkeypatch, lambda: Session().synthesize_many(specs)
+        )
+        assert alive == [False]
 
 
 class TestRequestObjects:

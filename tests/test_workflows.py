@@ -158,6 +158,20 @@ class TestCiContract:
             assert part in step, part
 
 
+    def test_load_smoke_runs_a_traced_interactive_benchmark_pass(self):
+        # The long-poll completion path end to end: the step must fail
+        # unless every answer is correct and the server stops cleanly.
+        runs = [
+            str(s.get("run", ""))
+            for s in load("ci.yml")["jobs"]["load-smoke"]["steps"]
+        ]
+        step = next(run for run in runs if "perfbench/run.py" in run)
+        for part in ("--workload interactive", "--seed 1", "--seconds 3",
+                     "--trace 1", "tail -n 1", "'correct'", "'failed'",
+                     "'server.unclean_stops'"):
+            assert part in step, part
+
+
 class TestNightlyContract:
     def test_scheduled_and_dispatchable(self):
         trigger = triggers(load("nightly.yml"))
