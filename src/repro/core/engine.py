@@ -57,11 +57,17 @@ class BudgetExhausted(Exception):
     """Internal control-flow signal: the ``max_generated`` cap was hit."""
 
 
-#: In-level checkpoint cadence: while a level is being built, a record
-#: goes to :attr:`SearchEngine.on_checkpoint` at the first safe point
-#: once this many candidates — or this many seconds — have passed since
-#: the level began or since the last record.  Both bound the rework a
-#: kill or a preemption can cost inside one wide level.
+#: The checkpoint cadence, the only two settings of when records are
+#: written.  The engine queues a record at the end of every level it
+#: builds and hands the whole queue to :attr:`SearchEngine.on_checkpoint`
+#: as one group once this many candidates — or this many seconds — of
+#: enumerated work have passed since the last group.  The check runs at
+#: level ends and at emit-loop safe points; a safe point that finds it
+#: due adds an in-level record of the level being built.  Candidates
+#: adopted from restored records are not work and do not count.  A
+#: small job therefore hands over one group, when its run returns, and
+#: a SIGKILL loses at most one interval of unjournalled enumeration,
+#: whether inside one wide level or across many small ones.
 CHECKPOINT_EVERY_CANDIDATES = 250_000
 CHECKPOINT_EVERY_S = 2.0
 
@@ -161,11 +167,13 @@ class SweepCancelled(Exception):
 class SweepPreempted(Exception):
     """Internal control-flow signal: the preemption probe fired.
 
-    Raised at the next safe point after :attr:`SearchEngine.preempt_check`
-    returns truthy — *after* an in-level record has been handed to
-    :attr:`SearchEngine.on_checkpoint` (when armed), so the engine's owner
-    can requeue the job and a later run resumes from that point.  The
-    run ends with status :data:`STATUS_PREEMPTED`.
+    Raised at the next safe point or level end after
+    :attr:`SearchEngine.preempt_check` returns truthy — *after* every
+    queued record, plus an in-level record when the stop falls inside a
+    level, has been handed to :attr:`SearchEngine.on_checkpoint` as one
+    group (when armed), so the engine's owner can requeue the job and a
+    later run resumes from that point.  The run ends with status
+    :data:`STATUS_PREEMPTED`.
     """
 
 
@@ -251,8 +259,14 @@ class SearchEngine:
         self._safe_points_armed = False
         self._level_start_cache = 0
         self._level_start_generated = 0
-        self._last_checkpoint_generated = 0
-        self._last_checkpoint_monotonic = 0.0
+        self._level_end_generated = 0
+        # The checkpoint cadence: records queued since the last group,
+        # as ``(cost, start, end, generated_total, level_progress)``
+        # (cache bounds, not row copies), and the enumerated-work
+        # counter and clock at the last group.
+        self._queued: List[Tuple[int, int, int, int, int]] = []
+        self._group_generated = 0
+        self._group_monotonic = 0.0
         self._checks_disabled = False
         self.status: Optional[str] = None
         self.solution: Optional[Tuple[int, int, int]] = None  # provenance triple
@@ -283,19 +297,24 @@ class SearchEngine:
         #: cost levels.
         self.deadline: Optional[float] = None
         #: Optional preemption probe, polled at emit-loop safe points
-        #: and between levels.  When it fires mid-level, an in-level
-        #: record goes to :attr:`on_checkpoint` (if armed) and the run
-        #: stops with status :data:`STATUS_PREEMPTED` — the caller
-        #: requeues the request and a later run resumes from the record.
+        #: and between levels.  When it fires, the queued records (plus
+        #: an in-level record, mid-level) go to :attr:`on_checkpoint`
+        #: (if armed) and the run stops with status
+        #: :data:`STATUS_PREEMPTED` — the caller requeues the request
+        #: and a later run resumes from the last record.
         self.preempt_check: Optional[Callable[[], object]] = None
-        #: Optional checkpoint sink ``(Checkpoint) -> None``, handed
-        #: every record the engine writes: the end of each level it
-        #: built (before the :meth:`_after_level` hooks run), an in-level
-        #: record on the :data:`CHECKPOINT_EVERY_CANDIDATES` /
-        #: :data:`CHECKPOINT_EVERY_S` cadence, and one right before a
-        #: preemption stop.  The durability layer points this at the
-        #: checkpoint journal.
-        self.on_checkpoint: Optional[Callable[[Checkpoint], object]] = None
+        #: Optional checkpoint sink ``(List[Checkpoint]) -> None``.  The
+        #: engine queues a record at the end of each level it builds
+        #: (before the :meth:`_after_level` hooks run), at a safe point
+        #: where the :data:`CHECKPOINT_EVERY_CANDIDATES` /
+        #: :data:`CHECKPOINT_EVERY_S` cadence is due, and right before
+        #: a preemption stop.  It hands the queue over as one group, in
+        #: cost order, when the cadence is due, when the run stops for
+        #: preemption and when :meth:`run` returns, whatever the status;
+        #: each record's payload is built at hand-over from the cache.
+        #: The durability layer points this at the checkpoint journal,
+        #: which writes a group in one round.
+        self.on_checkpoint: Optional[Callable[[List[Checkpoint]], object]] = None
         #: Optional :class:`repro.obs.trace.Tracer`.  When set, the
         #: sweep records spans (checkpoint replay and saves, one span
         #: per cost level with dedupe/solve/store deltas, shard
@@ -551,18 +570,24 @@ class SearchEngine:
     # The sweep (Algorithm 1)
     # ------------------------------------------------------------------
     def run(self, max_cost: int) -> str:
-        """Sweep costs up to ``max_cost``; returns the final status."""
+        """Sweep costs up to ``max_cost``; returns the final status.
+
+        Whatever the status, the records queued since the last group
+        are handed to :attr:`on_checkpoint` before the run returns.
+        """
         self.run_started_monotonic = time.monotonic()
+        self._group_generated = self.generated
+        self._group_monotonic = self.run_started_monotonic
         try:
-            return self._run(max_cost)
-        except BudgetExhausted:
-            self.status = STATUS_BUDGET
-            return self.status
-        except SweepCancelled:
-            self.status = STATUS_CANCELLED
-            return self.status
-        except SweepPreempted:
-            self.status = STATUS_PREEMPTED
+            try:
+                self._run(max_cost)
+            except BudgetExhausted:
+                self.status = STATUS_BUDGET
+            except SweepCancelled:
+                self.status = STATUS_CANCELLED
+            except SweepPreempted:
+                self.status = STATUS_PREEMPTED
+            self._hand_over("checkpoint-save")
             return self.status
         finally:
             # Shard workers live for one run; engines are per-request
@@ -596,8 +621,9 @@ class SearchEngine:
         if self._cancel_requested():
             raise SweepCancelled()
         if self.preempt_check is not None and self.preempt_check():
-            # The level just completed and its record already went to
-            # on_checkpoint, so no in-level record is needed.
+            # The level just completed and its end is queued, so no
+            # in-level record is needed.
+            self._hand_over("partial-save")
             raise SweepPreempted()
 
     # ------------------------------------------------------------------
@@ -618,26 +644,52 @@ class SearchEngine:
             raise RuntimeError("restore must precede the sweep")
         self._restored = list(records)
 
-    def _checkpoint(self, span: str) -> None:
-        """Hand the current level's progress to :attr:`on_checkpoint`.
-
-        ``span`` names the trace span of the write: ``checkpoint-save``
-        at a level's end, ``partial-save`` inside a level.
-        """
-        self._last_checkpoint_generated = self.generated
-        self._last_checkpoint_monotonic = time.monotonic()
+    def _queue_record(self) -> None:
+        """Queue the level being built, up to the current point."""
         if self.on_checkpoint is None:
             return
-        with self._span(span, cost=self._current_cost):
+        self._queued.append(
+            (
+                self._current_cost,
+                self._level_start_cache,
+                len(self.cache),
+                self.generated,
+                self.generated - self._level_start_generated,
+            )
+        )
+
+    def _group_due(self) -> bool:
+        """Is a sink armed, with a cadence interval of enumerated work
+        passed since the last group?"""
+        return self.on_checkpoint is not None and (
+            self.generated - self._group_generated >= CHECKPOINT_EVERY_CANDIDATES
+            or time.monotonic() - self._group_monotonic >= CHECKPOINT_EVERY_S
+        )
+
+    def _hand_over(self, span: str) -> None:
+        """Hand every queued record to :attr:`on_checkpoint` as one group.
+
+        The payloads are built here, from the cache bounds each record
+        was queued with.  ``span`` names the trace span of the write:
+        ``checkpoint-save`` at a level end or the run's end,
+        ``partial-save`` at a safe point or a preemption stop.
+        """
+        self._group_generated = self.generated
+        self._group_monotonic = time.monotonic()
+        queued, self._queued = self._queued, []
+        if not queued:
+            return
+        with self._span(span, cost=queued[-1][0], records=len(queued)):
             self.on_checkpoint(
-                Checkpoint(
-                    self._current_cost,
-                    *self._level_payload(self._level_start_cache, len(self.cache)),
-                    generated_total=int(self.generated),
-                    level_progress=int(
-                        self.generated - self._level_start_generated
-                    ),
-                )
+                [
+                    Checkpoint(
+                        cost,
+                        *self._level_payload(start, end),
+                        generated_total=int(generated_total),
+                        level_progress=int(level_progress),
+                    )
+                    for cost, start, end, generated_total, level_progress in queued
+                ]
             )
 
     def _span(self, name: str, **args):
@@ -651,24 +703,28 @@ class SearchEngine:
 
         Engines call this at batch boundaries (the vector engine's
         accumulator is empty, the scalar engine between candidates).
-        Preemption stops the sweep here after writing an in-level
-        record; otherwise one is written on the checkpoint cadence.
+        Preemption stops the sweep here after handing over the queued
+        records plus an in-level one; otherwise the same group goes out
+        when the checkpoint cadence is due.
         """
-        if not self._safe_points_armed or self.otf:
+        if (
+            not self._safe_points_armed
+            or self.otf
+            or self.generated >= self._level_end_generated
+        ):
             # OnTheFly mode stops storing rows, so a record could no
             # longer describe the level; preemption then waits for the
-            # level boundary.
+            # level boundary.  A complete level's last safe point is
+            # left to its end, which follows at once with the same
+            # checks and writes the level-end record instead.
             return
         if self.preempt_check is not None and self.preempt_check():
-            self._checkpoint("partial-save")
+            self._queue_record()
+            self._hand_over("partial-save")
             raise SweepPreempted()
-        if self.on_checkpoint is not None and (
-            self.generated - self._last_checkpoint_generated
-            >= CHECKPOINT_EVERY_CANDIDATES
-            or time.monotonic() - self._last_checkpoint_monotonic
-            >= CHECKPOINT_EVERY_S
-        ):
-            self._checkpoint("partial-save")
+        if self._group_due():
+            self._queue_record()
+            self._hand_over("partial-save")
 
     def _adopt_checkpoint(self, cost: int) -> Optional[Checkpoint]:
         """Adopt the restored record of ``cost`` if it starts where the
@@ -691,6 +747,8 @@ class SearchEngine:
             self._restored = []  # a gap or a stale record: enumerate
             return None
         n = int(record.ordinals.shape[0])
+        adopted_from = self.generated
+        replay_started = time.monotonic()
         with self._span("checkpoint-replay", cost=cost, rows=n):
             budget = self.max_generated
             cut = n
@@ -714,6 +772,10 @@ class SearchEngine:
                 self._adopt_restored(record, 0, n)
                 self.generated = record.generated_total
                 self._level_skip = record.level_progress
+        # Adopted candidates, and the time spent replaying them, are not
+        # enumerated work: the checkpoint cadence skips over them.
+        self._group_generated += self.generated - adopted_from
+        self._group_monotonic += time.monotonic() - replay_started
         return record
 
     def _run(self, max_cost: int) -> str:
@@ -758,7 +820,9 @@ class SearchEngine:
                 # The record was the level's end: nothing new to write.
                 self.resumed_levels += 1
             elif not self.otf:
-                self._checkpoint("checkpoint-save")
+                self._queue_record()
+            if self._group_due():
+                self._hand_over("checkpoint-save")
             self._after_level(cost, start, len(self.cache))
         self.status = STATUS_NOT_FOUND
         return self.status
@@ -796,10 +860,8 @@ class SearchEngine:
         return cost - self.cost_fn.min_constructor_cost <= last
 
     def _build(self, cost: int) -> bool:
-        """:meth:`_build_level` with the checkpoint cadence restarted and
-        safe points armed past the seed level (seeding has none)."""
-        self._last_checkpoint_generated = self.generated
-        self._last_checkpoint_monotonic = time.monotonic()
+        """:meth:`_build_level` with safe points armed past the seed
+        level (seeding has none)."""
         self._safe_points_armed = cost != self.cost_fn.literal and not self.otf
         try:
             if self.tracer is None:
@@ -847,7 +909,11 @@ class SearchEngine:
         """
         skip = self._level_skip
         self._level_skip = None
-        for op, count, operands in self._level_steps(cost):
+        steps = self._level_steps(cost)
+        self._level_end_generated = self._level_start_generated + sum(
+            count for _, count, _ in steps
+        )
+        for op, count, operands in steps:
             offset = 0
             if skip is not None:
                 if skip >= count:

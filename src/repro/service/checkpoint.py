@@ -23,16 +23,25 @@ On-disk layout, per key::
                                        level_progress}, …]}
     <key>.lock           flock'd around append rounds
 
+Writes are group commits.  The engine queues records on one work
+cadence (:data:`~repro.core.engine.CHECKPOINT_EVERY_CANDIDATES` /
+:data:`~repro.core.engine.CHECKPOINT_EVERY_S`) and hands them over as
+one group, and :meth:`CheckpointStore.append` journals a group in one
+round under one flock: one manifest read, the records that advance
+their cost's cursor (each digest-framed), one journal fsync and one
+atomic manifest rewrite.  A small job makes one round, when its run
+returns.
+
 The manifest holds one entry per cost, the record with the largest
 cursor: a newer record of a cost replaces the older entry, whose
 journal bytes become unreachable orphans.  Crash safety is the classic
-journal/manifest split: a record is appended and fsynced *before* the
-manifest is atomically rewritten to mention it.  A crash between the
-two leaves orphan bytes after the last manifest offset — skipped
-forever, harmlessly.  A torn or bit-rotten record fails its digest on
-load; the loader serves the valid cost-consecutive prefix and rewrites
-the manifest down to it (self-healing), so recovery is never worse than
-a shorter resume.  Concurrent appenders (pool siblings at the same
+journal/manifest split: a round's records are appended and fsynced
+*before* the manifest is atomically rewritten to mention them.  A crash
+between the two leaves orphan bytes after the last manifest offset —
+skipped forever, harmlessly — and loses that round only.  A torn or
+bit-rotten record fails its digest on load; the loader serves the valid
+cost-consecutive prefix and rewrites the manifest down to it
+(self-healing), so recovery is never worse than a shorter resume.  Concurrent appenders (pool siblings at the same
 point) serialise on the lock file and keep the largest cursor, and
 since enumeration is deterministic they would write identical payloads
 anyway.
@@ -47,7 +56,7 @@ import pickle
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..core.cache import cache_version_fingerprint
 from ..core.engine import Checkpoint
@@ -143,60 +152,67 @@ class CheckpointStore:
         atomic_write_bytes(self._manifest_path(key), payload.encode("utf-8"))
 
     # ------------------------------------------------------------------
-    def _journal_record(self, key: str, payload: bytes) -> int:
-        """Append one digest-framed record; returns its journal offset."""
-        digest = hashlib.sha256(payload).digest()
+    def _journal_records(self, key: str, payloads: List[bytes]) -> List[int]:
+        """Append digest-framed records with one fsync; returns their
+        journal offsets."""
+        offsets = []
         with open(self._journal_path(key), "ab") as handle:
-            offset = handle.tell()
-            handle.write(_HEADER.pack(_RECORD_MAGIC, len(payload)))
-            handle.write(digest)
-            handle.write(payload)
+            for payload in payloads:
+                offsets.append(handle.tell())
+                handle.write(_HEADER.pack(_RECORD_MAGIC, len(payload)))
+                handle.write(hashlib.sha256(payload).digest())
+                handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
-        return offset
+        return offsets
 
-    def append(self, key: str, record: Checkpoint) -> bool:
-        """Journal one record; returns False when the manifest already
-        holds a record of its cost with at least its cursor (a pool
-        sibling got there first, or the level already finished)."""
+    def append(self, key: str, records: Sequence[Checkpoint]) -> int:
+        """Journal a group of records in one round; returns how many
+        were journalled.
+
+        A record is skipped when the manifest, or another record of the
+        group, already holds its cost with at least its cursor — a pool
+        sibling got there first, or the level already finished.
+        """
         with self._locked(key):
             entries = self._read_manifest(key)
-            if any(
-                entry["cost"] == record.cost
-                and entry["level_progress"] >= record.level_progress
-                for entry in entries
-            ):
-                return False
-            payload = pickle.dumps(
-                record.to_payload(), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            offset = self._journal_record(key, payload)
+            cursors = {entry["cost"]: entry["level_progress"] for entry in entries}
+            fresh = {}
+            for record in records:
+                if record.level_progress > cursors.get(record.cost, -1):
+                    cursors[record.cost] = record.level_progress
+                    fresh[record.cost] = record
+            if not fresh:
+                return 0
+            payloads = [
+                pickle.dumps(record.to_payload(), protocol=pickle.HIGHEST_PROTOCOL)
+                for record in fresh.values()
+            ]
+            offsets = self._journal_records(key, payloads)
             # A crash here (the injection point) loses only the manifest
             # update: the journal bytes become unreachable orphans and
-            # the record is re-journalled at the end of the file later.
+            # the records are re-journalled at the end of the file later.
             fault_point("checkpoint.append")
-            entries = [e for e in entries if e["cost"] != record.cost]
-            entries.append(
-                {
+            by_cost = {entry["cost"]: entry for entry in entries}
+            for record, offset, payload in zip(fresh.values(), offsets, payloads):
+                by_cost[record.cost] = {
                     "cost": int(record.cost),
                     "offset": offset,
                     "length": len(payload),
                     "level_progress": int(record.level_progress),
                 }
-            )
-            entries.sort(key=lambda entry: entry["cost"])
-            self._write_manifest(key, entries)
-            return True
+            self._write_manifest(key, [by_cost[cost] for cost in sorted(by_cost)])
+            return len(fresh)
 
     # The benchmark's probes (perfbench/probes.py) time journal writes
     # through these two names.
-    def append_level(self, key: str, record: Checkpoint) -> bool:
+    def append_level(self, key: str, records: Sequence[Checkpoint]) -> int:
         """:meth:`append` (the name the durability sink writes through)."""
-        return self.append(key, record)
+        return self.append(key, records)
 
-    def append_partial(self, key: str, record: Checkpoint) -> bool:
+    def append_partial(self, key: str, records: Sequence[Checkpoint]) -> int:
         """:meth:`append`, under the benchmark probes' second name."""
-        return self.append(key, record)
+        return self.append(key, records)
 
     def _read_record(self, handle, entry: dict) -> Optional[Checkpoint]:
         """One verified journal record, or None when it fails any check."""

@@ -60,7 +60,7 @@ from ..obs.export import stage_summary, trace_payload
 from ..obs.trace import TraceContext, Tracer, span_record
 from ..testing.faults import fault_point
 from .checkpoint import CheckpointStore
-from .queue import Job, JobHandle, JobQueue
+from .queue import Job, JobHandle, JobQueue, cancelled_result
 from .store import (
     ResultStore,
     StagingStore,
@@ -798,11 +798,21 @@ class WorkerPool:
         )
 
     def _cancel_running(self, job: Job) -> None:
-        """JobQueue hook: deliver cancellation to a running job."""
+        """JobQueue hook: deliver cancellation to a running job.
+
+        A job in flight gets the cancel bit of its control slot.  A job
+        waiting out a retry or preemption backoff owns no slot: its
+        timer is dropped and the job ends ``cancelled`` here.
+        """
         with self._lock:
             slot = self._slots.get(job.job_id)
             if slot is not None:
                 self._control[slot] |= _CANCEL
+                return
+            waiting = self._retrying.pop(job.job_id, None)
+        if waiting is not None:
+            waiting[1].cancel()
+            self.queue.finish(job, cancelled_result(job.wire, "backoff"))
 
     # ------------------------------------------------------------------
     # Collector: results, progress, stats
@@ -1015,7 +1025,8 @@ class WorkerPool:
         the interactive lane it yielded to would defeat the point).
         """
         with self._lock:
-            self._retrying.pop(job.job_id, None)
+            if self._retrying.pop(job.job_id, None) is None:
+                return  # cancelled, or the pool stopped, meanwhile
             stopped = not self._started
         if stopped:
             self.queue.fail(

@@ -60,6 +60,7 @@ class Job:
         "progress_callbacks",
         "done_callbacks",
         "cancel_probes",
+        "cancel_requested",
         "_finished",
     )
 
@@ -103,6 +104,9 @@ class Job:
         #: ``cancel`` token), polled by the pool between progress
         #: messages and on the collector's idle tick.
         self.cancel_probes: List[Callable[[], object]] = []
+        #: Set when a cancel reaches the job while it is running: the
+        #: job must not start another attempt (see :meth:`JobQueue.requeue`).
+        self.cancel_requested = False
         self._finished = threading.Event()
 
     @property
@@ -321,24 +325,33 @@ class JobQueue:
             return True
 
     def requeue(self, job: Job, priority: Optional[int] = None) -> bool:
-        """Put a running job back in the pending queue (worker died).
+        """Put a running job back in the pending queue (worker died, or
+        the job was preempted); True iff it was requeued.
 
         Only a live, running job can be requeued — a finished one (a
-        late cancellation won the race) is left alone.  ``priority``
-        may *escalate* the job (lower value only): a retried job has
-        already waited a full attempt, and joined duplicate handles
-        must not be starved behind fresh traffic.
+        late cancellation won the race) is left alone, and one whose
+        cancel arrived between attempts ends ``cancelled`` here instead.
+        ``priority`` may *escalate* the job (lower value only): a
+        retried job has already waited a full attempt, and joined
+        duplicate handles must not be starved behind fresh traffic.
         """
         with self._lock:
             if job.finished or job.state != JOB_RUNNING:
                 return False
-            job.state = JOB_QUEUED
-            job.worker_id = None
-            if priority is not None and priority < job.priority:
-                job.priority = priority
-            self._pending.append(job)
-            self._pending.sort(key=lambda j: j.sort_key)
-            return True
+            if job.cancel_requested:
+                job.result = cancelled_result(job.wire, "backoff")
+                job.state = JOB_CANCELLED
+                callbacks = self._end(job)
+            else:
+                job.state = JOB_QUEUED
+                job.worker_id = None
+                if priority is not None and priority < job.priority:
+                    job.priority = priority
+                self._pending.append(job)
+                self._pending.sort(key=lambda j: j.sort_key)
+                return True
+        _run_done_callbacks(callbacks)
+        return False
 
     def _add_done_callback(
         self, job: Job, callback: Callable[[], None]
@@ -390,16 +403,20 @@ class JobQueue:
                 # result right here.
                 if job in self._pending:
                     self._pending.remove(job)
-                job.result = _cancelled_result(job.wire)
+                job.result = cancelled_result(job.wire, "queued")
                 job.state = JOB_CANCELLED
                 callbacks = self._end(job)
+            else:
+                job.cancel_requested = True
             hook = self._running_cancel_hook
         if queued:
             _run_done_callbacks(callbacks)
             return True
         # Running: set the cancel bit of the job's shared control byte;
         # the engine's probe reads it at its next check and reports
-        # back a ``cancelled`` result through the normal done path.
+        # back a ``cancelled`` result through the normal done path.  A
+        # job between attempts (a retry or preemption backoff) has no
+        # control byte: the hook ends it at once instead.
         # The hook runs OUTSIDE the queue lock: it takes the pool lock,
         # and the pool's dispatcher takes pool-then-queue — calling it
         # under the queue lock would be an AB-BA deadlock.  (If the job
@@ -410,7 +427,8 @@ class JobQueue:
         return True
 
     #: Installed by the pool: delivers cancellation to a running job's
-    #: worker (by setting the cancel bit of its control byte).
+    #: worker (by setting the cancel bit of its control byte), or ends
+    #: a job waiting out a backoff.
     _running_cancel_hook: Optional[Callable[[Job], None]] = None
 
 
@@ -424,8 +442,9 @@ def _run_done_callbacks(callbacks: List[Callable[[], None]]) -> None:
             traceback.print_exc()
 
 
-def _cancelled_result(wire: WireRequest) -> SynthesisResult:
-    """The result record of a job cancelled before reaching a worker."""
+def cancelled_result(wire: WireRequest, where: str) -> SynthesisResult:
+    """The result record of a job cancelled while no worker ran it:
+    ``where`` is ``"queued"`` or ``"backoff"`` (between attempts)."""
     cost_fn = wire.effective_cost_fn()
     return SynthesisResult(
         status="cancelled",
@@ -434,5 +453,5 @@ def _cancelled_result(wire: WireRequest) -> SynthesisResult:
         cost_function=cost_fn.as_tuple(),
         allowed_error=wire.allowed_error,
         max_cost=wire.effective_max_cost(),
-        extra={"cancelled_while": "queued"},
+        extra={"cancelled_while": where},
     )

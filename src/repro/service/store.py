@@ -298,15 +298,14 @@ class StoreBackedSession(Session):
             self.checkpoint_loads += len(records)
             self.resumed_queries += 1
 
-        def journal(record) -> None:
-            # The engine calls this before its level hooks: a cancel or
-            # progress hook that stops the run still leaves the level on
-            # disk, which is what makes kill-at-any-level resume work.
-            # (append_level is append under the name the benchmark's
-            # probes time.)
+        def journal(records) -> None:
+            # One group, one journal round.  The engine hands over every
+            # level it built before a run returns, so a cancel or
+            # progress hook that stops the run still leaves its levels
+            # on disk.  (append_level is append under the name the
+            # benchmark's probes time.)
             try:
-                if store.append_level(key, record):
-                    self.checkpoint_saves += 1
+                self.checkpoint_saves += store.append_level(key, records)
             except OSError:
                 self.checkpoint_errors += 1
 

@@ -78,7 +78,7 @@ def run_with_records(backend, every=7):
         SynthesisRequest(spec=SPEC)
     )
     records = []
-    engine.on_checkpoint = records.append
+    engine.on_checkpoint = records.extend
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_module, "CHECKPOINT_EVERY_CANDIDATES", every)
         status = engine.run(40)
@@ -171,7 +171,7 @@ class TestPartialCheckpointResume:
         session = Session(EngineConfig(backend=backend))
         engine = session.make_engine(SynthesisRequest(spec=SPEC))
         records = []
-        engine.on_checkpoint = records.append
+        engine.on_checkpoint = records.extend
         calls = {"n": 0}
 
         def preempt():
@@ -220,22 +220,22 @@ class TestStorePartials:
         # solution level; supersession needs one whose level finished.
         partial = in_level(records)[0]
         level_end = [r for r in records if r.cost == partial.cost][-1]
-        for record in level_ends_before(records, partial.cost):
-            assert store.append("q", record)
-        assert store.append("q", partial)
+        prior = level_ends_before(records, partial.cost)
+        assert store.append("q", prior) == len(prior)
+        assert store.append("q", [partial]) == 1
         assert store.load("q")[-1].level_progress == partial.level_progress
-        assert store.append("q", level_end)
+        assert store.append("q", [level_end]) == 1
         # The finished level covers everything the in-level record knew.
         assert store.load("q")[-1].level_progress == level_end.level_progress
-        assert not store.append("q", partial)
+        assert store.append("q", [partial]) == 0
 
     def test_newer_partial_replaces_older(self, tmp_path):
         records, _ = run_with_records("vector")
         first = in_level(records)[0]
         last = [r for r in records if r.cost == first.cost][-1]
         store = CheckpointStore(tmp_path)
-        assert store.append("q", first)
-        assert store.append("q", last)
+        assert store.append("q", [first]) == 1
+        assert store.append("q", [last]) == 1
         (loaded,) = store.load("q")
         assert (loaded.cost, loaded.level_progress) == (
             last.cost, last.level_progress
@@ -247,8 +247,7 @@ class TestStorePartials:
         store = CheckpointStore(tmp_path)
         partial = records[-1]
         prior = level_ends_before(records, partial.cost)
-        for record in prior + [partial]:
-            store.append("q", record)
+        store.append("q", prior + [partial])
         journal = store._journal_path("q")
         data = bytearray(journal.read_bytes())
         data[-3] ^= 0xFF  # flip a bit inside the last record's payload
@@ -267,14 +266,13 @@ class TestStorePartials:
         store = CheckpointStore(tmp_path)
         partial = records[-1]
         prior = level_ends_before(records, partial.cost)
-        for record in prior:
-            store.append("q", record)
+        store.append("q", prior)
         faults.inject("checkpoint.append", "raise")
         with pytest.raises(OSError):
-            store.append("q", partial)
+            store.append("q", [partial])
         assert [r.cost for r in store.load("q")] == [r.cost for r in prior]
         # And a later append works normally.
-        assert store.append("q", partial)
+        assert store.append("q", [partial]) == 1
         assert store.load("q")[-1].level_progress == partial.level_progress
 
 

@@ -15,6 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.core.engine as engine_module
 from repro import EngineConfig, Session, Spec, SynthesisRequest
 from repro.core.cache import cache_version_fingerprint
 from repro.regex.cost import CostFunction
@@ -197,7 +198,7 @@ def checkpoints_of(backend, spec):
     session = Session(EngineConfig(backend=backend))
     engine = session.make_engine(SynthesisRequest(spec=spec))
     taken = []
-    engine.on_checkpoint = taken.append
+    engine.on_checkpoint = taken.extend
     engine.run(40)
     assert [r.cost for r in taken] == list(range(1, engine.levels_built + 1))
     return taken
@@ -217,9 +218,8 @@ class TestCheckpointStore:
         levels = checkpoints_of("vector", SPEC)
         assert len(levels) >= 4
         key = checkpoint_key(staging_fingerprint(SPEC), CostFunction.uniform())
-        for level in levels:
-            assert store.append(key, level) is True
-        assert store.append(key, levels[0]) is False  # already there
+        assert store.append(key, levels) == len(levels)
+        assert store.append(key, levels[:1]) == 0  # already there
         # One entry kind: every record is a level up to its cursor.
         for entry in store._read_manifest(key):
             assert set(entry) == {"cost", "offset", "length", "level_progress"}
@@ -235,8 +235,7 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         levels = checkpoints_of("vector", SPEC)
         key = checkpoint_key(staging_fingerprint(SPEC), CostFunction.uniform())
-        for level in levels:
-            store.append(key, level)
+        store.append(key, levels)
         return store, key, levels
 
     def test_truncated_journal_serves_prefix_and_heals(self, tmp_path):
@@ -251,7 +250,7 @@ class TestCheckpointStore:
         assert [e["cost"] for e in store._read_manifest(key)] == [
             lv.cost for lv in loaded
         ]
-        assert store.append(key, levels[-1]) is True
+        assert store.append(key, levels[-1:]) == 1
         assert len(store.load(key)) == len(levels)
 
     def test_bitrot_stops_the_prefix_at_the_damaged_record(self, tmp_path):
@@ -320,11 +319,10 @@ class TestCheckpointPrune:
         store = CheckpointStore(tmp_path)
         levels = checkpoints_of("vector", SPEC)
         key = checkpoint_key(staging_fingerprint(SPEC), CostFunction.uniform())
-        for level in levels:
-            store.append(key, level)
+        store.append(key, levels)
         assert store.prune(max_bytes=0)["removed_keys"] == 1
         assert store.load(key) == []  # cold, not corrupt
-        assert store.append(key, levels[0]) is True  # re-journals
+        assert store.append(key, levels[:1]) == 1  # re-journals
 
     def test_size_of_counts_journal_and_manifest(self, tmp_path):
         store = self.seed(tmp_path, [64])
@@ -431,8 +429,17 @@ class TestCheckpointResume:
         # Pool workers report the counter with their session stats.
         assert _session_stats(session)["checkpoint_errors"] == 1
 
-    def test_failed_write_is_skipped_and_counted(self, backend, tmp_path):
+    def test_failed_write_is_skipped_and_counted(
+        self, backend, tmp_path, monkeypatch
+    ):
+        # A short cadence, so the run journals in several rounds: the
+        # second round fails, and exactly its records go missing.
+        monkeypatch.setattr(engine_module, "CHECKPOINT_EVERY_CANDIDATES", 7)
         config = EngineConfig(backend=backend)
+        engine = Session(config).make_engine(SynthesisRequest(spec=SPEC))
+        groups = []
+        engine.on_checkpoint = groups.append
+        engine.run(40)
         session = StoreBackedSession(
             config, checkpoint_store=CheckpointStore(tmp_path)
         )
@@ -440,7 +447,135 @@ class TestCheckpointResume:
         result = session.synthesize(SPEC)
         assert_identical(result, Session(config).synthesize(SPEC))
         assert session.checkpoint_errors == 1
-        assert session.checkpoint_saves == result.levels_built - 1
+        assert session.checkpoint_saves == (
+            sum(len(group) for group in groups) - len(groups[1])
+        )
+
+
+# ----------------------------------------------------------------------
+# The checkpoint cadence: one group per cadence interval, one round each
+# ----------------------------------------------------------------------
+#: The vector engine's emit accumulator: its safe points are at most one
+#: flushed batch apart.
+VECTOR_MAX_BATCH = 1 << 17
+
+
+class RoundKeepingStore(CheckpointStore):
+    """A checkpoint store that keeps every group its sink writes."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.rounds = []
+
+    def append_level(self, key, records):
+        self.rounds.append(list(records))
+        return super().append_level(key, records)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestCheckpointCadence:
+    @pytest.fixture(autouse=True)
+    def candidates_only(self, monkeypatch):
+        # Only the candidate interval applies, so the counts below do
+        # not depend on how fast this host enumerates.
+        monkeypatch.setattr(engine_module, "CHECKPOINT_EVERY_S", 1e9)
+
+    def groups_of(self, backend):
+        engine = Session(EngineConfig(backend=backend)).make_engine(
+            SynthesisRequest(spec=SPEC)
+        )
+        groups = []
+        engine.on_checkpoint = lambda group: groups.append(
+            (engine.status, group)
+        )
+        engine.run(40)
+        return engine, groups
+
+    def test_a_run_below_the_cadence_hands_over_one_group_at_its_end(
+        self, backend, tmp_path
+    ):
+        engine, groups = self.groups_of(backend)
+        assert engine.status == "success"
+        # One group, handed over once the solution was found.
+        ((status, group),) = groups
+        assert status == "success"
+        assert [r.cost for r in group] == list(
+            range(1, engine.levels_built + 1)
+        )
+        # Every record is its level's end.
+        assert [r.level_progress for r in group[1:]] == [
+            stats["generated"] for stats in engine.level_stats[:-1]
+        ]
+        store = RoundKeepingStore(tmp_path)
+        session = StoreBackedSession(
+            EngineConfig(backend=backend), checkpoint_store=store
+        )
+        result = session.synthesize(SPEC)
+        assert [len(records) for records in store.rounds] == [
+            result.levels_built
+        ]
+        assert session.checkpoint_saves == result.levels_built
+
+    def test_groups_across_the_cadence_bound_the_rework(
+        self, backend, monkeypatch
+    ):
+        every = 7
+        monkeypatch.setattr(engine_module, "CHECKPOINT_EVERY_CANDIDATES", every)
+        _, groups = self.groups_of(backend)
+        records = [record for _, group in groups for record in group]
+        assert len(groups) > 1
+        assert any(len(group) > 1 for _, group in groups)
+        assert [r.cost for r in records] == sorted(r.cost for r in records)
+        slack = VECTOR_MAX_BATCH if backend == "vector" else 1
+        previous = {}
+        for record in records:
+            prior = previous.get(record.cost, 0)
+            assert 0 < record.level_progress - prior <= every + slack
+            previous[record.cost] = record.level_progress
+
+    def test_a_fully_resumed_run_journals_nothing(self, backend, tmp_path):
+        config = EngineConfig(backend=backend)
+        store = RoundKeepingStore(tmp_path)
+        StoreBackedSession(config, checkpoint_store=store).synthesize(SPEC)
+        store.rounds.clear()
+        session = StoreBackedSession(config, checkpoint_store=store)
+        result = session.synthesize(SPEC)
+        assert result.extra["resumed_levels"] == result.levels_built
+        assert store.rounds == []
+        assert session.checkpoint_saves == 0
+
+    def test_adopted_rows_do_not_trigger_an_early_group(
+        self, backend, tmp_path, monkeypatch
+    ):
+        # Resume mid-way through level 5: the levels below it whole,
+        # then an in-level record.
+        monkeypatch.setattr(engine_module, "CHECKPOINT_EVERY_CANDIDATES", 7)
+        _, groups = self.groups_of(backend)
+        records = [record for _, group in groups for record in group]
+        partial = next(
+            record for record in records
+            if record.cost == 5 and record.level_progress >= 10
+        )
+        last = {record.cost: record for record in records}
+        restored = [last[cost] for cost in range(1, 5)] + [partial]
+        adopted = sum(record.level_progress for record in restored)
+        store = RoundKeepingStore(tmp_path)
+        key = checkpoint_key(staging_fingerprint(SPEC), CostFunction.uniform())
+        assert store.append(key, restored) == 5
+        # Fewer candidates than the resumed run adopts, so counting them
+        # would force a group at its first safe point; more than level
+        # 4's end, so the adopted levels' ends cannot restart the count.
+        every = adopted - 10
+        assert every > last[4].generated_total
+        monkeypatch.setattr(engine_module, "CHECKPOINT_EVERY_CANDIDATES", every)
+        result = StoreBackedSession(
+            EngineConfig(backend=backend), checkpoint_store=store
+        ).synthesize(SPEC)
+        assert result.extra["resumed_levels"] == 4
+        assert result.extra["partial_resumes"] == 1
+        first = store.rounds[0][0]
+        assert first.cost == 5
+        assert first.generated_total - adopted >= every
 
 
 def test_batched_sweeps_checkpoint_and_resume(tmp_path):
@@ -495,10 +630,13 @@ class TestPoolRecoverySmoke:
     def test_worker_killed_mid_checkpointing_resumes_on_retry(
         self, monkeypatch, tmp_path
     ):
-        # The acceptance combo: the worker dies AFTER journalling level
-        # 3 (mid-append, manifest not yet updated), and the retried job
-        # resumes from the last manifest-visible level instead of
-        # re-enumerating from level 1 — bit-identical to a solo run.
+        # The acceptance combo: the worker dies inside its third journal
+        # round (mid-append, manifest not yet updated), and the retried
+        # job resumes from the last manifest-visible level instead of
+        # re-enumerating from level 1 — bit-identical to a solo run.  A
+        # short cadence (inherited by the forked workers) makes the
+        # small job journal in several rounds.
+        monkeypatch.setattr(engine_module, "CHECKPOINT_EVERY_CANDIDATES", 7)
         self.arm(monkeypatch, tmp_path, "checkpoint.append:kill:3:once")
         reference = Session(EngineConfig(backend="vector")).synthesize(SPEC)
         with ServiceClient(
@@ -516,6 +654,30 @@ class TestPoolRecoverySmoke:
         assert result.cost == reference.cost
         assert result.generated == reference.generated
         assert result.extra["level_stats"] == reference.extra["level_stats"]
+        assert stats["retries"] == 1 and stats["respawns"] == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_worker_killed_inside_its_only_round_is_retried_cold(
+        self, backend, monkeypatch, tmp_path
+    ):
+        # A small job journals once, when its run returns.  A SIGKILL
+        # inside that round leaves the manifest untouched, so the retry
+        # starts cold and still answers bit-identically.
+        monkeypatch.setattr(engine_module, "CHECKPOINT_EVERY_S", 1e9)
+        self.arm(monkeypatch, tmp_path, "checkpoint.append:kill:1:once")
+        config = EngineConfig(backend=backend)
+        reference = Session(config).synthesize(SPEC)
+        with ServiceClient(
+            workers=2,
+            config=config,
+            store_dir=str(tmp_path / "store"),
+            retry_backoff_s=0.02,
+        ) as client:
+            result = client.synthesize(SPEC, timeout=120)
+            stats = client.stats
+        assert result.extra["attempts"] == 2
+        assert result.extra["resumed_levels"] == 0
+        assert_identical(result, reference)
         assert stats["retries"] == 1 and stats["respawns"] == 1
 
     def test_poison_job_is_quarantined_with_its_error(

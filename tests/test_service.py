@@ -37,6 +37,7 @@ from repro.service import (
     staging_fingerprint,
 )
 from repro.service.queue import JobQueue
+from repro.testing import faults
 from repro.language.guide_table import GuideTable
 from repro.language.universe import Universe
 
@@ -298,6 +299,23 @@ class TestJobQueue:
         finished.add_done_callback(late.append)
         stored.add_done_callback(late.append)
         assert late == [finished, stored]
+
+    def test_a_job_cancelled_between_attempts_is_never_requeued(self):
+        # The cancel reaches a running job whose attempt has ended (its
+        # worker died or it yielded) just before its backoff timer fires:
+        # the requeue must end it instead of starting another attempt.
+        queue = JobQueue()
+        handle = queue.submit(WireRequest(spec=INTRO_SPEC))
+        ended = []
+        handle.add_done_callback(ended.append)
+        assert queue.mark_running(handle._job, 0)
+        assert handle.cancel()
+        assert not handle.done  # a running job ends through its worker
+        assert not queue.requeue(handle._job)
+        assert handle.state == JOB_CANCELLED
+        assert handle.result(timeout=0).extra["cancelled_while"] == "backoff"
+        assert queue.pending_in_order() == []
+        assert ended == [handle]
 
     def test_stored_lookup_fast_path(self, tmp_path):
         stored = synthesize(INTRO_SPEC)
@@ -585,6 +603,58 @@ class TestPoolBehaviour:
             result = handle.result(timeout=120)
         assert result.status == "cancelled"
         assert result.extra["preemptions"] == 1
+
+    @pytest.mark.parametrize("wait", ["retry", "preemption"])
+    def test_cancel_during_a_backoff_ends_the_job_at_once(
+        self, wait, monkeypatch, tmp_path
+    ):
+        # Between attempts a job owns no control byte: the cancel must
+        # drop the backoff timer and end the job now, and the job must
+        # never be dispatched again.
+        backoff = 30.0
+        if wait == "retry":
+            monkeypatch.setenv(
+                faults.ENV_FAULTS, "pool.worker.before_job:kill:1:once"
+            )
+            monkeypatch.setenv(faults.ENV_FAULTS_DIR, str(tmp_path))
+        faults.reset()  # forked workers re-read the environment
+        events = []
+        try:
+            with ServiceClient(
+                workers=1, retry_backoff_s=backoff, retry_jitter=0.0
+            ) as client:
+                pool = client.pool
+                handle = client.submit(
+                    slow_request(), on_progress=events.append
+                )
+                ended = []
+                handle.add_done_callback(ended.append)
+                deadline = time.monotonic() + 60
+                if wait == "preemption":
+                    while not events and time.monotonic() < deadline:
+                        time.sleep(0.005)
+                    assert pool.preempt(handle.job_id)
+                while not pool._retrying and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert handle.job_id in pool._retrying
+                cancelled_at = time.monotonic()
+                assert handle.cancel()
+                result = handle.result(timeout=backoff / 3)
+                waited = time.monotonic() - cancelled_at
+                time.sleep(0.2)  # a dispatch would have happened by now
+                stats = client.stats
+        finally:
+            faults.reset()
+        assert result.status == "cancelled"
+        assert result.extra["cancelled_while"] == "backoff"
+        assert waited < backoff / 10
+        dispatches = (
+            stats["affinity_hits"] + stats["steals"] + stats["cold_assignments"]
+        )
+        assert dispatches == 1
+        assert handle.state == JOB_CANCELLED
+        assert ended == [handle]
+        assert not pool._retrying
 
     def test_worker_crash_fails_only_that_job(self):
         # allowed_error=1.5 passes the wire layer (it is just JSON) but

@@ -147,14 +147,16 @@ class TestCiContract:
 
     def test_recovery_smoke_runs_a_traced_refine_benchmark_pass(self):
         # The checkpoint read path and the benchmark's probe names, end
-        # to end: the step must fail unless every answer is correct.
+        # to end: the step must fail unless every answer is correct and
+        # the pass resumed journalled levels.
         runs = [
             str(s.get("run", ""))
             for s in load("ci.yml")["jobs"]["recovery-smoke"]["steps"]
         ]
         step = next(run for run in runs if "perfbench/run.py" in run)
         for part in ("--workload refine", "--seed 1", "--seconds 3",
-                     "--trace 1", "tail -n 1", "'correct'", "'failed'"):
+                     "--trace 1", "tail -n 1", "'correct'", "'failed'",
+                     "r['metrics']['checkpoint.resumed_levels']['value'] > 0"):
             assert part in step, part
 
 
@@ -166,9 +168,12 @@ class TestCiContract:
             for s in load("ci.yml")["jobs"]["load-smoke"]["steps"]
         ]
         step = next(run for run in runs if "perfbench/run.py" in run)
+        # Group-commit checkpoints: at most one checkpoint-save per
+        # request.
         for part in ("--workload interactive", "--seed 1", "--seconds 3",
                      "--trace 1", "tail -n 1", "'correct'", "'failed'",
-                     "'server.unclean_stops'"):
+                     "'server.unclean_stops'",
+                     "r['metrics']['checkpoint.saves']['value'] <= r['attempted']"):
             assert part in step, part
 
 
