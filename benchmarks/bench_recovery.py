@@ -9,7 +9,10 @@ The evidence behind the durability layer:
   resumed answer must be bit-identical to the uninterrupted reference;
   the artifact records recovery time against cold re-enumeration per
   kill level, which is the measured shape of "recovery cost shrinks as
-  the crash lands later in the sweep".
+  the crash lands later in the sweep".  Cold is timed twice: a plain
+  ``Session`` (``cold_seconds``) and a ``StoreBackedSession`` on an
+  empty checkpoint store (``durable_cold_seconds``), which pays the
+  same journal round a resume pays.
 * **retry overhead** — the same job batch served by a pool twice: once
   undisturbed, once with an injected ``SIGKILL`` of a worker mid-job
   (``pool.worker.before_job:kill:1:once``).  The faulted run must
@@ -97,6 +100,12 @@ def _bench_resume(config):
     per_level = []
     root = tempfile.mkdtemp(prefix="repro-bench-recovery-")
     try:
+        store = CheckpointStore(os.path.join(root, "cold"))
+        started = time.perf_counter()
+        StoreBackedSession(config, checkpoint_store=store).synthesize(
+            RESUME_SPEC
+        )
+        durable_cold_seconds = time.perf_counter() - started
         for kill_after in kill_levels:
             store = CheckpointStore(os.path.join(root, "k%d" % kill_after))
             _interrupted_run(config, store, RESUME_SPEC, kill_after)
@@ -115,6 +124,10 @@ def _bench_resume(config):
                 "speedup_vs_cold": (
                     cold_seconds / resume_seconds if resume_seconds else 0.0
                 ),
+                "speedup_vs_durable_cold": (
+                    durable_cold_seconds / resume_seconds
+                    if resume_seconds else 0.0
+                ),
             })
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -126,6 +139,7 @@ def _bench_resume(config):
             % (deepest["resume_seconds"], cold_seconds))
     return {
         "cold_seconds": cold_seconds,
+        "durable_cold_seconds": durable_cold_seconds,
         "levels_built": total_levels,
         "per_kill_level": per_level,
     }

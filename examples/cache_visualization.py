@@ -14,7 +14,7 @@ Run with::
 
 from repro import CostFunction, Spec
 from repro.core.synthesizer import make_engine
-from repro.core.trace import level_growth_table, render_cache
+from repro.core.cache_view import level_growth_table, render_cache
 
 
 def main() -> None:

@@ -47,7 +47,7 @@ CACHE_SCHEMA = {
     "dedupe": "two-tier-fingerprint-exact/v1",
     "provenance": "op-left-right-int64-columns/v1",
     "ordinals": "absolute-1based-generation-int64/v1",
-    "checkpoints": "one-record-per-cost-with-level-cursor/v2",
+    "checkpoints": "self-indexed-journal-cost-cursor-headers/v3",
 }
 
 

@@ -1,4 +1,4 @@
-"""Durable checkpoints: an append-only journal plus a manifest.
+"""Durable checkpoints: one self-indexing journal per key.
 
 Enumeration is a deterministic sequence over cost levels, so any point
 in it is a prefix of completed levels plus a cursor inside the next one
@@ -16,53 +16,50 @@ is spec-independent and bit-identical across backends, so one query's
 checkpoints serve every query over the same universe and cost function,
 from either engine.
 
-On-disk layout, per key::
+A key is one file, ``<key>.journal``: append-only records, each ::
 
-    <key>.journal        RLVL | u64 payload-length | sha256 | pickle …
-    <key>.manifest.json  {"records": [{cost, offset, length,
-                                       level_progress}, …]}
-    <key>.lock           flock'd around append rounds
+    RCKP | u64 cost | u64 level cursor | u64 payload length | sha256 | pickle
+
+where the SHA-256 covers the header and the pickled payload.  Each
+record names its cost and cursor, so the journal is its own index: a
+scan of the headers (no payload is read) gives every cost's largest
+cursor and the end of the intact prefix.
 
 Writes are group commits.  The engine queues records on one work
 cadence (:data:`~repro.core.engine.CHECKPOINT_EVERY_CANDIDATES` /
 :data:`~repro.core.engine.CHECKPOINT_EVERY_S`) and hands them over as
 one group, and :meth:`CheckpointStore.append` journals a group in one
-round under one flock: one manifest read, the records that advance
-their cost's cursor (each digest-framed), one journal fsync and one
-atomic manifest rewrite.  A small job makes one round, when its run
-returns.
+round under a ``flock`` on the journal itself: one header scan, the
+records that advance their cost's cursor, one fsync — plus one of the
+directory when the round wrote the journal's first record.  A small job
+makes one round, when its run returns.  A kill inside a round loses
+that round only: what it wrote is at most a torn tail, which the next
+append cuts off before writing.
 
-The manifest holds one entry per cost, the record with the largest
-cursor: a newer record of a cost replaces the older entry, whose
-journal bytes become unreachable orphans.  Crash safety is the classic
-journal/manifest split: a round's records are appended and fsynced
-*before* the manifest is atomically rewritten to mention them.  A crash
-between the two leaves orphan bytes after the last manifest offset —
-skipped forever, harmlessly — and loses that round only.  A torn or
-bit-rotten record fails its digest on load; the loader serves the valid
-cost-consecutive prefix and rewrites the manifest down to it
-(self-healing), so recovery is never worse than a shorter resume.  Concurrent appenders (pool siblings at the same
-point) serialise on the lock file and keep the largest cursor, and
-since enumeration is deterministic they would write identical payloads
-anyway.
+:meth:`CheckpointStore.load` takes each cost's largest-cursor record,
+verifies them in cost order and serves the valid cost-consecutive
+prefix.  A torn tail or a bit-rotten record is healed by truncating the
+journal at the first bad offset, so the next run re-journals what was
+lost: damage means a shorter resume, never a wrong answer.  Concurrent
+appenders (pool siblings at the same point) serialise on the flock and
+keep the largest cursor, and since enumeration is deterministic they
+would write identical payloads anyway.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import struct
-from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import IO, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cache import cache_version_fingerprint
 from ..core.engine import Checkpoint
 from ..regex.cost import CostFunction
 from ..testing.faults import fault_point
-from .store import atomic_write_bytes
+from .store import _fsync_directory
 from .wire import _sha256_of
 
 try:  # POSIX only; the store degrades to lock-free on other platforms
@@ -70,10 +67,9 @@ try:  # POSIX only; the store degrades to lock-free on other platforms
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
-_RECORD_MAGIC = b"RLVL"
-_HEADER = struct.Struct("<4sQ")
+_RECORD_MAGIC = b"RCKP"
+_HEADER = struct.Struct("<4sQQQ")  # magic, cost, level cursor, payload length
 _DIGEST_SIZE = hashlib.sha256().digest_size
-_ENTRY_FIELDS = ("cost", "offset", "length", "level_progress")
 
 
 def checkpoint_key(
@@ -96,6 +92,70 @@ def checkpoint_key(
     )
 
 
+def _scan(handle) -> Tuple[Dict[int, Tuple[int, int]], int, int]:
+    """Walk a journal's record headers without reading any payload.
+
+    Returns ``{cost: (cursor, offset)}`` for each cost's record with the
+    largest cursor, the end of the intact prefix and the file size.  A
+    short header, a wrong magic or a record running past the end of the
+    file ends the prefix.
+    """
+    size = os.fstat(handle.fileno()).st_size
+    best: Dict[int, Tuple[int, int]] = {}
+    offset = 0
+    while offset < size:
+        handle.seek(offset)
+        header = handle.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            break
+        magic, cost, cursor, length = _HEADER.unpack(header)
+        end = offset + _HEADER.size + _DIGEST_SIZE + length
+        if magic != _RECORD_MAGIC or end > size:
+            break
+        if cursor > best.get(cost, (-1, 0))[0]:
+            best[cost] = (cursor, offset)
+        offset = end
+    return best, offset, size
+
+
+def _read_record(
+    handle, offset: int, cost: int, cursor: int
+) -> Optional[Checkpoint]:
+    """The record at ``offset`` if its digest, cost and cursor check out."""
+    try:
+        handle.seek(offset)
+        header = handle.read(_HEADER.size)
+        length = _HEADER.unpack(header)[3]
+        digest = handle.read(_DIGEST_SIZE)
+        payload = handle.read(length)
+        check = hashlib.sha256(header)
+        check.update(payload)
+        if check.digest() != digest:
+            return None
+        record = Checkpoint.from_payload(pickle.loads(payload))
+    except Exception:
+        return None
+    if (record.cost, record.level_progress) != (cost, cursor):
+        return None
+    return record
+
+
+def _read(handle) -> Tuple[List[Checkpoint], Optional[int]]:
+    """A journal's verified cost-consecutive records, ascending, and the
+    offset of the first damage found (None when there is none)."""
+    best, end, size = _scan(handle)
+    records: List[Checkpoint] = []
+    for cost in sorted(best):
+        if records and cost != records[-1].cost + 1:
+            break
+        cursor, offset = best[cost]
+        record = _read_record(handle, offset, cost, cursor)
+        if record is None:
+            return records, offset
+        records.append(record)
+    return records, (end if end < size else None)
+
+
 class CheckpointStore:
     """A directory of per-key checkpoint journals (see the module docstring)."""
 
@@ -107,76 +167,48 @@ class CheckpointStore:
     def _journal_path(self, key: str) -> Path:
         return self.root / ("%s.journal" % key)
 
-    def _manifest_path(self, key: str) -> Path:
-        return self.root / ("%s.manifest.json" % key)
+    def _open_locked(self, key: str, create: bool = False) -> Optional[IO[bytes]]:
+        """The key's journal, open for reading and writing and flocked
+        until the handle closes; None when it does not exist and
+        ``create`` is false.
 
-    @contextmanager
-    def _locked(self, key: str):
-        if fcntl is None:  # pragma: no cover - non-POSIX fallback
-            yield
-            return
-        lock_path = self.root / ("%s.lock" % key)
-        fd = os.open(str(lock_path), os.O_CREAT | os.O_RDWR)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            # The kernel drops the flock when the fd closes — including
-            # on SIGKILL, which is the whole point of using flock here.
-            os.close(fd)
-
-    def _read_manifest(self, key: str) -> List[dict]:
-        """The manifest's entries up to the first malformed one (empty
-        on an absent or corrupt manifest)."""
-        try:
-            data = json.loads(
-                self._manifest_path(key).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            return []
-        entries = data.get("records") if isinstance(data, dict) else None
-        if not isinstance(entries, list):
-            return []
-        out = []
-        for entry in entries:
+        The kernel drops a flock when its fd closes — including on
+        SIGKILL, which is the whole point of using flock here.  A
+        racing :meth:`prune` may unlink the journal while this call
+        waits for the lock, which then guards a dead inode: open again.
+        """
+        path = self._journal_path(key)
+        while True:
             try:
-                out.append({name: int(entry[name]) for name in _ENTRY_FIELDS})
-            except (KeyError, TypeError, ValueError):
-                return out
-        return out
-
-    def _write_manifest(self, key: str, entries: List[dict]) -> None:
-        payload = json.dumps(
-            {"version": 2, "records": entries}, indent=2, sort_keys=True
-        )
-        atomic_write_bytes(self._manifest_path(key), payload.encode("utf-8"))
+                handle = open(path, "a+b" if create else "r+b")
+            except FileNotFoundError:
+                if create:
+                    raise
+                return None
+            try:
+                if fcntl is not None:
+                    fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+                if os.fstat(handle.fileno()).st_nlink:
+                    return handle
+            except BaseException:
+                handle.close()
+                raise
+            handle.close()
 
     # ------------------------------------------------------------------
-    def _journal_records(self, key: str, payloads: List[bytes]) -> List[int]:
-        """Append digest-framed records with one fsync; returns their
-        journal offsets."""
-        offsets = []
-        with open(self._journal_path(key), "ab") as handle:
-            for payload in payloads:
-                offsets.append(handle.tell())
-                handle.write(_HEADER.pack(_RECORD_MAGIC, len(payload)))
-                handle.write(hashlib.sha256(payload).digest())
-                handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        return offsets
-
     def append(self, key: str, records: Sequence[Checkpoint]) -> int:
         """Journal a group of records in one round; returns how many
         were journalled.
 
-        A record is skipped when the manifest, or another record of the
+        A record is skipped when the journal, or another record of the
         group, already holds its cost with at least its cursor — a pool
         sibling got there first, or the level already finished.
         """
-        with self._locked(key):
-            entries = self._read_manifest(key)
-            cursors = {entry["cost"]: entry["level_progress"] for entry in entries}
+        with self._open_locked(key, create=True) as handle:
+            best, end, size = _scan(handle)
+            if end < size:
+                handle.truncate(end)  # the torn tail of a killed round
+            cursors = {cost: cursor for cost, (cursor, _) in best.items()}
             fresh = {}
             for record in records:
                 if record.level_progress > cursors.get(record.cost, -1):
@@ -184,25 +216,28 @@ class CheckpointStore:
                     fresh[record.cost] = record
             if not fresh:
                 return 0
-            payloads = [
-                pickle.dumps(record.to_payload(), protocol=pickle.HIGHEST_PROTOCOL)
-                for record in fresh.values()
-            ]
-            offsets = self._journal_records(key, payloads)
-            # A crash here (the injection point) loses only the manifest
-            # update: the journal bytes become unreachable orphans and
-            # the records are re-journalled at the end of the file later.
+            # A crash from here on loses this round only: whatever it
+            # wrote is a torn tail the next append cuts off.
             fault_point("checkpoint.append")
-            by_cost = {entry["cost"]: entry for entry in entries}
-            for record, offset, payload in zip(fresh.values(), offsets, payloads):
-                by_cost[record.cost] = {
-                    "cost": int(record.cost),
-                    "offset": offset,
-                    "length": len(payload),
-                    "level_progress": int(record.level_progress),
-                }
-            self._write_manifest(key, [by_cost[cost] for cost in sorted(by_cost)])
-            return len(fresh)
+            handle.seek(end)
+            for record in fresh.values():
+                payload = pickle.dumps(
+                    record.to_payload(), protocol=pickle.HIGHEST_PROTOCOL
+                )
+                header = _HEADER.pack(
+                    _RECORD_MAGIC, record.cost, record.level_progress, len(payload)
+                )
+                digest = hashlib.sha256(header)
+                digest.update(payload)
+                handle.write(header)
+                handle.write(digest.digest())
+                handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        if end == 0:
+            # The journal's first record: make its directory entry durable.
+            _fsync_directory(self.root)
+        return len(fresh)
 
     # The benchmark's probes (perfbench/probes.py) time journal writes
     # through these two names.
@@ -214,60 +249,34 @@ class CheckpointStore:
         """:meth:`append`, under the benchmark probes' second name."""
         return self.append(key, records)
 
-    def _read_record(self, handle, entry: dict) -> Optional[Checkpoint]:
-        """One verified journal record, or None when it fails any check."""
-        try:
-            handle.seek(entry["offset"])
-            header = handle.read(_HEADER.size)
-            if len(header) != _HEADER.size:
-                return None
-            magic, length = _HEADER.unpack(header)
-            if magic != _RECORD_MAGIC or length != entry["length"]:
-                return None
-            digest = handle.read(_DIGEST_SIZE)
-            payload = handle.read(length)
-            if len(digest) != _DIGEST_SIZE or len(payload) != length:
-                return None
-            if hashlib.sha256(payload).digest() != digest:
-                return None
-            record = Checkpoint.from_payload(pickle.loads(payload))
-        except Exception:
-            return None
-        if (record.cost, record.level_progress) != (
-            entry["cost"],
-            entry["level_progress"],
-        ):
-            return None
-        return record
-
     def load(self, key: str) -> List[Checkpoint]:
         """The valid cost-consecutive records under ``key``, ascending.
 
-        Verifies every record (magic, length, digest, cost, cursor) and
-        stops at the first failure or cost gap, so the result is always
-        a replayable prefix.  When damage shortened it, the manifest is
-        rewritten to match (self-healing) — the lost tail is simply
+        Reads without the lock, verifying each cost's largest-cursor
+        record (digest, cost, cursor) and stopping at the first failure
+        or cost gap, so the result is always a replayable prefix.  On a
+        torn tail or a damaged record it reads again under the lock (an
+        appender may have been mid-round) and truncates the journal at
+        the first bad offset (self-healing) — the lost tail is simply
         re-enumerated and re-journalled by the next run.
         """
-        entries = self._read_manifest(key)
-        if not entries:
-            return []
-        records: List[Checkpoint] = []
         try:
             handle = open(self._journal_path(key), "rb")
         except OSError:
-            self._heal(key, [])
             return []
         with handle:
-            for entry in entries:
-                if records and entry["cost"] != records[-1].cost + 1:
-                    break
-                record = self._read_record(handle, entry)
-                if record is None:
-                    break
-                records.append(record)
-        if len(records) != len(entries):
-            self._heal(key, records)
+            records, bad = _read(handle)
+        if bad is None:
+            return records
+        try:
+            handle = self._open_locked(key)
+            if handle is not None:
+                with handle:
+                    records, bad = _read(handle)
+                    if bad is not None:
+                        handle.truncate(bad)
+        except OSError:
+            pass
         return records
 
     # ------------------------------------------------------------------
@@ -278,14 +287,11 @@ class CheckpointStore:
         return sorted(path.stem for path in self.root.glob("*.journal"))
 
     def size_of(self, key: str) -> int:
-        """Bytes this key holds on disk (journal + manifest)."""
-        total = 0
-        for path in (self._journal_path(key), self._manifest_path(key)):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
+        """Bytes this key's journal holds on disk."""
+        try:
+            return self._journal_path(key).stat().st_size
+        except OSError:
+            return 0
 
     def prune(
         self,
@@ -293,7 +299,7 @@ class CheckpointStore:
         max_age_s: Optional[float] = None,
         now: Optional[float] = None,
     ) -> dict:
-        """Evict journal/manifest pairs, least-recently-*written* first.
+        """Evict journals, least-recently-*written* first.
 
         A long-lived store accretes one journal per (universe, cost
         function) ever enumerated; ``prune`` keeps it inside a byte
@@ -342,36 +348,12 @@ class CheckpointStore:
         }
 
     def _remove(self, key: str, size: int) -> int:
-        """Delete one key's files under its lock; returns bytes freed."""
-        with self._locked(key):
-            for path in (
-                self._journal_path(key),
-                self._manifest_path(key),
-            ):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+        """Unlink one key's journal under its flock; returns bytes freed."""
         try:
-            (self.root / ("%s.lock" % key)).unlink()
+            handle = self._open_locked(key)
+            if handle is not None:
+                with handle:
+                    self._journal_path(key).unlink()
         except OSError:
             pass
         return size
-
-    def _heal(self, key: str, kept: List[Checkpoint]) -> None:
-        """Rewrite the manifest down to the verified prefix (best-effort).
-
-        Another appender may have advanced the manifest since it was
-        read, so the rewrite keeps the current entries *below* the first
-        unverified cost rather than the ones read earlier.
-        """
-        upto = kept[-1].cost if kept else None
-        try:
-            with self._locked(key):
-                current = self._read_manifest(key)
-                self._write_manifest(
-                    key,
-                    [e for e in current if upto is not None and e["cost"] <= upto],
-                )
-        except OSError:
-            pass

@@ -234,7 +234,6 @@ class TestCheckpointBudgetFlag:
         for index in range(3):
             key = "key%d" % index
             cp._journal_path(key).write_bytes(b"x" * 1000)
-            cp._manifest_path(key).write_text("{}", encoding="utf-8")
             os.utime(cp._journal_path(key), (1_000 + index, 1_000 + index))
         jobs = tmp_path / "jobs.jsonl"
         jobs.write_text("", encoding="utf-8")

@@ -44,7 +44,7 @@ class TestCacheInvariants:
                 assert 0 <= a < len(finished_engine.universe.alphabet)
 
     def test_all_cached_cs_unique(self, finished_engine):
-        from repro.core.trace import _cs_at
+        from repro.core.cache_view import _cs_at
 
         seen = set()
         for index in range(len(finished_engine.cache)):
@@ -71,7 +71,7 @@ class TestCacheInvariants:
         """Every cached CS is exactly its reconstructed regex's language
         restricted to the universe — end-to-end kernel soundness."""
         from repro.core.reconstruct import reconstruct
-        from repro.core.trace import _cs_at
+        from repro.core.cache_view import _cs_at
 
         provenance = finished_engine.cache.provenance
         universe = finished_engine.universe
@@ -85,7 +85,7 @@ class TestSolutionInvariants:
     def test_solution_is_first_at_its_level(self, finished_engine):
         """No cached CS at the solution's cost level may solve the spec
         — the solution terminated the level immediately."""
-        from repro.core.trace import _cs_at
+        from repro.core.cache_view import _cs_at
 
         cost = finished_engine.solution_cost
         # rows stored at the (unfinished) solution level sit past the

@@ -10,12 +10,15 @@ quarantined instead of killing the pool).
 """
 
 import json
+import multiprocessing
+import os
 import pickle
 
 import numpy as np
 import pytest
 
 import repro.core.engine as engine_module
+import repro.service.checkpoint as checkpoint_module
 from repro import EngineConfig, Session, Spec, SynthesisRequest
 from repro.core.cache import cache_version_fingerprint
 from repro.regex.cost import CostFunction
@@ -204,6 +207,42 @@ def checkpoints_of(backend, spec):
     return taken
 
 
+#: Bytes before a journal record's payload: its header and digest.
+RECORD_HEADER_SIZE = (
+    checkpoint_module._HEADER.size + checkpoint_module._DIGEST_SIZE
+)
+
+
+def record_offsets(journal):
+    """Where each record of a journal starts (a walk over its headers)."""
+    data = journal.read_bytes()
+    offsets, offset = [], 0
+    while offset < len(data):
+        offsets.append(offset)
+        length = checkpoint_module._HEADER.unpack_from(data, offset)[-1]
+        offset += RECORD_HEADER_SIZE + length
+    return offsets
+
+
+def race_appends(root, levels, rounds, barrier):
+    """Append every level to one fresh key per round, in step."""
+    store = CheckpointStore(root)
+    for index in range(rounds):
+        barrier.wait()
+        store.append("q%d" % index, levels)
+
+
+def race_loads(root, levels, rounds, barrier):
+    """Load each round's key while it is being appended to."""
+    store = CheckpointStore(root)
+    want = [(lv.cost, lv.level_progress) for lv in levels]
+    for index in range(rounds):
+        barrier.wait()
+        for _ in range(10):
+            got = [(r.cost, r.level_progress) for r in store.load("q%d" % index)]
+            assert got == want[: len(got)]
+
+
 class TestCheckpointStore:
     def test_key_is_stable_and_cost_fn_sensitive(self):
         fp = staging_fingerprint(SPEC)
@@ -220,9 +259,8 @@ class TestCheckpointStore:
         key = checkpoint_key(staging_fingerprint(SPEC), CostFunction.uniform())
         assert store.append(key, levels) == len(levels)
         assert store.append(key, levels[:1]) == 0  # already there
-        # One entry kind: every record is a level up to its cursor.
-        for entry in store._read_manifest(key):
-            assert set(entry) == {"cost", "offset", "length", "level_progress"}
+        # The skipped duplicate wrote nothing: one record per level.
+        assert len(record_offsets(store._journal_path(key))) == len(levels)
         loaded = store.load(key)
         assert [lv.cost for lv in loaded] == [lv.cost for lv in levels]
         for got, want in zip(loaded, levels):
@@ -238,39 +276,141 @@ class TestCheckpointStore:
         store.append(key, levels)
         return store, key, levels
 
-    def test_truncated_journal_serves_prefix_and_heals(self, tmp_path):
+    @pytest.mark.parametrize("torn_in", ["header", "digest", "payload"])
+    def test_truncated_journal_serves_prefix_and_heals(self, tmp_path, torn_in):
         store, key, levels = self.fill(tmp_path)
         journal = store._journal_path(key)
-        truncate_file(journal, journal.stat().st_size - 25)
+        last = record_offsets(journal)[-1]
+        cut = {
+            "header": last + RECORD_HEADER_SIZE // 2,
+            "digest": last + RECORD_HEADER_SIZE + 10,
+            "payload": journal.stat().st_size - 25,
+        }[torn_in]
+        truncate_file(journal, cut)
+        torn = journal.read_bytes()
         loaded = store.load(key)
         assert 0 < len(loaded) == len(levels) - 1
         assert [lv.cost for lv in loaded] == [lv.cost for lv in levels[:-1]]
-        # The manifest was healed down to the surviving prefix, and the
-        # lost tail can be re-journalled (offsets skip the torn bytes).
-        assert [e["cost"] for e in store._read_manifest(key)] == [
-            lv.cost for lv in loaded
-        ]
+        # Healed by truncation down to the surviving prefix, and the
+        # lost tail can be re-journalled.
+        assert journal.stat().st_size == last
         assert store.append(key, levels[-1:]) == 1
+        assert len(store.load(key)) == len(levels)
+        # Without a load in between, the next append drops the torn
+        # bytes itself before it writes.
+        journal.write_bytes(torn)
+        assert store.append(key, levels) == 1
+        assert record_offsets(journal)[-1] == last
         assert len(store.load(key)) == len(levels)
 
     def test_bitrot_stops_the_prefix_at_the_damaged_record(self, tmp_path):
         store, key, levels = self.fill(tmp_path)
-        records = store._read_manifest(key)
+        journal = store._journal_path(key)
         # Flip a byte inside the SECOND record's payload.
-        corrupt_file(
-            store._journal_path(key),
-            offset=records[1]["offset"] + 60,
-        )
+        corrupt_file(journal, offset=record_offsets(journal)[1] + 80)
         loaded = store.load(key)
         assert [lv.cost for lv in loaded] == [levels[0].cost]
+        # The heal cut the journal at the damaged record, so the next
+        # run re-journals every level from it on.
+        assert store.append(key, levels) == len(levels) - 1
+        assert [lv.cost for lv in store.load(key)] == [lv.cost for lv in levels]
 
-    def test_missing_journal_or_manifest_is_empty(self, tmp_path):
+    def test_missing_journal_is_empty(self, tmp_path):
         store = CheckpointStore(tmp_path)
         assert store.load("nothing") == []
         _, key, _ = self.fill(tmp_path / "full")
         full = CheckpointStore(tmp_path / "full")
-        full._manifest_path(key).unlink()
+        full._journal_path(key).unlink()
         assert full.load(key) == []
+
+    def test_a_key_is_one_journal_file(self, tmp_path):
+        store, key, levels = self.fill(tmp_path / "checkpoints")
+        store.append("other", levels[:2])
+        store.append("other", levels[2:])
+        store.append("pruned", levels[:1])
+        os.utime(store._journal_path("pruned"), (1_000, 1_000))
+        assert len(store.load("other")) == len(levels)
+        corrupt_file(store._journal_path(key), offset=RECORD_HEADER_SIZE + 40)
+        assert store.load(key) == []  # healed: the first record was damaged
+        assert store.prune(max_age_s=3600.0)["removed_keys"] == 1
+        assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == [
+            "%s.journal" % name for name in sorted((key, "other"))
+        ]
+
+    def test_a_round_makes_one_fsync_and_a_new_journal_two(
+        self, tmp_path, monkeypatch
+    ):
+        levels = checkpoints_of("vector", SPEC)
+        store = CheckpointStore(tmp_path)
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        assert store.append("q", levels[:2]) == 2
+        assert len(synced) == 2  # the journal and its directory entry
+        del synced[:]
+        assert store.append("q", levels[2:]) == len(levels) - 2
+        assert len(synced) == 1  # the journal only
+        del synced[:]
+        assert store.append("q", levels) == 0
+        assert synced == []  # nothing to journal, nothing written
+
+    def test_racing_appenders_journal_each_level_once(self, tmp_path):
+        # More appender processes than cores race on one fresh key per
+        # round, with readers alongside: a lost update under the flock
+        # journals a level twice, and a heal that cut an in-flight round
+        # loses one.
+        levels = checkpoints_of("vector", SPEC)
+        rounds, appenders, loaders = 200, 4, 2
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(appenders + loaders, timeout=30)
+        procs = [
+            context.Process(
+                target=race, args=(tmp_path, levels, rounds, barrier)
+            )
+            for race in [race_appends] * appenders + [race_loads] * loaders
+        ]
+        try:
+            for proc in procs:
+                proc.start()
+            for proc in procs:
+                proc.join(timeout=60)
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.kill()
+        assert [proc.exitcode for proc in procs] == [0] * len(procs)
+        store = CheckpointStore(tmp_path)
+        for index in range(rounds):
+            key = "q%d" % index
+            assert len(record_offsets(store._journal_path(key))) == len(levels)
+            assert [r.cost for r in store.load(key)] == [
+                lv.cost for lv in levels
+            ]
+
+    def test_append_after_a_racing_prune_lands_in_a_fresh_journal(
+        self, tmp_path, monkeypatch
+    ):
+        store, key, levels = self.fill(tmp_path)
+        real_flock = checkpoint_module.fcntl.flock
+        armed = {"prune": True}
+        pruned = {}
+
+        def flock(fd, operation):
+            # The append has opened the journal and is about to wait
+            # for its lock; a prune gets there first and unlinks it.
+            if armed.pop("prune", False):
+                pruned.update(store.prune(max_bytes=0))
+            real_flock(fd, operation)
+
+        monkeypatch.setattr(checkpoint_module.fcntl, "flock", flock)
+        assert store.append(key, levels) == len(levels)
+        assert pruned["removed_keys"] == 1
+        assert [lv.cost for lv in store.load(key)] == [lv.cost for lv in levels]
 
 
 # ----------------------------------------------------------------------
@@ -280,13 +420,10 @@ class TestCheckpointPrune:
     @staticmethod
     def seed(tmp_path, sizes, base_mtime=1_000_000.0):
         """Fabricate journals of the given sizes, oldest first."""
-        import os
-
         store = CheckpointStore(tmp_path)
         for index, size in enumerate(sizes):
             key = "key%02d" % index
             store._journal_path(key).write_bytes(b"x" * size)
-            store._manifest_path(key).write_text("{}", encoding="utf-8")
             mtime = base_mtime + index
             os.utime(store._journal_path(key), (mtime, mtime))
         return store
@@ -300,13 +437,14 @@ class TestCheckpointPrune:
 
     def test_byte_budget_evicts_oldest_first(self, tmp_path):
         store = self.seed(tmp_path, [100, 100, 100])
-        # 3 keys x 102 bytes (journal + "{}" manifest); budget keeps 2.
-        stats = store.prune(max_bytes=2 * 102)
+        # 3 keys x 100 bytes; the budget keeps 2.
+        stats = store.prune(max_bytes=2 * 100)
         assert stats["removed_keys"] == 1
-        assert stats["removed_bytes"] == 102
+        assert stats["removed_bytes"] == 100
         assert store.keys() == ["key01", "key02"]  # key00 was oldest
-        assert not store._manifest_path("key00").exists()
-        assert not (tmp_path / "key00.lock").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "key01.journal", "key02.journal",
+        ]
 
     def test_age_budget_drops_idle_keys(self, tmp_path):
         store = self.seed(tmp_path, [50, 50], base_mtime=1_000.0)
@@ -324,9 +462,9 @@ class TestCheckpointPrune:
         assert store.load(key) == []  # cold, not corrupt
         assert store.append(key, levels[:1]) == 1  # re-journals
 
-    def test_size_of_counts_journal_and_manifest(self, tmp_path):
+    def test_size_of_counts_the_journal(self, tmp_path):
         store = self.seed(tmp_path, [64])
-        assert store.size_of("key00") == 64 + 2
+        assert store.size_of("key00") == 64
         assert store.size_of("missing") == 0
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.synthesizer import make_engine
-from repro.core.trace import cache_rows, level_growth_table, render_cache
+from repro.core.cache_view import cache_rows, level_growth_table, render_cache
 from repro.regex.cost import CostFunction
 from repro.regex.derivatives import matches
 from repro.regex.parser import parse

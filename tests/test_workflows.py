@@ -159,6 +159,20 @@ class TestCiContract:
                      "r['metrics']['checkpoint.resumed_levels']['value'] > 0"):
             assert part in step, part
 
+    def test_recovery_smoke_checks_a_checkpoint_key_is_one_journal(self):
+        # A real serve, then the checkpoint directory: the step must
+        # fail unless it holds at least one journal and nothing else.
+        runs = [
+            str(s.get("run", ""))
+            for s in load("ci.yml")["jobs"]["recovery-smoke"]["steps"]
+        ]
+        step = next(run for run in runs if "--store ckpt-state" in run)
+        for part in ("repro serve --store ckpt-state --workers 1 "
+                     "--jobs jobs.jsonl",
+                     "ls ckpt-state/checkpoints/*.journal",
+                     "test -z \"$(find ckpt-state/checkpoints -mindepth 1 "
+                     "! -name '*.journal')\""):
+            assert part in step, part
 
     def test_load_smoke_runs_a_traced_interactive_benchmark_pass(self):
         # The long-poll completion path end to end: the step must fail
