@@ -33,7 +33,7 @@ import time
 
 from _bench_utils import REPO_ROOT, is_full
 from repro import EngineConfig, Session, Spec, SynthesisRequest
-from repro.service import CheckpointStore, ServiceClient, StoreBackedSession
+from repro.service import CheckpointStore, StoreBackedSession, WorkerPool
 from repro.testing import faults
 
 #: Deep enough that the sweep builds a meaningful number of levels.
@@ -154,15 +154,15 @@ def _run_pool(store_dir, fault_spec=None):
     faults.reset()
     try:
         started = time.perf_counter()
-        with ServiceClient(
+        with WorkerPool(
             workers=2,
             config=EngineConfig(backend="vector"),
             store_dir=store_dir,
             retry_backoff_s=0.02,
-        ) as client:
-            handles = [client.submit(spec) for spec in RETRY_SPECS]
+        ) as pool:
+            handles = [pool.submit(spec) for spec in RETRY_SPECS]
             results = [handle.result(timeout=600) for handle in handles]
-            stats = client.stats
+            stats = pool.stats
         return time.perf_counter() - started, results, stats
     finally:
         if fault_spec is not None:

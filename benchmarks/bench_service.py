@@ -31,7 +31,7 @@ import time
 from _bench_utils import REPO_ROOT, is_full
 from repro import CostFunction, Session, SynthesisRequest, Spec
 from repro.eval.harness import records_to_json, run_suite
-from repro.service import ServiceClient
+from repro.service import WorkerPool
 from repro.suites.alpharegex_suite import easy_tasks
 
 WORKERS = 4
@@ -87,8 +87,8 @@ def _keys(results):
     return [(r.status, r.regex_str, r.cost) for r in results]
 
 
-def _run_requests(client, requests):
-    handles = [client.submit(request) for request in requests]
+def _run_requests(pool, requests):
+    handles = [pool.submit(request) for request in requests]
     return [handle.result(timeout=600) for handle in handles]
 
 
@@ -116,16 +116,16 @@ def test_emit_service_bench_artifact():
     store_root = tempfile.mkdtemp(prefix="repro-bench-service-")
     try:
         started = time.perf_counter()
-        with ServiceClient(workers=WORKERS,
-                           store_dir=os.path.join(store_root, "suite"),
-                           per_worker_depth=2) as client:
+        with WorkerPool(workers=WORKERS,
+                        store_dir=os.path.join(store_root, "suite"),
+                        per_worker_depth=2) as pool:
             pool_records = []
             for grouped in named_specs_by_cf.values():
                 cost_fn = grouped[0][2]
                 pool_records.extend(run_suite(
                     [(name, spec) for name, spec, _ in grouped],
-                    cost_fn=cost_fn, max_generated=budget, client=client))
-            pool_stats = client.stats
+                    cost_fn=cost_fn, max_generated=budget, pool=pool))
+            pool_stats = pool.stats
         pool_seconds = time.perf_counter() - started
 
         solo_keys = [(r.name, r.status, r.regex, r.cost)
@@ -146,15 +146,15 @@ def test_emit_service_bench_artifact():
         warm_requests = staging_heavy_specs()
         warm_store = os.path.join(store_root, "warmstart")
         started = time.perf_counter()
-        with ServiceClient(workers=WORKERS, store_dir=warm_store) as client:
-            cold_results = _run_requests(client, warm_requests)
-            cold_worker_stats = client.worker_stats()
+        with WorkerPool(workers=WORKERS, store_dir=warm_store) as pool:
+            cold_results = _run_requests(pool, warm_requests)
+            cold_worker_stats = pool.worker_stats()
         cold_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
-        with ServiceClient(workers=WORKERS, store_dir=warm_store) as client:
-            warm_results = _run_requests(client, warm_requests)
-            warm_worker_stats = client.worker_stats()
+        with WorkerPool(workers=WORKERS, store_dir=warm_store) as pool:
+            warm_results = _run_requests(pool, warm_requests)
+            warm_worker_stats = pool.worker_stats()
         warm_seconds = time.perf_counter() - started
 
         assert _keys(cold_results) == _keys(warm_results), (

@@ -13,10 +13,10 @@ Quick start::
     print(result.regex_str)   # 10(0+1)*
 
 For many requests, use a :class:`Session` (staging reuse, batched
-serving); for multi-core, restart-durable serving, use
-:class:`repro.service.ServiceClient`, the ``repro server`` /
-``repro client`` HTTP service, or ``repro serve --jobs`` for a batch
-file (see docs/README.md).
+serving); for multi-core, restart-durable serving, use a
+:class:`WorkerPool`, the ``repro server`` / ``repro client`` HTTP
+service, or ``repro serve --jobs`` for a batch file (see
+docs/README.md).
 
 See docs/ARCHITECTURE.md for the system design and EXPERIMENTS.md for the
 reproduction of every table and figure of the paper.
@@ -39,7 +39,7 @@ from .api import (
     default_registry,
 )
 from .errors import CapacityError, InvalidSpecError, ReproError
-from .service import ServiceClient, WorkerPool
+from .service import WorkerPool
 from .regex.ast import Regex
 from .regex.cost import ALPHAREGEX_COST, EVALUATION_COST_FUNCTIONS, CostFunction
 from .regex.parser import parse
@@ -49,7 +49,6 @@ from .spec import Spec
 __version__ = "1.6.0"
 
 __all__ = [
-    "ServiceClient",
     "WorkerPool",
     "BackendRegistry",
     "CancellationToken",

@@ -2,10 +2,16 @@
 
 Replaces the hardcoded ``BACKENDS`` dict of the original facade: every
 search engine is registered under a canonical name with friendly
-aliases, a capability set, and a factory.  The session layer resolves
-names through a registry, so alternative engines (a real GPU build, a
-remote executor, …) plug in without touching the serving code — the
-Polynesia-style "specialised engines behind one interface" seam.
+aliases, a capability set, and a factory.  :func:`default_registry` is
+the one backend namespace: sessions resolve engines through it, and a
+:class:`~repro.service.wire.WireRequest` swaps in the canonical name
+when it is built, so fingerprints, job ids and stored answers never
+see an alias.  Alternative engines (a real GPU build, a remote
+executor, …) plug in without touching the serving code — the
+Polynesia-style "specialised engines behind one interface" seam.  A
+plugin registers on :func:`default_registry` before a pool or server
+starts; the pool's worker processes are forked from that process and
+inherit the registration.
 
 Capabilities are advisory flags the serving layer consults:
 
@@ -162,8 +168,9 @@ def default_registry() -> BackendRegistry:
     """The process-wide default registry (built lazily, shared).
 
     Ships the paper's two engines under their historical names and
-    aliases; sessions use it unless given their own.  Plugins may
-    :meth:`BackendRegistry.register` additional engines onto it.
+    aliases; sessions, wire requests and pools all resolve names
+    through it.  Plugins may :meth:`BackendRegistry.register`
+    additional engines onto it.
     """
     global _default
     if _default is None:

@@ -54,7 +54,7 @@ from ..regex.cost import CostFunction
 from ..spec import Spec
 from .config import EngineConfig, SynthesisRequest
 from .progress import ProgressEvent
-from .registry import BackendRegistry, default_registry
+from .registry import default_registry
 
 #: Staging cache key: the deduplicated example-string set and the
 #: alphabet (both determine ``ic(P ∪ N)`` and hence the guide table).
@@ -132,24 +132,23 @@ class Session:
 
     ``max_staged`` bounds the staging cache (least-recently-used
     eviction); ``None`` keeps every staging alive for the session's
-    lifetime.
+    lifetime.  Backend names resolve through
+    :func:`~repro.api.registry.default_registry`.
     """
 
     def __init__(
         self,
         config: Optional[EngineConfig] = None,
-        registry: Optional[BackendRegistry] = None,
         max_staged: Optional[int] = None,
     ) -> None:
         self.config = config if config is not None else EngineConfig()
-        self.registry = registry if registry is not None else default_registry()
         self.max_staged = max_staged
         self.stats = SessionStats()
         self._staged: "OrderedDict[StagingKey, Tuple[Universe, GuideTable]]" = (
             OrderedDict()
         )
         # Fail fast on a bad default backend name.
-        self.registry.resolve(self.config.backend)
+        default_registry().resolve(self.config.backend)
 
     # ------------------------------------------------------------------
     # Staging
@@ -200,7 +199,7 @@ class Session:
         """Construct (but do not run) the engine a request resolves to."""
         request = SynthesisRequest.of(request)
         config = request.config if request.config is not None else self.config
-        info = self.registry.resolve(config.backend)
+        info = default_registry().resolve(config.backend)
         if universe is None and guide is None:
             universe, guide = self.staging_for(request.spec)
         else:
@@ -253,7 +252,7 @@ class Session:
         """
         request = SynthesisRequest.of(request)
         config = request.config if request.config is not None else self.config
-        info = self.registry.resolve(config.backend)
+        info = default_registry().resolve(config.backend)
         cost_fn = request.effective_cost_fn()
         max_cost = request.effective_max_cost(cost_fn)
         tracer, owns_tracer = _tracer_for(request, config)
@@ -397,7 +396,7 @@ class Session:
         requests stay solo so every span on a timeline belongs to
         exactly one request."""
         config = request.config if request.config is not None else self.config
-        info = self.registry.resolve(config.backend)
+        info = default_registry().resolve(config.backend)
         if (
             request.on_progress is not None
             or request.cancel is not None
@@ -430,7 +429,7 @@ class Session:
         """Serve a shared-universe, shared-cost-function group from one
         enumeration-only sweep."""
         config = requests[0].config if requests[0].config is not None else self.config
-        info = self.registry.resolve(config.backend)
+        info = default_registry().resolve(config.backend)
         cost_fn = requests[0].effective_cost_fn()
         staging_started = time.perf_counter()
         universe, guide = self.staging_for(requests[0].spec)

@@ -59,8 +59,8 @@ from .regex.cost import CostFunction
 from .service import (
     PRIORITY_NORMAL,
     JobFailedError,
-    ServiceClient,
     WireRequest,
+    WorkerPool,
 )
 from .service.store import atomic_write_bytes
 from .spec import Spec
@@ -241,7 +241,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.checkpoint_budget is not None:
         _prune_checkpoint_budget(root, args.checkpoint_budget)
     config = EngineConfig(backend=args.backend)
-    client = ServiceClient(
+    pool = WorkerPool(
         workers=args.workers,
         config=config,
         store_dir=str(root),
@@ -252,7 +252,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     # fingerprint -> the first handle submitted for it
     handles: dict = {}
-    with client:
+    with pool:
         print("repro serve: %d workers (%s), store %s"
               % (args.workers, args.backend, root))
         with open(args.jobs, "r", encoding="utf-8") as lines:
@@ -271,15 +271,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 # (counted in the dedupe stats); keep the FIRST handle
                 # so its answer is never dropped even if the job
                 # finishes mid-submission.
-                handle = client.submit(wire, priority=priority)
+                handle = pool.submit(wire, priority=priority)
                 handles.setdefault(wire.fingerprint(), handle)
         for fingerprint, handle in handles.items():
             _write_answer(outbox, fingerprint, handle)
-        stats = client.stats
     print("repro serve: done (%d served, %d deduplicated, %d cancelled, "
           "%d affinity hits, %d steals)"
-          % (len(handles), stats["deduplicated"], stats["cancelled"],
-             stats["affinity_hits"], stats["steals"]))
+          % (len(handles), pool.queue.deduplicated, pool.queue.cancelled,
+             pool.stats["affinity_hits"], pool.stats["steals"]))
     return 0
 
 
@@ -322,7 +321,6 @@ def _cmd_server(args: argparse.Namespace) -> int:
             "batch": args.max_queue_batch,
         },
         config=EngineConfig(backend=args.backend),
-        registry=default_registry(),
         reuse_results=args.reuse_results,
         checkpoint_budget_bytes=args.checkpoint_budget,
         checkpoints=args.checkpoints,
@@ -394,8 +392,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
             allowed_error=args.error,
             max_generated=args.max_generated,
             time_limit=args.time_limit,
-            config=EngineConfig(
-                backend=default_registry().canonical(args.backend)),
+            config=EngineConfig(backend=args.backend),
         )
         job = client.submit(wire, klass=args.klass)
         print("job id     :", job["job_id"])

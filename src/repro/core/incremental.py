@@ -54,11 +54,11 @@ class IncrementalSynthesizer:
     """A specification that can grow, with cached staging and solution.
 
     Serving goes through a :class:`~repro.api.session.Session` (pass
-    your own to share a backend registry and staging cache with other
-    request streams); the incremental-specific *superset* staging reuse
-    — the universe may cover more than the current spec's infixes after
-    removals and skipped searches — stays here, handed to the session as
-    explicit ``universe``/``guide`` overrides.
+    your own to share its staging cache with other request streams);
+    the incremental-specific *superset* staging reuse — the universe may
+    cover more than the current spec's infixes after removals and
+    skipped searches — stays here, handed to the session as explicit
+    ``universe``/``guide`` overrides.
     """
 
     def __init__(

@@ -155,7 +155,7 @@ def run_suite(
     max_generated: Optional[int] = None,
     allowed_error: float = 0.0,
     session: Optional[Session] = None,
-    client=None,
+    pool=None,
 ) -> List[RunRecord]:
     """Run a whole suite of ``(name, spec)`` benchmarks; one record each.
 
@@ -165,11 +165,10 @@ def run_suite(
     * **solo** (default, or explicit ``session``): one warm
       :class:`Session` serves the suite sequentially, reusing staged
       artifacts across same-universe specs.
-    * **pooled** (``client`` — a
-      :class:`repro.service.client.ServiceClient`): every spec is
-      submitted up front and the pool runs them on all cores, routing
-      same-universe specs to warm workers; results are gathered in suite
-      order.
+    * **pooled** (``pool`` — a :class:`repro.service.WorkerPool`):
+      every spec is submitted up front and the pool runs them on all
+      cores, routing same-universe specs to warm workers; results are
+      gathered in suite order.
     """
     cost_fn = cost_fn if cost_fn is not None else CostFunction.uniform()
     config = EngineConfig(backend=backend, max_generated=max_generated)
@@ -180,10 +179,9 @@ def run_suite(
         )
         for _, spec in named_specs
     ]
-    if client is not None:
-        handles = [client.submit(request) for request in requests]
-        results = [handle.result() for handle in handles]
-        system = "paresy-%s-pool%d" % (backend, client.pool.n_workers)
+    if pool is not None:
+        results = pool.map(requests)
+        system = "paresy-%s-pool%d" % (backend, pool.n_workers)
     else:
         owner = session if session is not None else Session(config)
         results = [owner.synthesize(request) for request in requests]

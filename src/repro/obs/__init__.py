@@ -2,7 +2,7 @@
 
 One :class:`~repro.obs.trace.TraceContext` is minted where a query
 enters the system (``POST /jobs`` on the HTTP server, or
-``ServiceClient.submit`` for in-process use) and rides the wire form
+``WorkerPool.submit`` for in-process use) and rides the wire form
 across every process hop — pool workers, shard workers — so each layer
 can record spans against the same trace id.  Spans land in per-process
 ring buffers (:class:`~repro.obs.trace.Tracer`), travel back with the

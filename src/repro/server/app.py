@@ -1,8 +1,8 @@
 """The network-native synthesis server.
 
 :class:`SynthesisServer` puts the whole service stack behind a socket:
-two :class:`~repro.service.client.ServiceClient` *lanes* — one sized
-for interactive traffic, one for batch sweeps — share a single content-
+two :class:`~repro.service.pool.WorkerPool` *lanes* — one sized for
+interactive traffic, one for batch sweeps — share a single content-
 addressed store directory (staging artifacts, results, checkpoints and
 the quarantine are all multi-writer safe), while an
 :class:`~repro.server.scheduler.AdmissionController` bounds each lane's
@@ -70,8 +70,7 @@ from ..obs.export import SPAN_STAGES, chrome_trace, stage_summary
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceContext, new_span_id, span_record
 from ..service.checkpoint import CheckpointStore
-from ..service.client import ServiceClient
-from ..service.pool import CHECKPOINTS_SUBDIR
+from ..service.pool import CHECKPOINTS_SUBDIR, WorkerPool
 from ..service.queue import JobFailedError
 from ..service.wire import PRIORITY_HIGH, PRIORITY_NORMAL, WireRequest
 from . import http11
@@ -80,8 +79,6 @@ from .scheduler import (
     CLASS_BATCH,
     CLASS_INTERACTIVE,
     CLASSES,
-    DEFAULT_INTERACTIVE_THRESHOLD,
-    DEFAULT_LATENCY_TARGET_S,
     DEFAULT_SHARD_WIDTH_THRESHOLD,
     AdmissionController,
     LatencyTracker,
@@ -266,10 +263,7 @@ class SynthesisServer:
         per_worker_depth: int = 2,
         max_queue: Optional[Dict[str, int]] = None,
         config: Optional[EngineConfig] = None,
-        registry=None,
         reuse_results: bool = True,
-        interactive_threshold: float = DEFAULT_INTERACTIVE_THRESHOLD,
-        latency_target_s: float = DEFAULT_LATENCY_TARGET_S,
         max_shard_workers: int = 4,
         shard_width_threshold: int = DEFAULT_SHARD_WIDTH_THRESHOLD,
         checkpoint_budget_bytes: Optional[int] = None,
@@ -284,8 +278,6 @@ class SynthesisServer:
         self.host = host
         self.port = port
         self.store_dir = store_dir
-        self.interactive_threshold = interactive_threshold
-        self.latency_target_s = latency_target_s
         self.max_shard_workers = max_shard_workers
         self.shard_width_threshold = shard_width_threshold
         self.checkpoint_budget_bytes = checkpoint_budget_bytes
@@ -299,11 +291,10 @@ class SynthesisServer:
             CLASS_INTERACTIVE: max(1, interactive_workers),
             CLASS_BATCH: max(1, batch_workers),
         }
-        self.lanes: Dict[str, ServiceClient] = {
-            klass: ServiceClient(
+        self.lanes: Dict[str, WorkerPool] = {
+            klass: WorkerPool(
                 workers=lane_workers[klass],
                 config=config,
-                registry=registry,
                 store_dir=store_dir,
                 per_worker_depth=per_worker_depth,
                 reuse_results=reuse_results,
@@ -439,7 +430,7 @@ class SynthesisServer:
         self._thread.join(timeout=10.0)
         self.history.save()
         for lane in self.lanes.values():
-            lane.close(cancel_pending=True)
+            lane.close(wait=False, cancel_pending=True)
 
     def __enter__(self) -> "SynthesisServer":
         return self.start()
@@ -628,12 +619,7 @@ class SynthesisServer:
             # resubmission starts a fresh run.
             del self._records[job_id]
 
-        klass = klass_override or classify(
-            wire,
-            self.history,
-            interactive_threshold=self.interactive_threshold,
-            latency_target_s=self.latency_target_s,
-        )
+        klass = klass_override or classify(wire, self.history)
         admission_started = time.time()
         admission = self.admission.try_admit(klass)
         admission_ended = time.time()
@@ -1017,8 +1003,8 @@ class SynthesisServer:
         last_quarantine = None
         for klass, lane in self.lanes.items():
             liveness = lane.liveness()
-            liveness["queue_depth"] = lane.queue_depth
-            liveness["live_jobs"] = lane.live_jobs
+            liveness["queue_depth"] = len(lane.queue)
+            liveness["live_jobs"] = lane.queue.live_jobs
             # A lane whose pool has zero live workers (every process
             # died in a respawn storm, or respawns are still racing the
             # reaper) must say so explicitly — claiming health while
@@ -1084,7 +1070,7 @@ class SynthesisServer:
             "Jobs queued but not yet dispatched, per lane.",
             "gauge",
             [
-                ({"class": klass}, self.lanes[klass].queue_depth)
+                ({"class": klass}, len(self.lanes[klass].queue))
                 for klass in CLASSES
             ],
         )

@@ -7,7 +7,7 @@ objects transparently decode the chunked ``/events`` body, which makes
 the NDJSON stream a plain ``readline()`` loop.
 
 :class:`HttpServiceClient` mirrors the in-process
-:class:`~repro.service.client.ServiceClient` surface where it can
+:class:`~repro.service.pool.WorkerPool` surface where it can
 (``submit`` / ``result`` / ``cancel``), which is what lets the CLI and
 the tests swap one for the other and assert bit-identical answers.
 ``result`` long-polls ``GET /jobs/<id>?wait=S``: the server answers the
@@ -198,19 +198,14 @@ class HttpServiceClient:
         return data
 
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        request,
-        klass: Optional[str] = None,
-        registry=None,
-    ) -> dict:
+    def submit(self, request, klass: Optional[str] = None) -> dict:
         """POST the request; returns the server's job document.
 
         Accepts anything :meth:`WireRequest.of` does.  Raises
         :class:`OverloadedError` on a 429 (carrying the server's
         Retry-After) rather than papering over admission control.
         """
-        wire = WireRequest.of(request, registry=registry)
+        wire = WireRequest.of(request)
         payload = wire.to_json_dict()
         if klass is not None:
             payload["class"] = klass

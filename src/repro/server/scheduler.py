@@ -47,7 +47,9 @@ CLASS_INTERACTIVE = "interactive"
 CLASS_BATCH = "batch"
 CLASSES = (CLASS_INTERACTIVE, CLASS_BATCH)
 
-#: Default classification knobs (see :func:`classify`).
+#: Classification bounds (see :func:`classify`): the estimated cost at
+#: or below which an unseen request is interactive, and the measured
+#: average seconds at or below which a seen one is.
 DEFAULT_INTERACTIVE_THRESHOLD = 2_000_000.0
 DEFAULT_LATENCY_TARGET_S = 0.5
 
@@ -216,12 +218,7 @@ def estimate_cost(wire) -> float:
     return estimate
 
 
-def classify(
-    wire,
-    history: Optional[WorkloadHistory] = None,
-    interactive_threshold: float = DEFAULT_INTERACTIVE_THRESHOLD,
-    latency_target_s: float = DEFAULT_LATENCY_TARGET_S,
-) -> str:
+def classify(wire, history: Optional[WorkloadHistory] = None) -> str:
     """Interactive or batch, measured latency trumping the estimate.
 
     A fingerprint the history has seen is classified by what it actually
@@ -234,12 +231,12 @@ def classify(
         if profile is not None and profile.runs > 0:
             return (
                 CLASS_INTERACTIVE
-                if profile.avg_elapsed_s <= latency_target_s
+                if profile.avg_elapsed_s <= DEFAULT_LATENCY_TARGET_S
                 else CLASS_BATCH
             )
     return (
         CLASS_INTERACTIVE
-        if estimate_cost(wire) <= interactive_threshold
+        if estimate_cost(wire) <= DEFAULT_INTERACTIVE_THRESHOLD
         else CLASS_BATCH
     )
 

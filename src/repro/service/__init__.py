@@ -1,4 +1,4 @@
-"""The concurrent synthesis service: queue, worker pool, stores, client.
+"""The concurrent synthesis service: queue, worker pool and stores.
 
 The execution subsystem that turns :class:`~repro.api.session.Session`
 into a long-running, multi-core, restart-durable service:
@@ -17,13 +17,13 @@ into a long-running, multi-core, restart-durable service:
 * :mod:`repro.service.checkpoint` — :class:`CheckpointStore`: durable
   per-cost-level journals, so an interrupted query resumes from its
   last completed level and repeat traffic re-serves enumerated levels.
-* :mod:`repro.service.client` — :class:`ServiceClient`: the facade the
-  HTTP server's lanes, the ``repro serve --jobs`` batch CLI, the
-  evaluation harness and the benchmarks all drive.
+
+:class:`WorkerPool` is the service object the HTTP server's lanes, the
+``repro serve --jobs`` batch CLI, the evaluation harness and the
+benchmarks all drive.
 """
 
 from .checkpoint import CheckpointStore, checkpoint_key
-from .client import ServiceClient
 from .pool import WorkerPool
 from .queue import (
     JOB_CANCELLED,
@@ -45,10 +45,13 @@ from .wire import (
     staging_fingerprint,
 )
 
+# The benchmark's latency ladder (perfbench/bench.py) builds its pool
+# rung through this name; nothing else uses it.
+ServiceClient = WorkerPool
+
 __all__ = [
     "CheckpointStore",
     "checkpoint_key",
-    "ServiceClient",
     "WorkerPool",
     "Job",
     "JobFailedError",

@@ -53,7 +53,7 @@ from dataclasses import replace as dataclasses_replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..api.config import EngineConfig, SynthesisRequest
-from ..api.registry import BackendRegistry, default_registry
+from ..api.registry import default_registry
 from ..api.session import Session
 from ..core.result import SynthesisResult
 from ..obs.export import stage_summary, trace_payload
@@ -75,6 +75,10 @@ RESULTS_SUBDIR = "results"
 CHECKPOINTS_SUBDIR = "checkpoints"
 QUARANTINE_SUBDIR = "quarantine"
 
+#: Staging artifacts a worker's session keeps in memory (its LRU
+#: bound), and so the fingerprints the affinity map counts it warm on.
+MAX_STAGED_PER_WORKER = 64
+
 #: Bits of a job's control byte (see :meth:`WorkerPool._claim_slot`):
 #: cancel stops the job for good, preempt checkpoints it at the next
 #: safe point and hands it back.
@@ -91,13 +95,12 @@ def _worker_main(
     worker_id: int,
     config: EngineConfig,
     store_dir: Optional[str],
-    max_staged: Optional[int],
     checkpoints: bool,
     control,
     task_queue,
     result_queue,
 ) -> None:
-    """Worker process body: one warm session, jobs until shutdown."""
+    """Worker process body: one warm session, jobs until told to stop."""
     staging_store = (
         StagingStore(os.path.join(store_dir, STAGING_SUBDIR))
         if store_dir is not None
@@ -110,7 +113,7 @@ def _worker_main(
     )
     session = StoreBackedSession(
         config,
-        max_staged=max_staged,
+        max_staged=MAX_STAGED_PER_WORKER,
         staging_store=staging_store,
         checkpoint_store=checkpoint_store,
     )
@@ -198,11 +201,9 @@ class _WorkerState:
     """Parent-side bookkeeping for one worker process."""
 
     __slots__ = ("worker_id", "process", "task_queue", "result_queue",
-                 "inflight", "load", "warm", "served", "stats", "dead",
-                 "_warm_capacity")
+                 "inflight", "load", "warm", "served", "stats", "dead")
 
-    def __init__(self, worker_id: int, process, task_queue, result_queue,
-                 warm_capacity):
+    def __init__(self, worker_id: int, process, task_queue, result_queue):
         self.worker_id = worker_id
         self.process = process
         self.task_queue = task_queue
@@ -219,26 +220,25 @@ class _WorkerState:
         #: Set when the process died without a farewell (crash/kill);
         #: dead workers are excluded from dispatch.
         self.dead = False
-        self._warm_capacity = warm_capacity
 
     # OrderedDict-LRU update mirroring Session's staging cache bound.
     def mark_warm(self, staging_fp: str) -> None:
         self.warm[staging_fp] = True
         self.warm.move_to_end(staging_fp)
-        capacity = self._warm_capacity
-        if capacity is not None:
-            while len(self.warm) > capacity:
-                self.warm.popitem(last=False)
+        while len(self.warm) > MAX_STAGED_PER_WORKER:
+            self.warm.popitem(last=False)
 
 
 class WorkerPool:
     """A process pool of warm sessions behind an affinity scheduler.
 
-    ::
+    The service object: the HTTP server's lanes, ``repro serve --jobs``,
+    the evaluation harness and the benchmarks all drive it directly::
 
         with WorkerPool(workers=4, store_dir="service-state") as pool:
-            handles = [pool.submit(spec) for spec in specs]
-            results = [h.result() for h in handles]
+            results = pool.map(specs)                 # pool-parallel
+            handle = pool.submit(spec, priority=PRIORITY_HIGH)
+            handle.cancel()
 
     ``per_worker_depth`` bounds how many jobs may be in flight on one
     worker at a time (depth > 1 lets the affinity scheduler pipeline
@@ -251,10 +251,8 @@ class WorkerPool:
         self,
         workers: int = 4,
         config: Optional[EngineConfig] = None,
-        registry: Optional[BackendRegistry] = None,
         store_dir: Optional[str] = None,
         per_worker_depth: int = 2,
-        max_staged_per_worker: Optional[int] = 64,
         reuse_results: bool = False,
         retry_max_attempts: int = 3,
         retry_backoff_s: float = 0.05,
@@ -268,12 +266,10 @@ class WorkerPool:
         if retry_max_attempts < 1:
             raise ValueError("retry_max_attempts must be >= 1")
         self.config = config if config is not None else EngineConfig()
-        self.registry = registry if registry is not None else default_registry()
-        self.registry.resolve(self.config.backend)  # fail fast
+        default_registry().resolve(self.config.backend)  # fail fast
         self.n_workers = workers
         self.store_dir = str(store_dir) if store_dir is not None else None
         self.per_worker_depth = per_worker_depth
-        self.max_staged_per_worker = max_staged_per_worker
         self.reuse_results = reuse_results
         #: Total dispatch attempts a job gets before quarantine (so a
         #: job survives ``retry_max_attempts - 1`` worker deaths).
@@ -367,10 +363,7 @@ class WorkerPool:
                     worker_id, task_queue, result_queue
                 )
                 self._workers.append(
-                    _WorkerState(
-                        worker_id, process, task_queue, result_queue,
-                        self.max_staged_per_worker,
-                    )
+                    _WorkerState(worker_id, process, task_queue, result_queue)
                 )
             self._collector_stop = threading.Event()
             self._collector = threading.Thread(
@@ -379,7 +372,7 @@ class WorkerPool:
             self._collector.start()
             # Non-daemonic workers would block a normal interpreter
             # exit (multiprocessing joins them) if the caller never
-            # called shutdown(); this safety net stops them first.
+            # called close(); this safety net stops them first.
             self._atexit_hook = self._exit_cleanup
             atexit.register(self._atexit_hook)
             self._started = True
@@ -393,7 +386,6 @@ class WorkerPool:
                 worker_id,
                 self.config,
                 self.store_dir,
-                self.max_staged_per_worker,
                 self.checkpoints,
                 self._control,
                 task_queue,
@@ -407,7 +399,7 @@ class WorkerPool:
 
     def _exit_cleanup(self) -> None:  # pragma: no cover - exit path
         try:
-            self.shutdown(wait=False, cancel_pending=True)
+            self.close(wait=False, cancel_pending=True)
         except Exception:
             traceback.print_exc()
 
@@ -415,9 +407,9 @@ class WorkerPool:
         return self.start()
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown(wait=exc_type is None)
+        self.close(wait=exc_type is None)
 
-    def shutdown(
+    def close(
         self, wait: bool = True, cancel_pending: bool = False
     ) -> None:
         """Stop the pool.
@@ -543,11 +535,9 @@ class WorkerPool:
                         callback(event)
 
             cancel_probe = request.cancel
-        wire = WireRequest.of(
-            request, default_config=self.config, registry=self.registry
-        )
+        wire = WireRequest.of(request, default_config=self.config)
         # In-process minting point: a traced config without an explicit
-        # context (e.g. ServiceClient.submit with ``trace=True``) gets a
+        # context (an in-process submit with ``trace=True``) gets a
         # fresh root trace here — the fingerprint ignores it, so dedup
         # against untraced submissions is unaffected.
         if wire.config.trace and wire.trace_ctx is None:
@@ -576,6 +566,15 @@ class WorkerPool:
         if not handle.deduplicated:
             self._dispatch()
         return handle
+
+    def synthesize(
+        self,
+        request,
+        priority: int = PRIORITY_NORMAL,
+        timeout: Optional[float] = None,
+    ) -> SynthesisResult:
+        """Serve one request through the pool, blocking for the answer."""
+        return self.submit(request, priority=priority).result(timeout=timeout)
 
     def map(
         self,
@@ -856,7 +855,7 @@ class WorkerPool:
     def _handle_message(self, message) -> None:
         # A handler bug (or a failing store write) must never kill
         # the collector — a dead collector hangs every handle and
-        # shutdown(wait=True) forever.
+        # close(wait=True) forever.
         kind = message[0]
         try:
             if kind == "progress":
@@ -918,7 +917,7 @@ class WorkerPool:
         respawn: List[_WorkerState] = []
         with self._lock:
             # Reaping must keep working while the pool is closing:
-            # ``shutdown(wait=True)`` blocks on the live-job count, and
+            # ``close(wait=True)`` blocks on the live-job count, and
             # a worker that died mid-job can only be drained here.
             closing = self._closing
             for worker in self._workers:
@@ -1324,7 +1323,7 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def worker_stats(self) -> List[Dict[str, object]]:
         """Per-worker bookkeeping (served counts, warm sets, session
-        stats as of the last completed job or shutdown)."""
+        stats as of the last completed job or close)."""
         with self._lock:
             return [
                 {

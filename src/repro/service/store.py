@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Iterator, Optional, Tuple
 
 from ..api.config import EngineConfig
-from ..api.registry import BackendRegistry
 from ..api.session import Session, staging_key_of
 from ..core.result import SynthesisResult
 from ..language.guide_table import GuideTable
@@ -224,12 +223,11 @@ class StoreBackedSession(Session):
     def __init__(
         self,
         config: Optional[EngineConfig] = None,
-        registry: Optional[BackendRegistry] = None,
         max_staged: Optional[int] = None,
         staging_store: Optional[StagingStore] = None,
         checkpoint_store=None,
     ) -> None:
-        super().__init__(config, registry=registry, max_staged=max_staged)
+        super().__init__(config, max_staged=max_staged)
         self.staging_store = staging_store
         self.checkpoint_store = checkpoint_store
         self.store_loads = 0

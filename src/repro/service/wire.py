@@ -17,13 +17,13 @@ worker in the pool's affinity scheduler.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..api.config import EngineConfig, SynthesisRequest
+from ..api.registry import default_registry
 from ..obs.trace import TraceContext
 from ..regex.cost import CostFunction
 from ..spec import Spec
@@ -59,9 +59,10 @@ class WireRequest:
     """A hook-free synthesis request that pickles and JSON-round-trips.
 
     ``config`` is always concrete (never None) and its backend name is
-    expected to be *canonical* — :meth:`of` resolves aliases through a
-    registry so ``"gpu"`` and ``"vector"`` submissions deduplicate
-    against each other.
+    *canonical*: construction resolves it through
+    :func:`~repro.api.registry.default_registry`, so ``"gpu"`` and
+    ``"vector"`` submissions share one fingerprint however the wire was
+    built, and an unknown name raises :class:`ValueError` right here.
     """
 
     spec: Spec
@@ -76,28 +77,26 @@ class WireRequest:
     #: but never enters the fingerprint (it is not part of the question).
     trace_ctx: Optional[TraceContext] = None
 
+    def __post_init__(self) -> None:
+        canonical = default_registry().canonical(self.config.backend)
+        if canonical != self.config.backend:
+            object.__setattr__(
+                self, "config", self.config.replace(backend=canonical)
+            )
+
     @classmethod
-    def of(cls, request, default_config=None, registry=None) -> "WireRequest":
+    def of(cls, request, default_config=None) -> "WireRequest":
         """Project a request (or spec, or pair) onto the wire.
 
         Hooks are dropped — progress and cancellation are service-side
         concerns, re-attached by the pool on the parent side.
         """
         if isinstance(request, cls):
-            if registry is not None:
-                canonical = registry.canonical(request.config.backend)
-                if canonical != request.config.backend:
-                    return dataclasses.replace(
-                        request,
-                        config=request.config.replace(backend=canonical),
-                    )
             return request
         request = SynthesisRequest.of(request)
         config = request.config if request.config is not None else default_config
         if config is None:
             config = EngineConfig()
-        if registry is not None:
-            config = config.replace(backend=registry.canonical(config.backend))
         return cls(
             spec=request.spec,
             cost_fn=request.cost_fn,

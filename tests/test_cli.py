@@ -157,6 +157,9 @@ class TestServeAndSubmit:
                 self._job_line(["0", "00"], ["1"]),
                 self._job_line(["10", "101"], ["", "0"], priority=0),
                 self._job_line(["0", "00"], ["1"]),  # duplicate
+                # The same question again, its backend spelled by alias.
+                self._job_line(["0", "00"], ["1"],
+                               config={"backend": "gpu"}),
             ]) + "\n",
             encoding="utf-8",
         )
@@ -166,7 +169,7 @@ class TestServeAndSubmit:
         assert code == 0
         out = capsys.readouterr().out
         assert "2 served" in out
-        assert "1 deduplicated" in out
+        assert "2 deduplicated" in out
         answers = sorted((store / "outbox").glob("*.json"))
         assert len(answers) == 2
         statuses = {json.loads(p.read_text())["status"] for p in answers}
@@ -188,6 +191,7 @@ class TestServeAndSubmit:
             "\n".join([
                 "{not valid json",
                 '{"no_spec_key": true}',
+                self._job_line(["0"], ["1"], config={"backend": "nope"}),
                 self._job_line(["0", "00"], ["1"]),
             ]) + "\n",
             encoding="utf-8",
@@ -200,6 +204,8 @@ class TestServeAndSubmit:
         assert "1 served" in captured.out
         assert "skipping" in captured.err
         assert "line 1" in captured.err and "line 2" in captured.err
+        assert "line 3" in captured.err and "unknown backend" in captured.err
+        assert len(list((store / "outbox").glob("*.json"))) == 1
 
 
 class TestByteBudgetParsing:

@@ -7,7 +7,7 @@ from repro.eval.harness import (
     time_paresy,
 )
 from repro.regex.cost import ALPHAREGEX_COST, CostFunction
-from repro.service import ServiceClient
+from repro.service import WorkerPool
 
 
 class TestTimeParesy:
@@ -50,8 +50,8 @@ class TestRunSuite:
                                                    intro_spec):
         named = [("tiny", tiny_spec), ("intro", intro_spec)]
         solo = run_suite(named)
-        with ServiceClient(workers=2) as client:
-            pooled = run_suite(named, client=client)
+        with WorkerPool(workers=2) as pool:
+            pooled = run_suite(named, pool=pool)
         assert [(r.name, r.status, r.regex, r.cost) for r in solo] == [
             (r.name, r.status, r.regex, r.cost) for r in pooled
         ]

@@ -37,7 +37,7 @@ from repro.server import (
     ServerError,
     SynthesisServer,
 )
-from repro.service import ServiceClient, WireRequest
+from repro.service import WireRequest, WorkerPool
 
 INTRO_SPEC = Spec(
     positive=["10", "101", "100", "1010", "1011", "1000", "1001"],
@@ -249,8 +249,8 @@ class TestInProcessTracing:
             spec=INTRO_SPEC,
             config=EngineConfig(backend="vector", trace=True),
         )
-        with ServiceClient(workers=1) as client:
-            result = client.synthesize(wire)
+        with WorkerPool(workers=1) as pool:
+            result = pool.synthesize(wire)
         trace = result.extra["trace"]
         processes = {span["process"] for span in trace["spans"]}
         assert any(p.startswith("pool-worker-") for p in processes)

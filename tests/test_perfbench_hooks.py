@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import repro.core.engine as engine_module
-from repro import EngineConfig, Spec, SynthesisRequest
+from repro import EngineConfig, Session, Spec, SynthesisRequest
 from repro.service import CheckpointStore, StoreBackedSession
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -80,3 +80,22 @@ def test_checkpoint_spans_are_the_ones_the_report_maps(tmp_path, monkeypatch):
         assert name in layers.SPAN_LAYERS, name
     assert layers.SPAN_COUNTS["checkpoint-save"] == "checkpoint.saves"
     assert layers.SPAN_COUNTS["partial-save"] == "checkpoint.partial_saves"
+
+
+def test_ladder_pool_rung_surface(tmp_path):
+    # The latency ladder in perfbench/bench.py builds its pool rung
+    # through the ``repro.service.ServiceClient`` name and calls exactly
+    # start / synthesize(wire) / close.
+    import repro.service as service
+
+    config = EngineConfig(backend="vector")
+    pool = service.ServiceClient(workers=1, config=config, store_dir=tmp_path)
+    pool.start()
+    try:
+        result = pool.synthesize(service.WireRequest(spec=SPEC, config=config))
+    finally:
+        pool.close()
+    expected = Session(config).synthesize(SPEC)
+    assert (result.status, result.regex_str, result.cost) == (
+        expected.status, expected.regex_str, expected.cost
+    )

@@ -29,7 +29,7 @@ from repro.server import (
     ServerError,
     SynthesisServer,
 )
-from repro.service import CheckpointStore, ServiceClient, StoreBackedSession
+from repro.service import CheckpointStore, StoreBackedSession
 from repro.service.pool import WorkerPool
 from repro.testing import faults
 
@@ -330,10 +330,10 @@ class TestPoolPreemption:
         (tmp_path / "sentinels").mkdir(exist_ok=True)
         faults.reset()  # forked workers re-read the environment
 
-    def preempt_once_running(self, client, job_id, timeout=60.0):
+    def preempt_once_running(self, pool, job_id, timeout=60.0):
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if client.preempt(job_id):
+            if pool.preempt(job_id):
                 return True
             time.sleep(0.01)
         return False
@@ -341,16 +341,16 @@ class TestPoolPreemption:
     def test_preempted_job_resumes_and_matches(self, tmp_path):
         config = EngineConfig(backend="scalar")
         reference = Session(config).synthesize(SLOW_SPEC)
-        with ServiceClient(
+        with WorkerPool(
             workers=1,
             config=config,
             store_dir=str(tmp_path / "store"),
             retry_backoff_s=0.02,
-        ) as client:
-            handle = client.submit(SLOW_SPEC)
-            assert self.preempt_once_running(client, handle.job_id)
+        ) as pool:
+            handle = pool.submit(SLOW_SPEC)
+            assert self.preempt_once_running(pool, handle.job_id)
             result = handle.result(timeout=120)
-            stats = client.stats
+            stats = pool.stats
         assert result.extra["preemptions"] == 1
         # Preemption is scheduling, not failure: the retry budget is
         # untouched and nothing lands in the crash counters.
@@ -369,26 +369,26 @@ class TestPoolPreemption:
         self.arm(monkeypatch, tmp_path, "pool.worker.preempt:kill:1:once")
         config = EngineConfig(backend="scalar")
         reference = Session(config).synthesize(SLOW_SPEC)
-        with ServiceClient(
+        with WorkerPool(
             workers=1,
             config=config,
             store_dir=str(tmp_path / "store"),
             retry_backoff_s=0.02,
-        ) as client:
-            handle = client.submit(SLOW_SPEC)
-            assert self.preempt_once_running(client, handle.job_id)
+        ) as pool:
+            handle = pool.submit(SLOW_SPEC)
+            assert self.preempt_once_running(pool, handle.job_id)
             result = handle.result(timeout=120)
-            stats = client.stats
+            stats = pool.stats
         assert result.extra["attempts"] == 2
         assert stats["retries"] == 1 and stats["respawns"] == 1
         assert_identical(result, reference)
 
     def test_preempt_unknown_job_is_false(self, tmp_path):
-        with ServiceClient(
+        with WorkerPool(
             workers=1, store_dir=str(tmp_path / "store")
-        ) as client:
-            assert not client.preempt("no-such-job")
-            assert client.preempt_longest_running() is None
+        ) as pool:
+            assert not pool.preempt("no-such-job")
+            assert pool.preempt_longest_running() is None
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,8 @@ from repro.regex.cost import CostFunction
 from repro.service import (
     CheckpointStore,
     JobFailedError,
-    ServiceClient,
     StoreBackedSession,
+    WorkerPool,
     checkpoint_key,
     staging_fingerprint,
 )
@@ -749,14 +749,14 @@ class TestPoolRecoverySmoke:
     ):
         self.arm(monkeypatch, tmp_path, "pool.worker.before_job:kill:1:once")
         reference = Session(EngineConfig(backend="vector")).synthesize(SPEC)
-        with ServiceClient(
+        with WorkerPool(
             workers=2,
             config=EngineConfig(backend="vector"),
             store_dir=str(tmp_path / "store"),
             retry_backoff_s=0.02,
-        ) as client:
-            result = client.synthesize(SPEC, timeout=120)
-            stats = client.stats
+        ) as pool:
+            result = pool.synthesize(SPEC, timeout=120)
+            stats = pool.stats
         assert result.status == "success"
         assert result.regex == reference.regex
         assert result.extra["attempts"] == 2
@@ -769,22 +769,23 @@ class TestPoolRecoverySmoke:
         self, monkeypatch, tmp_path
     ):
         # The acceptance combo: the worker dies inside its third journal
-        # round (mid-append, manifest not yet updated), and the retried
-        # job resumes from the last manifest-visible level instead of
-        # re-enumerating from level 1 — bit-identical to a solo run.  A
-        # short cadence (inherited by the forked workers) makes the
-        # small job journal in several rounds.
+        # round, before that round's records reach the journal, and the
+        # retried job resumes from the levels the first two rounds
+        # journalled instead of re-enumerating from level 1 —
+        # bit-identical to a solo run.  A short cadence (inherited by
+        # the forked workers) makes the small job journal in several
+        # rounds.
         monkeypatch.setattr(engine_module, "CHECKPOINT_EVERY_CANDIDATES", 7)
         self.arm(monkeypatch, tmp_path, "checkpoint.append:kill:3:once")
         reference = Session(EngineConfig(backend="vector")).synthesize(SPEC)
-        with ServiceClient(
+        with WorkerPool(
             workers=2,
             config=EngineConfig(backend="vector"),
             store_dir=str(tmp_path / "store"),
             retry_backoff_s=0.02,
-        ) as client:
-            result = client.synthesize(SPEC, timeout=120)
-            stats = client.stats
+        ) as pool:
+            result = pool.synthesize(SPEC, timeout=120)
+            stats = pool.stats
         assert result.status == "success"
         assert result.extra["attempts"] == 2
         assert result.extra["resumed_levels"] >= 2
@@ -799,20 +800,21 @@ class TestPoolRecoverySmoke:
         self, backend, monkeypatch, tmp_path
     ):
         # A small job journals once, when its run returns.  A SIGKILL
-        # inside that round leaves the manifest untouched, so the retry
+        # inside that round lands before its records reach the journal,
+        # so the journal holds nothing for the retry to resume from: it
         # starts cold and still answers bit-identically.
         monkeypatch.setattr(engine_module, "CHECKPOINT_EVERY_S", 1e9)
         self.arm(monkeypatch, tmp_path, "checkpoint.append:kill:1:once")
         config = EngineConfig(backend=backend)
         reference = Session(config).synthesize(SPEC)
-        with ServiceClient(
+        with WorkerPool(
             workers=2,
             config=config,
             store_dir=str(tmp_path / "store"),
             retry_backoff_s=0.02,
-        ) as client:
-            result = client.synthesize(SPEC, timeout=120)
-            stats = client.stats
+        ) as pool:
+            result = pool.synthesize(SPEC, timeout=120)
+            stats = pool.stats
         assert result.extra["attempts"] == 2
         assert result.extra["resumed_levels"] == 0
         assert_identical(result, reference)
@@ -824,17 +826,17 @@ class TestPoolRecoverySmoke:
         # No ``once``: the job kills every worker that touches it.
         self.arm(monkeypatch, tmp_path, "pool.worker.before_job:kill")
         store_dir = tmp_path / "store"
-        with ServiceClient(
+        with WorkerPool(
             workers=2,
             config=EngineConfig(backend="vector"),
             store_dir=str(store_dir),
             retry_backoff_s=0.02,
             retry_max_attempts=2,
-        ) as client:
-            handle = client.submit(SPEC)
+        ) as pool:
+            handle = pool.submit(SPEC)
             with pytest.raises(JobFailedError, match="attempts=2"):
                 handle.result(timeout=120)
-            stats = client.stats
+            stats = pool.stats
         assert stats["quarantined"] == 1
         records = list((store_dir / "quarantine").glob("*.json"))
         assert len(records) == 1

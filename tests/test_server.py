@@ -2,7 +2,7 @@
 
 The headline acceptance criterion lives in :class:`TestHttpBitIdentity`:
 an answer served over HTTP is bit-identical (modulo wall-clock) to the
-in-process :class:`~repro.service.client.ServiceClient` answer, on both
+in-process :class:`~repro.service.pool.WorkerPool` answer, on both
 backends.  The scheduler classes are tested pure (no sockets, no worker
 processes); the HTTP tests share one running server per module.
 """
@@ -40,7 +40,7 @@ from repro.server import (
 )
 from repro.server.app import _JobRecord
 from repro.server.client import poll_intervals
-from repro.service import ServiceClient, WireRequest
+from repro.service import WireRequest, WorkerPool
 from repro.testing import faults
 
 BACKENDS = ["scalar", "vector"]
@@ -287,8 +287,8 @@ class TestHttpBitIdentity:
         wire = wire_of(INTRO_SPEC, backend=backend)
         job = client.submit(wire)
         over_http = client.result(job["job_id"], timeout=120)["result"]
-        with ServiceClient(workers=1, config=EngineConfig(backend=backend)) as sc:
-            in_process = sc.synthesize(wire).to_dict()
+        with WorkerPool(workers=1, config=EngineConfig(backend=backend)) as pool:
+            in_process = pool.synthesize(wire).to_dict()
         # The job document additionally forwards the scheduling
         # counters from ``result.extra`` (attempts, preemptions, ...)
         # that a bare ``to_dict`` does not carry.
@@ -386,17 +386,33 @@ class TestEndpoints:
         assert err.value.status == 404
 
     def test_unknown_path_is_404_and_bad_json_is_400(self, server):
+        unknown_backend = json.dumps({
+            "spec": {"positive": ["0"], "negative": ["1"]},
+            "config": {"backend": "nope"},
+        }).encode("utf-8")
         connection_status = []
         for raw in (
             b"GET /nope HTTP/1.1\r\n\r\n",
             b"POST /jobs HTTP/1.1\r\nContent-Length: 7\r\n\r\nnot llo",
             b"GET /jobs HTTP/1.1\r\n\r\n",
+            b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(unknown_backend), unknown_backend),
         ):
             with socket.create_connection(("127.0.0.1", server.port)) as sock:
                 sock.sendall(raw)
                 head = sock.recv(4096).decode("latin-1", "replace")
                 connection_status.append(int(head.split()[1]))
-        assert connection_status == [404, 400, 405]
+        assert connection_status == [404, 400, 405, 400]
+
+    def test_alias_spellings_of_one_question_join_one_job(self, client):
+        payload = wire_of(Spec(["0110", "011"], ["1", "10"])).to_json_dict()
+        first = client._json_call("POST", "/jobs", payload)
+        payload["config"]["backend"] = "gpu"
+        second = client._json_call("POST", "/jobs", payload)
+        assert first["deduplicated"] is False
+        assert second["job_id"] == first["job_id"]
+        assert second["deduplicated"] is True
+        client.result(first["job_id"], timeout=120)
 
     def test_healthz_reports_lanes_and_quarantine(self, client, server):
         quarantine_dir = (

@@ -21,7 +21,7 @@ from repro import (
     Spec,
     synthesize,
 )
-from repro.api.registry import default_registry
+from repro.api import registry as registry_module
 from repro.regex.cost import CostFunction
 from repro.service import (
     JOB_CANCELLED,
@@ -29,7 +29,6 @@ from repro.service import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
     ResultStore,
-    ServiceClient,
     StagingStore,
     StoreBackedSession,
     WireRequest,
@@ -108,16 +107,33 @@ class TestWire:
         ).fingerprint()
 
     def test_alias_spellings_share_a_fingerprint(self):
-        registry = default_registry()
-        gpu = WireRequest.of(
-            SynthesisRequest(spec=INTRO_SPEC,
-                             config=EngineConfig(backend="gpu")),
-            registry=registry)
-        vector = WireRequest.of(
-            SynthesisRequest(spec=INTRO_SPEC,
-                             config=EngineConfig(backend="vector")),
-            registry=registry)
-        assert gpu.fingerprint() == vector.fingerprint()
+        def built_every_way(backend):
+            config = EngineConfig(backend=backend)
+            direct = WireRequest(spec=INTRO_SPEC, config=config)
+            return [
+                direct,
+                WireRequest.of(SynthesisRequest(spec=INTRO_SPEC,
+                                                config=config)),
+                WireRequest.from_json_dict(direct.to_json_dict()),
+                WireRequest.from_json_dict({
+                    "spec": INTRO_SPEC.to_dict(),
+                    "config": {"backend": backend},
+                }),
+            ]
+
+        wires = built_every_way("gpu") + built_every_way("vector")
+        assert {wire.config.backend for wire in wires} == {"vector"}
+        assert len({wire.fingerprint() for wire in wires}) == 1
+        with pytest.raises(ValueError, match="unknown backend"):
+            WireRequest(spec=INTRO_SPEC, config=EngineConfig(backend="nope"))
+        with pytest.raises(ValueError, match="unknown backend"):
+            WireRequest.of(SynthesisRequest(
+                spec=INTRO_SPEC, config=EngineConfig(backend="nope")))
+        with pytest.raises(ValueError, match="unknown backend"):
+            WireRequest.from_json_dict({
+                "spec": INTRO_SPEC.to_dict(),
+                "config": {"backend": "nope"},
+            })
 
     def test_staging_fingerprint_shared_by_partitions(self):
         fps = {staging_fingerprint(s) for s in partitions(4)}
@@ -433,9 +449,9 @@ class TestPoolBitIdentity:
         solo = Session(EngineConfig(backend=backend))
         expected = [solo.synthesize(r) for r in requests]
 
-        with ServiceClient(workers=2,
-                           config=EngineConfig(backend=backend)) as client:
-            results = client.synthesize_many(requests)
+        with WorkerPool(workers=2,
+                        config=EngineConfig(backend=backend)) as pool:
+            results = pool.map(requests)
         assert [_key(r) for r in results] == [_key(r) for r in expected]
         assert all(r.backend == backend for r in results)
 
@@ -443,8 +459,8 @@ class TestPoolBitIdentity:
 class TestPoolBehaviour:
     def test_progress_events_cross_the_process_boundary(self):
         events = []
-        with ServiceClient(workers=1) as client:
-            handle = client.submit(INTRO_SPEC, on_progress=events.append)
+        with WorkerPool(workers=1) as pool:
+            handle = pool.submit(INTRO_SPEC, on_progress=events.append)
             result = handle.result(timeout=120)
         assert result.found
         assert events, "expected forwarded progress events"
@@ -469,37 +485,35 @@ class TestPoolBehaviour:
                     done_order.append(tag)
             return on_event
 
-        with ServiceClient(workers=1, per_worker_depth=1) as client:
-            blocker = client.submit(specs[0], on_progress=tracker("blocker"))
-            low = client.submit(specs[1], priority=PRIORITY_LOW,
-                                on_progress=tracker("low"))
-            high = client.submit(specs[2], priority=PRIORITY_HIGH,
-                                 on_progress=tracker("high"))
-            dup_a = client.submit(specs[3])
-            dup_b = client.submit(specs[3])
+        with WorkerPool(workers=1, per_worker_depth=1) as pool:
+            blocker = pool.submit(specs[0], on_progress=tracker("blocker"))
+            low = pool.submit(specs[1], priority=PRIORITY_LOW,
+                              on_progress=tracker("low"))
+            high = pool.submit(specs[2], priority=PRIORITY_HIGH,
+                               on_progress=tracker("high"))
+            dup_a = pool.submit(specs[3])
+            dup_b = pool.submit(specs[3])
             results = [h.result(timeout=120)
                        for h in (blocker, low, high, dup_a, dup_b)]
-            stats = client.stats
         assert all(r.found for r in results)
         assert dup_b.deduplicated
         assert dup_a.job_id == dup_b.job_id
         assert _key(results[3]) == _key(results[4])
-        assert stats["deduplicated"] == 1
+        assert pool.queue.deduplicated == 1
         # With one worker at depth 1, the high-priority job must finish
         # before the low-priority one submitted earlier.
         assert done_order.index("high") < done_order.index("low")
 
     def test_cancel_queued_job(self):
         specs = partitions(3)
-        with ServiceClient(workers=1, per_worker_depth=1) as client:
-            blocker = client.submit(specs[0])
-            victim = client.submit(specs[1])
+        with WorkerPool(workers=1, per_worker_depth=1) as pool:
+            blocker = pool.submit(specs[0])
+            victim = pool.submit(specs[1])
             assert victim.cancel()
             cancelled = victim.result(timeout=120)
             assert blocker.result(timeout=120).found
-            stats = client.stats
         assert cancelled.status == "cancelled"
-        assert stats["cancelled"] == 1
+        assert pool.queue.cancelled == 1
 
     def test_cancel_running_job_via_control_byte(self):
         # A deliberately long search (expensive-star cost function and a
@@ -507,8 +521,8 @@ class TestPoolBehaviour:
         # cancellation were broken, so the test fails instead of hanging.
         slow = slow_request()
         events = []
-        with ServiceClient(workers=1) as client:
-            handle = client.submit(slow, on_progress=events.append)
+        with WorkerPool(workers=1) as pool:
+            handle = pool.submit(slow, on_progress=events.append)
             deadline = time.monotonic() + 60
             while not events and time.monotonic() < deadline:
                 time.sleep(0.005)
@@ -519,9 +533,8 @@ class TestPoolBehaviour:
 
     def test_jobs_in_flight_on_a_worker_own_distinct_control_slots(self):
         slow = [slow_request(max_cost=60 + k) for k in range(2)]
-        with ServiceClient(workers=1, per_worker_depth=2) as client:
-            pool = client.pool
-            handles = [client.submit(request) for request in slow]
+        with WorkerPool(workers=1, per_worker_depth=2) as pool:
+            handles = [pool.submit(request) for request in slow]
             with pool._lock:
                 slots = sorted(pool._slots[h.job_id] for h in handles)
                 assert slots == [0, 1]
@@ -543,11 +556,11 @@ class TestPoolBehaviour:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ServiceClient(workers=3, per_worker_depth=2) as client:
+            with WorkerPool(workers=3, per_worker_depth=2) as pool:
                 jobs = []
                 for k in range(12):
                     running = threading.Event()
-                    handle = client.submit(
+                    handle = pool.submit(
                         slow_request().replace(max_generated=2_000_000 + k),
                         on_progress=lambda event, flag=running: flag.set(),
                     )
@@ -567,7 +580,7 @@ class TestPoolBehaviour:
                     thread.join(timeout=120)
                     assert not thread.is_alive()
                 results = [handle.result(timeout=120) for handle, _ in jobs]
-                assert not client.pool._slots
+                assert not pool._slots
         finally:
             sys.setswitchinterval(switch)
         assert [r.status for r in results[1::2]] == ["budget"] * 6
@@ -582,9 +595,8 @@ class TestPoolBehaviour:
                 time.sleep(0.005)
             assert len(events) > seen, "job never reported progress"
 
-        with ServiceClient(workers=1, retry_backoff_s=0.01) as client:
-            pool = client.pool
-            handle = client.submit(slow_request(), on_progress=events.append)
+        with WorkerPool(workers=1, retry_backoff_s=0.01) as pool:
+            handle = pool.submit(slow_request(), on_progress=events.append)
             wait_for_new_events(0)
             pool._workers[0].process.kill()
             deadline = time.monotonic() + 60
@@ -620,13 +632,10 @@ class TestPoolBehaviour:
         faults.reset()  # forked workers re-read the environment
         events = []
         try:
-            with ServiceClient(
+            with WorkerPool(
                 workers=1, retry_backoff_s=backoff, retry_jitter=0.0
-            ) as client:
-                pool = client.pool
-                handle = client.submit(
-                    slow_request(), on_progress=events.append
-                )
+            ) as pool:
+                handle = pool.submit(slow_request(), on_progress=events.append)
                 ended = []
                 handle.add_done_callback(ended.append)
                 deadline = time.monotonic() + 60
@@ -642,7 +651,7 @@ class TestPoolBehaviour:
                 result = handle.result(timeout=backoff / 3)
                 waited = time.monotonic() - cancelled_at
                 time.sleep(0.2)  # a dispatch would have happened by now
-                stats = client.stats
+                stats = pool.stats
         finally:
             faults.reset()
         assert result.status == "cancelled"
@@ -661,13 +670,13 @@ class TestPoolBehaviour:
         # makes the worker's engine constructor raise — a stand-in for
         # any worker-side failure.
         bad = WireRequest(spec=INTRO_SPEC, allowed_error=1.5)
-        with ServiceClient(workers=1) as client:
-            broken = client.submit(bad)
-            ok = client.submit(partitions(2)[0])
+        with WorkerPool(workers=1) as pool:
+            broken = pool.submit(bad)
+            ok = pool.submit(partitions(2)[0])
             assert ok.result(timeout=120).found
             with pytest.raises(JobFailedError):
                 broken.result(timeout=120)
-            assert client.stats["failed"] == 1
+            assert pool.stats["failed"] == 1
 
 
     def test_killed_worker_fails_its_job_instead_of_hanging(self):
@@ -676,17 +685,17 @@ class TestPoolBehaviour:
         # itself is covered in tests/test_recovery.py.
         slow = slow_request()
         events = []
-        with ServiceClient(workers=1, retry_max_attempts=1) as client:
-            handle = client.submit(slow, on_progress=events.append)
+        with WorkerPool(workers=1, retry_max_attempts=1) as pool:
+            handle = pool.submit(slow, on_progress=events.append)
             deadline = time.monotonic() + 60
             while not events and time.monotonic() < deadline:
                 time.sleep(0.005)
             assert events, "job never reported progress"
-            client.pool._workers[0].process.kill()
+            pool._workers[0].process.kill()
             with pytest.raises(JobFailedError, match="died"):
                 handle.result(timeout=60)
-            assert client.stats["failed"] == 1
-            assert client.stats["quarantined"] == 1
+            assert pool.stats["failed"] == 1
+            assert pool.stats["quarantined"] == 1
 
 
     def test_request_level_hooks_work_through_the_pool(self):
@@ -695,8 +704,8 @@ class TestPoolBehaviour:
         token = CancellationToken()
         events = []
         slow = slow_request(cancel=token, on_progress=events.append)
-        with ServiceClient(workers=1) as client:
-            handle = client.submit(slow)
+        with WorkerPool(workers=1) as pool:
+            handle = pool.submit(slow)
             deadline = time.monotonic() + 60
             while not events and time.monotonic() < deadline:
                 time.sleep(0.005)
@@ -705,12 +714,34 @@ class TestPoolBehaviour:
             result = handle.result(timeout=120)
         assert result.status == "cancelled"
 
+    def test_a_plugin_backend_serves_through_the_pool(self, monkeypatch):
+        # A plugin registers on the default registry before the pool
+        # starts, and the forked workers inherit it: the wire, the
+        # parent's fail-fast check and every worker session resolve
+        # the name in one namespace.  A pool has no registry of its own
+        # that its workers would not know.
+        plugin = registry_module._build_default()
+        vector = plugin.resolve("vector")
+        plugin.register("vector-plugin", vector.factory,
+                        capabilities=vector.capabilities)
+        with pytest.raises(TypeError):
+            WorkerPool(workers=1, registry=plugin)
+        monkeypatch.setattr(registry_module, "_default", plugin)
+        config = EngineConfig(backend="vector-plugin")
+        with WorkerPool(workers=1, config=config) as pool:
+            result = pool.synthesize(INTRO_SPEC, timeout=120)
+            assert pool.stats["respawns"] == pool.stats["retries"] == 0
+        expected = Session(EngineConfig(backend="vector")).synthesize(
+            INTRO_SPEC)
+        assert _key(result) == _key(expected)
+        assert result.backend == "vector-plugin"
+
     def test_shutdown_without_wait_never_leaves_handles_hanging(self):
         specs = partitions(2)
         pool = WorkerPool(workers=1, per_worker_depth=1)
         pool.start()
         handles = [pool.submit(spec) for spec in specs]
-        pool.shutdown(wait=False)
+        pool.close(wait=False)
         # Every handle must resolve (answered or failed) — never hang.
         for handle in handles:
             try:
@@ -724,19 +755,19 @@ class TestPoolBehaviour:
 
         slow = slow_request()
         events = []
-        client = ServiceClient(workers=1).start()
-        client.submit(slow, on_progress=events.append)
+        pool = WorkerPool(workers=1).start()
+        pool.submit(slow, on_progress=events.append)
         deadline = time.monotonic() + 60
         while not events and time.monotonic() < deadline:
             time.sleep(0.005)
         assert events, "job never reported progress"
-        client.pool._workers[0].process.kill()
-        # shutdown(wait=True) must drain the orphaned job via the
+        pool._workers[0].process.kill()
+        # close(wait=True) must drain the orphaned job via the
         # reaper instead of spinning on it forever.
-        closer = threading.Thread(target=client.close)
+        closer = threading.Thread(target=pool.close)
         closer.start()
         closer.join(timeout=60)
-        assert not closer.is_alive(), "shutdown hung on a dead worker"
+        assert not closer.is_alive(), "close hung on a dead worker"
 
     def test_pool_restarts_after_shutdown(self):
         spec = partitions(2)[0]
@@ -757,16 +788,16 @@ class TestWarmStartAcrossRestarts:
         expected = [synthesize(s) for s in specs]
         store = tmp_path / "service-state"
 
-        with ServiceClient(workers=2, store_dir=store) as client:
-            cold = client.synthesize_many(specs)
-            cold_stats = client.worker_stats()
+        with WorkerPool(workers=2, store_dir=store) as pool:
+            cold = pool.map(specs)
+            cold_stats = pool.worker_stats()
         assert [_key(r) for r in cold] == [_key(r) for r in expected]
         assert sum(w["session"].get("staging_builds", 0)
                    for w in cold_stats) >= 1
 
-        with ServiceClient(workers=2, store_dir=store) as client:
-            warm = client.synthesize_many(specs)
-            warm_stats = client.worker_stats()
+        with WorkerPool(workers=2, store_dir=store) as pool:
+            warm = pool.map(specs)
+            warm_stats = pool.worker_stats()
         assert [_key(r) for r in warm] == [_key(r) for r in expected]
         assert sum(w["session"].get("staging_builds", 0)
                    for w in warm_stats) == 0
@@ -776,14 +807,14 @@ class TestWarmStartAcrossRestarts:
     def test_reuse_results_answers_from_the_store(self, tmp_path):
         spec = partitions(2)[0]
         store = tmp_path / "service-state"
-        with ServiceClient(workers=1, store_dir=store) as client:
-            first = client.synthesize(spec)
-        with ServiceClient(workers=1, store_dir=store,
-                           reuse_results=True) as client:
-            handle = client.submit(spec)
+        with WorkerPool(workers=1, store_dir=store) as pool:
+            first = pool.synthesize(spec)
+        with WorkerPool(workers=1, store_dir=store,
+                        reuse_results=True) as pool:
+            handle = pool.submit(spec)
             assert handle.from_store and handle.done
             assert _key(handle.result(timeout=0)) == _key(first)
-            assert client.stats["result_hits"] == 1
+            assert pool.stats["result_hits"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -794,13 +825,13 @@ class TestServiceSmoke:
         """Start a pool, submit 5 specs — one a duplicate, one cancelled
         — and assert dedupe + cancellation + correct answers."""
         specs = partitions(4)
-        with ServiceClient(workers=2, per_worker_depth=1) as client:
-            a = client.submit(specs[0])
-            b = client.submit(specs[1])
-            duplicate = client.submit(specs[0])
-            doomed = client.submit(specs[2])
+        with WorkerPool(workers=2, per_worker_depth=1) as pool:
+            a = pool.submit(specs[0])
+            b = pool.submit(specs[1])
+            duplicate = pool.submit(specs[0])
+            doomed = pool.submit(specs[2])
             doomed.cancel()
-            c = client.submit(specs[3])
+            c = pool.submit(specs[3])
             results = {
                 "a": a.result(timeout=120),
                 "b": b.result(timeout=120),
@@ -808,10 +839,9 @@ class TestServiceSmoke:
                 "doomed": doomed.result(timeout=120),
                 "c": c.result(timeout=120),
             }
-            stats = client.stats
         assert duplicate.deduplicated
-        assert stats["deduplicated"] == 1
-        assert stats["cancelled"] == 1
+        assert pool.queue.deduplicated == 1
+        assert pool.queue.cancelled == 1
         assert results["doomed"].status == "cancelled"
         assert _key(results["a"]) == _key(results["dup"])
         for tag in ("a", "b", "c"):

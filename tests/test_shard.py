@@ -378,14 +378,14 @@ class TestSessionPlumbing:
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("threshold monkeypatch needs fork inheritance")
         import repro.core.engine as engine_mod
-        from repro.service import ServiceClient
+        from repro.service import WorkerPool
 
         serial = Session(EngineConfig(backend="vector")).synthesize(WIDE_SPEC)
         monkeypatch.setattr(engine_mod, "DEFAULT_SHARD_MIN_CANDIDATES", 0)
         config = EngineConfig(backend="vector", shard_workers=2)
-        with ServiceClient(workers=1, config=config,
-                           per_worker_depth=2) as client:
-            handle = client.submit(SynthesisRequest.of(WIDE_SPEC))
+        with WorkerPool(workers=1, config=config,
+                        per_worker_depth=2) as pool:
+            handle = pool.submit(SynthesisRequest.of(WIDE_SPEC))
             assert handle._job.slots == 2
             result = handle.result(timeout=120)
         assert result.extra["sharded_emits"] > 0

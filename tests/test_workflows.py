@@ -12,6 +12,7 @@ full-scale run.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,30 @@ class TestCiContract:
                      "ls ckpt-state/checkpoints/*.journal",
                      "test -z \"$(find ckpt-state/checkpoints -mindepth 1 "
                      "! -name '*.journal')\""):
+            assert part in step, part
+
+    def test_service_smoke_serves_alias_spellings_as_one_job(self):
+        # Two JSONL lines, one question, the backend spelled "vector"
+        # (by default) and "gpu": the step must fail unless the batch
+        # served one job, joined the other line onto it, and wrote one
+        # answer.
+        runs = [
+            str(s.get("run", ""))
+            for s in load("ci.yml")["jobs"]["service-smoke"]["steps"]
+        ]
+        step = next(run for run in runs if "--jobs jobs.jsonl" in run)
+        first, second = (
+            json.loads(line.split("'")[1])
+            for line in step.splitlines()
+            if line.strip().startswith("echo")
+        )
+        assert second["spec"] == first["spec"]
+        assert "config" not in first
+        assert second["config"] == {"backend": "gpu"}
+        assert "echo '%s' >> jobs.jsonl" % json.dumps(second) in step
+        for part in ("repro serve --store service-state --workers 2",
+                     'grep -q "(1 served, 1 deduplicated," serve.out',
+                     'test "$(ls service-state/outbox | wc -l)" -eq 1'):
             assert part in step, part
 
     def test_load_smoke_runs_a_traced_interactive_benchmark_pass(self):
