@@ -298,7 +298,8 @@ class _Pr1VectorEngine(VectorEngine):
         mistakes += popcount_rows(rows & self._neg_lanes)
         return mistakes <= self.max_errors
 
-    def _emit_pair_group(self, op, pairings):
+    def _emit_pair_group(self, op, pairings, skip=0):
+        assert skip == 0  # the reference never resumes from a checkpoint
         for left, right, triangular in pairings:
             if self._pr1_emit_pairs(op, left, right, triangular):
                 return True

@@ -76,18 +76,19 @@ class SynthesisRequest:
 
     ``on_progress`` receives a :class:`~repro.api.progress.ProgressEvent`
     after every completed cost level and a final event carrying the
-    result; ``cancel`` is polled between levels (any zero-argument
-    truth-valued callable, e.g. a
-    :class:`~repro.api.progress.CancellationToken`); ``time_limit``
-    bounds the search wall-clock in seconds.  Requests carrying hooks,
+    result; ``cancel`` (any zero-argument truth-valued callable, e.g. a
+    :class:`~repro.api.progress.CancellationToken`) is polled at the
+    engine's safe points and level ends; ``time_limit`` bounds the
+    search wall-clock in seconds, checked at the same points.  Either
+    stops the run with ``status="cancelled"``.  Requests carrying hooks,
     a time limit or a private budget are always served individually —
     they never join a shared batch sweep.
 
-    ``preempt`` is the preemption probe: polled at the engine's safe
-    points, a truthy return makes the run checkpoint mid-level (when a
-    durable store is attached) and stop with ``status="preempted"`` —
+    ``preempt`` is the preemption probe, polled at the same points: a
+    truthy return makes the run stop with ``status="preempted"`` —
     unlike ``cancel`` the work is meant to continue later, resuming
-    from the checkpoint.  Like every hook it never crosses the wire
+    from the in-level checkpoint every stop journals (when a durable
+    store is attached).  Like every hook it never crosses the wire
     fingerprint.
 
     ``trace_ctx`` is the portable trace identity

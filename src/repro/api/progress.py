@@ -86,7 +86,8 @@ class ProgressEvent:
 
 
 class CancellationToken:
-    """A write-once cancellation switch, polled between cost levels.
+    """A write-once cancellation switch, polled at the engine's safe
+    points and level ends.
 
     Pass the token itself as a request's ``cancel`` hook (it is
     callable) and flip it from any other control flow::
@@ -94,7 +95,7 @@ class CancellationToken:
         token = CancellationToken()
         request = SynthesisRequest(spec, cancel=token)
         ...
-        token.cancel()        # next level boundary stops the search
+        token.cancel()        # next safe point stops the search
     """
 
     __slots__ = ("_cancelled",)

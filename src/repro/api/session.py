@@ -40,6 +40,7 @@ from ..core.engine import (
     STATUS_NOT_FOUND,
     STATUS_PREEMPTED,
     STATUS_SUCCESS,
+    RunControl,
     SearchEngine,
     cs_solves,
     max_errors_for,
@@ -227,15 +228,16 @@ class Session:
             shard_workers=config.shard_workers,
         )
 
-    def _attach_durability(self, engine: SearchEngine) -> None:
-        """Hook point for durable level checkpoints (no-op here).
+    def _durability(self, engine: SearchEngine, control: RunControl) -> RunControl:
+        """The run control with durable checkpoints added (here: the
+        control unchanged).
 
-        Called once per engine, after the request's own hooks are
-        installed and before ``run``.  :class:`~repro.service.store.
-        StoreBackedSession` overrides it to restore completed cost
-        levels from its checkpoint store and to chain a checkpoint
-        writer in front of the engine's ``on_level`` callback.
+        Called once per engine, right before ``run``.
+        :class:`~repro.service.store.StoreBackedSession` overrides it to
+        restore records from its checkpoint store and to arm the
+        journal as the checkpoint sink.
         """
+        return control
 
     def synthesize(
         self,
@@ -265,9 +267,9 @@ class Session:
                     universe, guide = self.staging_for(request.spec)
         staging_seconds = time.perf_counter() - staging_started
         engine = self.make_engine(request, universe=universe, guide=guide)
-        engine.tracer = tracer
 
         started = time.perf_counter()
+        stream = None
         if request.on_progress is not None:
             callback = request.on_progress
 
@@ -283,22 +285,16 @@ class Session:
                 )
                 return False
 
-            engine.on_level = stream
-        if request.cancel is not None:
-            engine.cancel_check = request.cancel
-        if request.preempt is not None:
-            engine.preempt_check = request.preempt
-        if request.time_limit is not None:
-            engine.deadline = started + request.time_limit
-        self._attach_durability(engine)
-
-        try:
-            status = engine.run(max_cost)
-        finally:
-            # ``stream`` closes over the engine: unhooked, the pair would
-            # keep the engine's cache rows and planes alive until the
-            # cyclic collector happens to run.
-            engine.on_level = None
+        control = RunControl(
+            on_level=stream,
+            cancel=request.cancel,
+            preempt=request.preempt,
+            deadline=(
+                None if request.time_limit is None else started + request.time_limit
+            ),
+            tracer=tracer,
+        )
+        status = engine.run(max_cost, self._durability(engine, control))
         elapsed = time.perf_counter() - started
 
         result = SynthesisResult(
@@ -467,12 +463,10 @@ class Session:
                 pending[:] = still
                 return not pending
 
-            engine.on_level = scan_level
-            self._attach_durability(engine)
-            try:
-                engine.run(max(query.max_cost for query in pending))
-            finally:
-                engine.on_level = None  # break the scan_level cycle
+            engine.run(
+                max(query.max_cost for query in pending),
+                self._durability(engine, RunControl(on_level=scan_level)),
+            )
             leftover_status = (
                 STATUS_BUDGET if engine.status == STATUS_BUDGET else STATUS_NOT_FOUND
             )

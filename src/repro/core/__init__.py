@@ -13,6 +13,7 @@ from .engine import (
     STATUS_NOT_FOUND,
     STATUS_OOM,
     STATUS_SUCCESS,
+    RunControl,
     SearchEngine,
 )
 from .hashset import FingerprintHashSet, fingerprint, splitmix64
@@ -35,6 +36,7 @@ __all__ = [
     "STATUS_NOT_FOUND",
     "STATUS_OOM",
     "STATUS_SUCCESS",
+    "RunControl",
     "SearchEngine",
     "FingerprintHashSet",
     "fingerprint",

@@ -19,7 +19,7 @@ import multiprocessing
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,17 +53,14 @@ STATUS_CANCELLED = "cancelled"
 STATUS_PREEMPTED = "preempted"
 
 
-class BudgetExhausted(Exception):
-    """Internal control-flow signal: the ``max_generated`` cap was hit."""
-
-
 #: The checkpoint cadence, the only two settings of when records are
 #: written.  The engine queues a record at the end of every level it
-#: builds and hands the whole queue to :attr:`SearchEngine.on_checkpoint`
+#: builds and hands the whole queue to :attr:`RunControl.on_checkpoint`
 #: as one group once this many candidates — or this many seconds — of
-#: enumerated work have passed since the last group.  The check runs at
-#: level ends and at emit-loop safe points; a safe point that finds it
-#: due adds an in-level record of the level being built.  Candidates
+#: enumerated work have passed since the last group, when the run stops
+#: and when it returns.  The check runs at level ends and at emit-loop
+#: safe points; a safe point that finds it due, or that stops the run,
+#: adds an in-level record of the level being built.  Candidates
 #: adopted from restored records are not work and do not count.  A
 #: small job therefore hands over one group, when its run returns, and
 #: a SIGKILL loses at most one interval of unjournalled enumeration,
@@ -154,27 +151,53 @@ def max_errors_for(allowed_error: float, n_examples: int) -> int:
     return int(allowed_error * n_examples)
 
 
-class SweepCancelled(Exception):
-    """Internal control-flow signal: a level hook asked the sweep to stop.
+class SweepStopped(Exception):
+    """Internal control-flow signal: the sweep ends with ``status`` —
+    :data:`STATUS_BUDGET` once ``max_generated`` is hit, or the stop
+    :meth:`SearchEngine._poll` reported."""
 
-    Raised between cost levels when an :attr:`SearchEngine.on_level`
-    callback returns a truthy value, a :attr:`SearchEngine.cancel_check`
-    fires, or the wall-clock :attr:`SearchEngine.deadline` passes.  The
-    run ends with status :data:`STATUS_CANCELLED`.
+    def __init__(self, status: str) -> None:
+        super().__init__(status)
+        self.status = status
+
+
+@dataclass(frozen=True)
+class RunControl:
+    """Everything a caller tells one :meth:`SearchEngine.run`.  Every
+    field defaults to off; the engine holds the control only while the
+    run executes.
+
+    * ``on_level(cost, start, end)`` runs after each completed level
+      with the cache range the level stored; a truthy return stops the
+      sweep with :data:`STATUS_CANCELLED`.  Progress streaming and the
+      shared batch sweep plug in here.
+    * ``cancel`` and ``preempt`` are zero-argument truth-valued probes
+      and ``deadline`` is a ``time.perf_counter()`` instant; see
+      :meth:`SearchEngine._poll`.
+    * ``on_checkpoint(records)`` is the checkpoint sink (see
+      :data:`CHECKPOINT_EVERY_CANDIDATES`).
+    * ``restored`` holds checkpoint records to adopt, at most one per
+      cost, ascending from the seed cost.  The sweep adopts each where
+      its level would begin — dedupe-set inserts, cache appends,
+      solution scans and budget accounting included — and fast-forwards
+      the level past the record's cursor; the first record that does
+      not start where the engine stands ends the replay.
+    * ``tracer`` (a :class:`repro.obs.trace.Tracer`) records checkpoint
+      replay and save, per-level and shard fan-out spans; ``None``
+      records nothing.
     """
 
+    on_level: Optional[Callable[[int, int, int], object]] = None
+    cancel: Optional[Callable[[], object]] = None
+    preempt: Optional[Callable[[], object]] = None
+    deadline: Optional[float] = None
+    on_checkpoint: Optional[Callable[[List[Checkpoint]], object]] = None
+    restored: Sequence[Checkpoint] = ()
+    tracer: Optional[object] = None
 
-class SweepPreempted(Exception):
-    """Internal control-flow signal: the preemption probe fired.
 
-    Raised at the next safe point or level end after
-    :attr:`SearchEngine.preempt_check` returns truthy — *after* every
-    queued record, plus an in-level record when the stop falls inside a
-    level, has been handed to :attr:`SearchEngine.on_checkpoint` as one
-    group (when armed), so the engine's owner can requeue the job and a
-    later run resumes from that point.  The run ends with status
-    :data:`STATUS_PREEMPTED`.
-    """
+#: The empty control: what an engine holds outside :meth:`SearchEngine.run`.
+NO_CONTROL = RunControl()
 
 
 class SearchEngine:
@@ -247,7 +270,7 @@ class SearchEngine:
         #: the first failover).
         self.shard_failovers = 0
         #: Cost levels adopted whole from checkpoint records instead of
-        #: enumerated (see :meth:`restore`).
+        #: enumerated (see :attr:`RunControl.restored`).
         self.resumed_levels = 0
         #: Levels resumed mid-way from a record's cursor (0 or 1 per run).
         self.partial_resumes = 0
@@ -280,47 +303,9 @@ class SearchEngine:
         # solution from inside a batch kernel).
         self._current_cost = cost_fn.literal
 
-        #: Optional level hook ``(cost, start, end) -> bool``: called after
-        #: each *completed* cost level with the half-open cache range the
-        #: level stored; returning a truthy value stops the sweep with
-        #: status :data:`STATUS_CANCELLED`.  This is the seam the session
-        #: layer's progress streaming and batched multi-spec serving plug
-        #: into.
-        self.on_level: Optional[Callable[[int, int, int], object]] = None
-        #: Optional cancellation probe, checked at sweep start and
-        #: between cost levels.  Any zero-argument truth-valued callable
-        #: works; a pool worker points this at the job's byte in the
-        #: pool's shared-memory control array, so the poll itself never
-        #: does IPC.
-        self.cancel_check: Optional[Callable[[], object]] = None
-        #: Optional ``time.perf_counter()`` deadline, checked between
-        #: cost levels.
-        self.deadline: Optional[float] = None
-        #: Optional preemption probe, polled at emit-loop safe points
-        #: and between levels.  When it fires, the queued records (plus
-        #: an in-level record, mid-level) go to :attr:`on_checkpoint`
-        #: (if armed) and the run stops with status
-        #: :data:`STATUS_PREEMPTED` — the caller requeues the request
-        #: and a later run resumes from the last record.
-        self.preempt_check: Optional[Callable[[], object]] = None
-        #: Optional checkpoint sink ``(List[Checkpoint]) -> None``.  The
-        #: engine queues a record at the end of each level it builds
-        #: (before the :meth:`_after_level` hooks run), at a safe point
-        #: where the :data:`CHECKPOINT_EVERY_CANDIDATES` /
-        #: :data:`CHECKPOINT_EVERY_S` cadence is due, and right before
-        #: a preemption stop.  It hands the queue over as one group, in
-        #: cost order, when the cadence is due, when the run stops for
-        #: preemption and when :meth:`run` returns, whatever the status;
-        #: each record's payload is built at hand-over from the cache.
-        #: The durability layer points this at the checkpoint journal,
-        #: which writes a group in one round.
-        self.on_checkpoint: Optional[Callable[[List[Checkpoint]], object]] = None
-        #: Optional :class:`repro.obs.trace.Tracer`.  When set, the
-        #: sweep records spans (checkpoint replay and saves, one span
-        #: per cost level with dedupe/solve/store deltas, shard
-        #: fan-outs); ``None`` (the default) is the zero-overhead path —
-        #: one predicate test per level, nothing recorded.
-        self.tracer = None
+        #: The current run's :class:`RunControl` (:data:`NO_CONTROL`
+        #: outside :meth:`run`, so no caller callback outlives its run).
+        self._control = NO_CONTROL
         #: ``time.monotonic()`` timestamp of the current :meth:`run`
         #: (None before the first run).  Progress events derive their
         #: self-describing ``elapsed_s`` from this clock.
@@ -453,7 +438,7 @@ class SearchEngine:
             if self.max_generated is None
             else self.max_generated - self.generated
         )
-        tracer = self.tracer
+        tracer = self._control.tracer
         fan_span = (
             tracer.start("shard-fanout", op=op, shards=self.shard_workers)
             if tracer is not None
@@ -493,7 +478,7 @@ class SearchEngine:
             self.shard_workers,
             max_batch=self._shard_max_batch,
             split_block_bytes=self._shard_split_block_bytes,
-            trace_id=None if self.tracer is None else self.tracer.trace_id,
+            trace_id=getattr(self._control.tracer, "trace_id", None),
         )
 
     def _shard_rows(self, start: int, end: int):
@@ -519,7 +504,7 @@ class SearchEngine:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Checkpointing (abstract half; see restore below)
+    # Checkpointing (abstract half; see the shared half below)
     # ------------------------------------------------------------------
     def _level_payload(
         self, start: int, end: int
@@ -556,7 +541,7 @@ class SearchEngine:
         Replaces the spec masks with an unsatisfiable pair (the same bit
         required set and clear), so no candidate ever registers as a
         solution and the sweep only stops via ``max_cost``, the budget,
-        or an :attr:`on_level` hook.  Batched multi-spec serving drives
+        or a :attr:`RunControl.on_level` hook.  Batched multi-spec serving drives
         one such sweep and answers every attached query from the shared
         cache — sound because enumeration order, dedupe and storage are
         all independent of the specification.
@@ -569,30 +554,39 @@ class SearchEngine:
     # ------------------------------------------------------------------
     # The sweep (Algorithm 1)
     # ------------------------------------------------------------------
-    def run(self, max_cost: int) -> str:
-        """Sweep costs up to ``max_cost``; returns the final status.
+    def run(self, max_cost: int, control: Optional[RunControl] = None) -> str:
+        """Sweep costs up to ``max_cost`` under ``control`` (None: no
+        hooks); returns the final status.
 
-        Whatever the status, the records queued since the last group
-        are handed to :attr:`on_checkpoint` before the run returns.
+        Stop requests are polled at run start, at every emit-loop safe
+        point and at every level end (:meth:`_poll`), so a cancel, a
+        passed deadline or a preemption ends the run within one emit
+        batch.  Whatever the status, the records queued since the last
+        group are handed to :attr:`RunControl.on_checkpoint` before the
+        run returns.
         """
+        control = NO_CONTROL if control is None else control
+        if control.restored and (
+            self.generated or self.levels_built or len(self.cache)
+        ):
+            raise RuntimeError("restored records must precede the sweep")
+        self._control = control
+        self._restored = list(control.restored)
         self.run_started_monotonic = time.monotonic()
         self._group_generated = self.generated
         self._group_monotonic = self.run_started_monotonic
         try:
             try:
                 self._run(max_cost)
-            except BudgetExhausted:
-                self.status = STATUS_BUDGET
-            except SweepCancelled:
-                self.status = STATUS_CANCELLED
-            except SweepPreempted:
-                self.status = STATUS_PREEMPTED
+            except SweepStopped as stop:
+                self.status = stop.status
             self._hand_over("checkpoint-save")
             return self.status
         finally:
             # Shard workers live for one run; engines are per-request
             # objects, so the pool must not outlive the sweep.
             self._close_shards()
+            self._control = NO_CONTROL
 
     @property
     def elapsed_s(self) -> float:
@@ -604,49 +598,46 @@ class SearchEngine:
     def _check_budget(self) -> None:
         """Abort the sweep once ``max_generated`` candidates were built."""
         if self.max_generated is not None and self.generated >= self.max_generated:
-            raise BudgetExhausted()
+            raise SweepStopped(STATUS_BUDGET)
 
-    def _cancel_requested(self) -> bool:
-        """Has the cancellation probe fired or the deadline passed?"""
-        if self.cancel_check is not None and self.cancel_check():
-            return True
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            return True
-        return False
+    def _poll(self) -> Optional[str]:
+        """The stop the caller requested, or None: ``cancelled`` once
+        the cancel probe fired or the deadline passed, ``preempted``
+        once the preemption probe fired.  The one polling site, called
+        at run start, at every emit-loop safe point and at every level
+        end."""
+        control = self._control
+        if control.cancel is not None and control.cancel():
+            return STATUS_CANCELLED
+        if control.deadline is not None and time.perf_counter() > control.deadline:
+            return STATUS_CANCELLED
+        if control.preempt is not None and control.preempt():
+            return STATUS_PREEMPTED
+        return None
+
+    def _stop(self, status: str) -> None:
+        """Hand every queued record over, then end the run with
+        ``status``."""
+        self._hand_over("partial-save")
+        raise SweepStopped(status)
 
     def _after_level(self, cost: int, start: int, end: int) -> None:
-        """Run the between-level hooks (progress, batch scan, cancel)."""
-        if self.on_level is not None and self.on_level(cost, start, end):
-            raise SweepCancelled()
-        if self._cancel_requested():
-            raise SweepCancelled()
-        if self.preempt_check is not None and self.preempt_check():
-            # The level just completed and its end is queued, so no
-            # in-level record is needed.
-            self._hand_over("partial-save")
-            raise SweepPreempted()
+        """Run the level hook, then poll for a stop.  The level's end
+        record is already queued, so a stop here needs no in-level
+        record."""
+        on_level = self._control.on_level
+        if on_level is not None and on_level(cost, start, end):
+            self._stop(STATUS_CANCELLED)
+        status = self._poll()
+        if status is not None:
+            self._stop(status)
 
     # ------------------------------------------------------------------
     # Checkpointing (shared half)
     # ------------------------------------------------------------------
-    def restore(self, records: List[Checkpoint]) -> None:
-        """Arm the next :meth:`run` to adopt checkpoint records.
-
-        ``records`` hold at most one record per cost, ascending from the
-        seed cost.  The sweep adopts each level's record where the level
-        would begin — dedupe-set inserts, cache appends, solution scans
-        and budget accounting included — then fast-forwards the level's
-        emit loop past the record's cursor.  The first record that does
-        not start where the engine stands ends the replay, so the run
-        continues exactly as if it had enumerated everything itself.
-        """
-        if self.generated or self.levels_built or len(self.cache):
-            raise RuntimeError("restore must precede the sweep")
-        self._restored = list(records)
-
     def _queue_record(self) -> None:
         """Queue the level being built, up to the current point."""
-        if self.on_checkpoint is None:
+        if self._control.on_checkpoint is None:
             return
         self._queued.append(
             (
@@ -661,18 +652,19 @@ class SearchEngine:
     def _group_due(self) -> bool:
         """Is a sink armed, with a cadence interval of enumerated work
         passed since the last group?"""
-        return self.on_checkpoint is not None and (
+        return self._control.on_checkpoint is not None and (
             self.generated - self._group_generated >= CHECKPOINT_EVERY_CANDIDATES
             or time.monotonic() - self._group_monotonic >= CHECKPOINT_EVERY_S
         )
 
     def _hand_over(self, span: str) -> None:
-        """Hand every queued record to :attr:`on_checkpoint` as one group.
+        """Hand every queued record to :attr:`RunControl.on_checkpoint`
+        as one group.
 
         The payloads are built here, from the cache bounds each record
         was queued with.  ``span`` names the trace span of the write:
         ``checkpoint-save`` at a level end or the run's end,
-        ``partial-save`` at a safe point or a preemption stop.
+        ``partial-save`` at a safe point or a stop.
         """
         self._group_generated = self.generated
         self._group_monotonic = time.monotonic()
@@ -680,7 +672,7 @@ class SearchEngine:
         if not queued:
             return
         with self._span(span, cost=queued[-1][0], records=len(queued)):
-            self.on_checkpoint(
+            self._control.on_checkpoint(
                 [
                     Checkpoint(
                         cost,
@@ -694,16 +686,17 @@ class SearchEngine:
 
     def _span(self, name: str, **args):
         """A trace span around a block (a no-op when untraced)."""
-        if self.tracer is None:
+        tracer = self._control.tracer
+        if tracer is None:
             return nullcontext()
-        return self.tracer.span(name, **args)
+        return tracer.span(name, **args)
 
     def _safe_point(self) -> None:
         """Emit-loop safe point: candidates so far are fully stored.
 
         Engines call this at batch boundaries (the vector engine's
-        accumulator is empty, the scalar engine between candidates).
-        Preemption stops the sweep here after handing over the queued
+        accumulator is empty, the scalar engine between candidates).  A
+        requested stop ends the sweep here after handing over the queued
         records plus an in-level one; otherwise the same group goes out
         when the checkpoint cadence is due.
         """
@@ -713,15 +706,15 @@ class SearchEngine:
             or self.generated >= self._level_end_generated
         ):
             # OnTheFly mode stops storing rows, so a record could no
-            # longer describe the level; preemption then waits for the
+            # longer describe the level; a stop then waits for the
             # level boundary.  A complete level's last safe point is
             # left to its end, which follows at once with the same
             # checks and writes the level-end record instead.
             return
-        if self.preempt_check is not None and self.preempt_check():
+        status = self._poll()
+        if status is not None:
             self._queue_record()
-            self._hand_over("partial-save")
-            raise SweepPreempted()
+            self._stop(status)
         if self._group_due():
             self._queue_record()
             self._hand_over("partial-save")
@@ -733,8 +726,8 @@ class SearchEngine:
         Mirrors enumeration exactly: a restored row that satisfies the
         spec becomes the solution (the rows before it adopted, as if
         enumeration had stopped there), and a generation budget landing
-        inside the record adopts the in-budget prefix and raises
-        :class:`BudgetExhausted`.  Otherwise every row is adopted and
+        inside the record adopts the in-budget prefix and stops the
+        sweep with :data:`STATUS_BUDGET`.  Otherwise every row is adopted and
         the level's build fast-forwards past the record's cursor.
         """
         if not self._restored:
@@ -767,7 +760,7 @@ class SearchEngine:
             elif budget is not None and record.generated_total >= budget:
                 self._adopt_restored(record, 0, cut)
                 self.generated = budget
-                raise BudgetExhausted()
+                raise SweepStopped(STATUS_BUDGET)
             else:
                 self._adopt_restored(record, 0, n)
                 self.generated = record.generated_total
@@ -779,11 +772,12 @@ class SearchEngine:
         return record
 
     def _run(self, max_cost: int) -> str:
-        # An already-cancelled run (a job cancelled while queued, or a
-        # cancel bit set before the sweep began) exits before doing any
+        # An already-stopped run (a job cancelled while queued, or a
+        # control bit set before the sweep began) exits before doing any
         # seeding work.
-        if self._cancel_requested():
-            raise SweepCancelled()
+        status = self._poll()
+        if status is not None:
+            self._stop(status)
         c1 = self.cost_fn.literal
         self._current_cost = c1
         if self._check_trivials(c1):
@@ -864,7 +858,7 @@ class SearchEngine:
         level (seeding has none)."""
         self._safe_points_armed = cost != self.cost_fn.literal and not self.otf
         try:
-            if self.tracer is None:
+            if self._control.tracer is None:
                 return self._build_level(cost)
             return self._build_level_traced(cost)
         finally:
@@ -875,10 +869,11 @@ class SearchEngine:
         dedupe/solve/store phase-timer deltas attached at completion —
         the per-level split the coarse run-total ``phase_seconds``
         cannot give."""
+        tracer = self._control.tracer
         phases_before = dict(self.phase_seconds)
         generated_before = self.generated
         stored_before = len(self.cache)
-        span = self.tracer.start(
+        span = tracer.start(
             "seed-level" if cost == self.cost_fn.literal else "level", cost=cost
         )
         try:
@@ -890,7 +885,7 @@ class SearchEngine:
                 )
                 for name in self.phase_seconds
             }
-            self.tracer.finish(
+            tracer.finish(
                 span,
                 generated=self.generated - generated_before,
                 stored=len(self.cache) - stored_before,

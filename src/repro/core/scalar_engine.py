@@ -222,7 +222,7 @@ class ScalarEngine(SearchEngine):
         return False
 
     # ------------------------------------------------------------------
-    # Checkpointing (see SearchEngine.restore)
+    # Checkpointing (see RunControl.restored)
     # ------------------------------------------------------------------
     def _level_payload(self, start: int, end: int):
         rows = ints_to_matrix(

@@ -51,25 +51,20 @@ def make_engine(
 
     Exposed separately so tests and the evaluation harness can share one
     universe/guide-table across runs (the paper's staging: those depend
-    only on ``(P, N)``, not on the cost function).
+    only on ``(P, N)``, not on the cost function).  Run it with
+    ``engine.run(max_cost)``, or ``engine.run(max_cost, RunControl(...))``
+    to attach hooks.
     """
-    info = default_registry().resolve(backend)
-    if universe is None:
-        universe = Universe(spec.all_words, alphabet=spec.alphabet)
-    if guide is None:
-        guide = GuideTable(universe)
-    return info.factory(
-        spec,
-        cost_fn,
-        universe,
-        guide,
+    config = EngineConfig(
+        backend=backend,
         max_cache_size=max_cache_size,
-        allowed_error=allowed_error,
         use_guide_table=use_guide_table,
         check_uniqueness=check_uniqueness,
         max_generated=max_generated,
         shard_workers=shard_workers,
     )
+    request = SynthesisRequest(spec=spec, cost_fn=cost_fn, allowed_error=allowed_error)
+    return Session(config).make_engine(request, universe, guide)
 
 
 def synthesize(

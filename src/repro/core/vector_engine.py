@@ -57,8 +57,9 @@ from .engine import (
     OP_QUESTION,
     OP_STAR,
     OP_UNION,
-    BudgetExhausted,
+    STATUS_BUDGET,
     SearchEngine,
+    SweepStopped,
     _pair_candidates,
 )
 from .hashset import PackedKeySet
@@ -346,7 +347,7 @@ class VectorEngine(SearchEngine):
         if self.max_generated is not None:
             remaining = self.max_generated - self.generated
             if remaining <= 0:
-                raise BudgetExhausted()
+                raise SweepStopped(STATUS_BUDGET)
             if rows.shape[0] > remaining:
                 rows = rows[:remaining]
                 a_idx = a_idx[:remaining]
@@ -386,12 +387,12 @@ class VectorEngine(SearchEngine):
                 base + 1 + np.arange(rows.shape[0], dtype=np.int64),
             )
         if truncated:
-            raise BudgetExhausted()
+            raise SweepStopped(STATUS_BUDGET)
         self._check_budget()
         # The batch is fully stored and the fused-emit accumulator is
         # empty whenever this runs (``_flush`` drains it before calling
         # in), so this is a safe point for in-level checkpoints and
-        # preemption.
+        # stops.
         self._safe_point()
         return False
 
@@ -515,18 +516,6 @@ class VectorEngine(SearchEngine):
             self._accum.clear()
             self._accum_rows = 0
 
-    def _emit_pairs(
-        self,
-        op: int,
-        left: Tuple[int, int],
-        right: Tuple[int, int],
-        triangular: bool,
-        skip: int = 0,
-    ) -> bool:
-        """One pairing on its own (kept for the `SearchEngine` surface);
-        the level loop goes through :meth:`_emit_pair_group`."""
-        return self._emit_pair_group(op, [(left, right, triangular)], skip)
-
     # ------------------------------------------------------------------
     # Intra-query sharding hooks (see repro.core.shard)
     # ------------------------------------------------------------------
@@ -557,7 +546,7 @@ class VectorEngine(SearchEngine):
         return False
 
     # ------------------------------------------------------------------
-    # Checkpointing (see SearchEngine.restore)
+    # Checkpointing (see RunControl.restored)
     # ------------------------------------------------------------------
     def _level_payload(
         self, start: int, end: int

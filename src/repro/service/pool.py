@@ -26,9 +26,9 @@ Plumbing (all standard ``multiprocessing``):
 * one shared-memory array of control bytes, ``per_worker_depth``
   slots per worker.  A dispatch claims one of its worker's free slots
   and names it in the task; the parent sets the slot's cancel and
-  preempt bits under the pool lock, and the engine's ``cancel_check``
-  and ``preempt_check`` probes read the byte directly (no IPC, no
-  helper thread).
+  preempt bits under the pool lock, and the request's ``cancel`` and
+  ``preempt`` probes, which the engine polls at its safe points, read
+  the byte directly (no IPC, no helper thread).
 
 Progress events stream back with their engine-side monotonic
 ``elapsed_s`` intact, so a cross-process progress stream reads exactly

@@ -17,6 +17,7 @@ worker-side half of the service's warm-start story.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import tempfile
@@ -259,8 +260,9 @@ class StoreBackedSession(Session):
     # ------------------------------------------------------------------
     # Checkpoints (see repro.service.checkpoint)
     # ------------------------------------------------------------------
-    def _attach_durability(self, engine) -> None:
-        """Restore the engine's checkpoint records and arm the writer.
+    def _durability(self, engine, control):
+        """Add the engine's checkpoint records and the journal writer
+        to ``control``.
 
         Eligibility mirrors what makes a checkpoint replayable at all:
         engines with a bounded cache (OnTheFly fallback changes what is
@@ -272,9 +274,9 @@ class StoreBackedSession(Session):
         """
         store = self.checkpoint_store
         if store is None:
-            return
+            return control
         if engine.max_cache_size is not None or not engine.check_uniqueness:
-            return
+            return control
         from .checkpoint import checkpoint_key
 
         key = checkpoint_key(
@@ -282,11 +284,10 @@ class StoreBackedSession(Session):
             engine.cost_fn,
             engine.use_guide_table,
         )
-        tracer = engine.tracer
+        tracer = control.tracer
         span = tracer.start("checkpoint-restore") if tracer is not None else None
         try:
             records = store.load(key)
-            engine.restore(records)
         except Exception:
             records = []
             self.checkpoint_errors += 1
@@ -307,4 +308,4 @@ class StoreBackedSession(Session):
             except OSError:
                 self.checkpoint_errors += 1
 
-        engine.on_checkpoint = journal
+        return dataclasses.replace(control, restored=records, on_checkpoint=journal)

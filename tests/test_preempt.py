@@ -20,7 +20,7 @@ import pytest
 
 import repro.core.engine as engine_module
 from repro import EngineConfig, Session, Spec, SynthesisRequest
-from repro.core.engine import STATUS_PREEMPTED
+from repro.core.engine import STATUS_PREEMPTED, RunControl
 from repro.server import (
     CLASS_BATCH,
     CLASS_INTERACTIVE,
@@ -78,10 +78,9 @@ def run_with_records(backend, every=7):
         SynthesisRequest(spec=SPEC)
     )
     records = []
-    engine.on_checkpoint = records.extend
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_module, "CHECKPOINT_EVERY_CANDIDATES", every)
-        status = engine.run(40)
+        status = engine.run(40, RunControl(on_checkpoint=records.extend))
     reference = (
         status, engine.generated, engine.levels_built, engine.level_stats,
         engine.solution, engine.solution_cost, len(engine.cache),
@@ -121,8 +120,7 @@ class TestPartialCheckpointResume:
             engine = Session(EngineConfig(backend=backend)).make_engine(
                 SynthesisRequest(spec=SPEC)
             )
-            engine.restore(prior + [record])
-            status = engine.run(40)
+            status = engine.run(40, RunControl(restored=prior + [record]))
             # Every record is adopted: whole levels, or one level
             # resumed mid-way from the record's cursor.
             assert engine.resumed_levels + engine.partial_resumes == (
@@ -160,8 +158,8 @@ class TestPartialCheckpointResume:
         engine = Session(EngineConfig(backend=other)).make_engine(
             SynthesisRequest(spec=SPEC)
         )
-        engine.restore(level_ends_before(records, record.cost) + [record])
-        assert engine.run(40) == "success"
+        restored = level_ends_before(records, record.cost) + [record]
+        assert engine.run(40, RunControl(restored=restored)) == "success"
         assert engine.partial_resumes == 1
         assert engine.solution_cost == reference.cost
         assert engine.generated == reference.generated
@@ -171,15 +169,14 @@ class TestPartialCheckpointResume:
         session = Session(EngineConfig(backend=backend))
         engine = session.make_engine(SynthesisRequest(spec=SPEC))
         records = []
-        engine.on_checkpoint = records.extend
         calls = {"n": 0}
 
         def preempt():
             calls["n"] += 1
             return calls["n"] > 5
 
-        engine.preempt_check = preempt
-        assert engine.run(40) == STATUS_PREEMPTED
+        control = RunControl(on_checkpoint=records.extend, preempt=preempt)
+        assert engine.run(40, control) == STATUS_PREEMPTED
         assert engine.solution is None
         # Mid-level preemption writes an in-level record; preemption
         # probed at a level boundary needs none (the level's end record

@@ -21,6 +21,7 @@ import repro.core.engine as engine_module
 import repro.service.checkpoint as checkpoint_module
 from repro import EngineConfig, Session, Spec, SynthesisRequest
 from repro.core.cache import cache_version_fingerprint
+from repro.core.engine import RunControl
 from repro.regex.cost import CostFunction
 from repro.service import (
     CheckpointStore,
@@ -201,8 +202,7 @@ def checkpoints_of(backend, spec):
     session = Session(EngineConfig(backend=backend))
     engine = session.make_engine(SynthesisRequest(spec=spec))
     taken = []
-    engine.on_checkpoint = taken.extend
-    engine.run(40)
+    engine.run(40, RunControl(on_checkpoint=taken.extend))
     assert [r.cost for r in taken] == list(range(1, engine.levels_built + 1))
     return taken
 
@@ -493,6 +493,29 @@ class TestCheckpointResume:
             assert resumed.extra["resumed_levels"] >= kill_after
             assert_identical(resumed, reference)
 
+    @pytest.mark.parametrize("fires_at", [3, 4, 6, 9])
+    def test_resume_after_a_cancel_inside_a_level_is_bit_identical(
+        self, backend, tmp_path, fires_at
+    ):
+        # A cancel stops at the next safe point and journals an
+        # in-level record there, which the next run resumes from.
+        config = EngineConfig(backend=backend)
+        reference = Session(config).synthesize(SPEC)
+        store = CheckpointStore(tmp_path)
+        polls = {"n": 0}
+
+        def cancel():
+            polls["n"] += 1
+            return polls["n"] >= fires_at
+
+        stopped = StoreBackedSession(config, checkpoint_store=store).synthesize(
+            SynthesisRequest(spec=SPEC, cancel=cancel)
+        )
+        assert stopped.status == "cancelled"
+        resumed = StoreBackedSession(config, checkpoint_store=store).synthesize(SPEC)
+        assert resumed.extra["partial_resumes"] == 1
+        assert_identical(resumed, reference)
+
     def test_completed_query_re_serves_all_levels(self, backend, tmp_path):
         config = EngineConfig(backend=backend)
         store = CheckpointStore(tmp_path)
@@ -576,8 +599,7 @@ class TestCheckpointResume:
         config = EngineConfig(backend=backend)
         engine = Session(config).make_engine(SynthesisRequest(spec=SPEC))
         groups = []
-        engine.on_checkpoint = groups.append
-        engine.run(40)
+        engine.run(40, RunControl(on_checkpoint=groups.append))
         session = StoreBackedSession(
             config, checkpoint_store=CheckpointStore(tmp_path)
         )
@@ -623,10 +645,12 @@ class TestCheckpointCadence:
             SynthesisRequest(spec=SPEC)
         )
         groups = []
-        engine.on_checkpoint = lambda group: groups.append(
-            (engine.status, group)
+        engine.run(
+            40,
+            RunControl(
+                on_checkpoint=lambda group: groups.append((engine.status, group))
+            ),
         )
-        engine.run(40)
         return engine, groups
 
     def test_a_run_below_the_cadence_hands_over_one_group_at_its_end(

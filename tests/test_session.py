@@ -2,11 +2,13 @@
 batched multi-spec serving, progress streaming and cancellation."""
 
 import gc
+import time
 import weakref
 
 import pytest
 
 import repro.api.session as session_module
+import repro.core.engine as engine_module
 from repro import (
     CancellationToken,
     EngineConfig,
@@ -37,6 +39,32 @@ def _partitions_of(words, count, stride=3):
 
 def _key(result):
     return (result.status, result.regex_str, result.cost)
+
+
+def _level_ends(result):
+    """The ``generated`` ordinal at every level end of an undisturbed
+    run: the two trivial candidates, the alphabet, then each level."""
+    ends = [2, 2 + len(result.spec.alphabet)]
+    for stats in result.extra["level_stats"]:
+        ends.append(ends[-1] + stats["generated"])
+    return ends
+
+
+class _ProgressClock:
+    """A stand-in for the engine module's ``time``: ``perf_counter``
+    reads one second per candidate the engine has generated, counted
+    from its first reading; ``monotonic`` stays real."""
+
+    monotonic = staticmethod(time.monotonic)
+
+    def __init__(self):
+        self.engine = None
+        self.origin = None
+
+    def perf_counter(self):
+        if self.origin is None:
+            self.origin = time.perf_counter() - self.engine.generated
+        return self.origin + self.engine.generated
 
 
 class TestStagingReuse:
@@ -325,12 +353,55 @@ class TestProgressAndCancellation:
         )
         assert result.found
 
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    @pytest.mark.parametrize("fires_at", [3, 4, 6])
+    def test_cancel_stops_inside_a_level(self, backend, fires_at):
+        # Cancel is polled at every emit-loop safe point, not only
+        # between levels, so the run stops inside the level it is in.
+        config = EngineConfig(backend=backend)
+        reference = Session(config).synthesize(INTRO_SPEC)
+        polls = {"n": 0}
+
+        def cancel():
+            polls["n"] += 1
+            return polls["n"] >= fires_at
+
+        result = Session(config).synthesize(
+            SynthesisRequest(spec=INTRO_SPEC, cancel=cancel)
+        )
+        assert result.status == "cancelled"
+        assert result.generated not in _level_ends(reference)
+
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    def test_time_limit_stops_inside_a_level(self, monkeypatch, backend):
+        # The engine's clock advances with its own progress, so the
+        # limit expires at a known candidate: inside the level from 55
+        # to 145 generated, where the run must stop.
+        config = EngineConfig(backend=backend)
+        ends = _level_ends(Session(config).synthesize(INTRO_SPEC))
+        assert ends[4:6] == [55, 145]
+        clock = _ProgressClock()
+        make_engine = Session.make_engine
+
+        def clocked(self, *args, **kwargs):
+            clock.engine = make_engine(self, *args, **kwargs)
+            return clock.engine
+
+        monkeypatch.setattr(Session, "make_engine", clocked)
+        monkeypatch.setattr(engine_module, "time", clock)
+        result = Session(config).synthesize(
+            SynthesisRequest(spec=INTRO_SPEC, time_limit=100.5)
+        )
+        assert result.status == "cancelled"
+        assert 100 < result.generated < 145
+
 
 class TestEngineLifetime:
     """A served engine dies with its request, without the cyclic
-    collector: its level hooks close over it, so the session must unhook
-    them (a long-lived pool worker would otherwise keep every engine's
-    cache rows until the collector happens to run)."""
+    collector: its level hooks close over it, so the engine must hold
+    them only while it runs (a long-lived pool worker would otherwise
+    keep every engine's cache rows until the collector happens to
+    run)."""
 
     @staticmethod
     def _engines_alive(monkeypatch, serve):

@@ -133,6 +133,16 @@ class TestCiContract:
         )
         assert "--cov=repro" in runs
 
+    def test_examples_smoke_runs_the_engine_level_examples(self):
+        # cache_visualization drives make_engine and engine.run directly,
+        # the surface no other CI step exercises.
+        runs = " && ".join(
+            str(s.get("run", ""))
+            for s in load("ci.yml")["jobs"]["examples-smoke"]["steps"]
+        )
+        assert "examples/cache_visualization.py" in runs
+        assert "examples/cost_functions.py" in runs
+
     def test_bench_smoke_uploads_all_artifacts(self):
         steps = load("ci.yml")["jobs"]["bench-smoke"]["steps"]
         uploaded = {
