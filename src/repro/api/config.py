@@ -37,20 +37,21 @@ class EngineConfig:
     it); ``max_generated`` is the default candidate budget, overridable
     per request.
 
-    ``shard_workers`` turns on intra-query parallelism: with a value
-    ``>= 2`` the engine partitions each cost level's pair work across
-    that many shard worker processes (:mod:`repro.core.shard`),
-    bit-identically to the serial sweep; ``1`` (the default) is exactly
-    the serial code path.  In the service pool, a job whose config
-    shards claims that many scheduler slots (see
-    :meth:`repro.service.pool.WorkerPool.plan_assignments`).
+    ``shard_workers`` turns on intra-query parallelism in an in-process
+    :class:`~repro.api.session.Session`: with a value ``>= 2`` the
+    engine partitions each cost level's pair work across that many shard
+    worker processes (:mod:`repro.core.shard`), bit-identically to the
+    serial sweep; ``1`` (the default) is exactly the serial code path.
+    The service never shards: a :class:`~repro.service.wire.WireRequest`
+    drops the field (sets it to 1), because the pool's workers are the
+    service's parallelism.
 
     ``trace`` turns on end-to-end span recording (:mod:`repro.obs`):
     every layer that touches the request — staging, checkpoint replay,
     per-cost-level enumeration, shard fan-out — records timed spans
-    into ``result.extra["trace"]``.  Like ``shard_workers`` it is a
-    pure execution knob: it never changes the answer, and it is
-    excluded from the wire fingerprint for exactly that reason.
+    into ``result.extra["trace"]``.  It is a pure execution knob: it
+    never changes the answer, and it is excluded from the wire
+    fingerprint for exactly that reason.
     """
 
     backend: str = "vector"

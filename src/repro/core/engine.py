@@ -396,10 +396,11 @@ class SearchEngine:
         Sharding requires an unbounded cache with uniqueness checking on
         (the OnTheFly transition and the no-dedupe ablation keep their
         serial semantics), a non-daemonic host process (daemons may not
-        spawn children; the service pool's workers are non-daemonic
-        precisely so pooled jobs can shard — this guard covers other
-        daemonic embeddings), and enough candidates to amortise one
-        coordinator round trip.
+        spawn children; the service pool's workers are daemonic and
+        never shard, since a wire request always carries
+        ``shard_workers = 1`` — this guard covers other daemonic
+        embeddings), and enough candidates to amortise one coordinator
+        round trip.
         """
         if (
             self.shard_workers < 2

@@ -2,12 +2,12 @@
 
 The package splits into the three layers the tests exercise separately:
 
-* :mod:`repro.server.scheduler` — admission control, workload classes,
-  measured-history classification and adaptive sharding (pure Python,
-  no sockets);
+* :mod:`repro.server.scheduler` — admission control, workload classes
+  and measured-history classification (pure Python, no sockets);
 * :mod:`repro.server.http11` — the minimal asyncio HTTP/1.1 layer;
 * :mod:`repro.server.app` — :class:`SynthesisServer`, wiring two
-  worker-pool lanes behind the endpoints;
+  worker-pool lanes behind the endpoints (the pools are the service's
+  only parallelism: every job runs the serial engine in one worker);
 * :mod:`repro.server.client` — the blocking :class:`HttpServiceClient`.
 """
 
@@ -19,7 +19,6 @@ from .scheduler import (
     AdmissionController,
     LatencyTracker,
     WorkloadHistory,
-    choose_shard_workers,
     classify,
     estimate_cost,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "ServerError",
     "SynthesisServer",
     "WorkloadHistory",
-    "choose_shard_workers",
     "classify",
     "estimate_cost",
 ]

@@ -79,11 +79,9 @@ from .scheduler import (
     CLASS_BATCH,
     CLASS_INTERACTIVE,
     CLASSES,
-    DEFAULT_SHARD_WIDTH_THRESHOLD,
     AdmissionController,
     LatencyTracker,
     WorkloadHistory,
-    choose_shard_workers,
     classify,
 )
 
@@ -121,7 +119,6 @@ class _JobRecord:
         "klass",
         "state",
         "priority",
-        "shard_workers",
         "submitted_monotonic",
         "events",
         "subscribers",
@@ -137,8 +134,7 @@ class _JobRecord:
     )
 
     def __init__(self, job_id: str, wire: WireRequest, klass: str,
-                 priority: int, shard_workers: int,
-                 trace_id: Optional[str] = None,
+                 priority: int, trace_id: Optional[str] = None,
                  root_span_id: Optional[str] = None,
                  server_spans: Optional[List[dict]] = None) -> None:
         self.job_id = job_id
@@ -146,7 +142,6 @@ class _JobRecord:
         self.klass = klass
         self.state = "queued"
         self.priority = priority
-        self.shard_workers = shard_workers
         self.submitted_monotonic = time.monotonic()
         #: Observability identity of this job (None when untraced) plus
         #: the spans the *server* recorded — the root job span first.
@@ -178,7 +173,6 @@ class _JobRecord:
             "state": self.state,
             "class": self.klass,
             "joined": self.joined,
-            "shard_workers": self.shard_workers,
             "events": len(self.events),
         }
         if self.trace_id is not None:
@@ -264,8 +258,6 @@ class SynthesisServer:
         max_queue: Optional[Dict[str, int]] = None,
         config: Optional[EngineConfig] = None,
         reuse_results: bool = True,
-        max_shard_workers: int = 4,
-        shard_width_threshold: int = DEFAULT_SHARD_WIDTH_THRESHOLD,
         checkpoint_budget_bytes: Optional[int] = None,
         checkpoints: bool = True,
         auth_token: Optional[str] = None,
@@ -278,8 +270,6 @@ class SynthesisServer:
         self.host = host
         self.port = port
         self.store_dir = store_dir
-        self.max_shard_workers = max_shard_workers
-        self.shard_width_threshold = shard_width_threshold
         self.checkpoint_budget_bytes = checkpoint_budget_bytes
         #: Bearer token every request must present (None = open server).
         self.auth_token = auth_token
@@ -654,17 +644,6 @@ class SynthesisServer:
             if preempted_job is not None:
                 self.preemptions_triggered += 1
 
-        shards = choose_shard_workers(
-            wire,
-            self.history,
-            cpu_count=os.cpu_count() or 1,
-            max_shard_workers=self.max_shard_workers,
-            width_threshold=self.shard_width_threshold,
-        )
-        if shards != wire.config.shard_workers:
-            wire = dataclasses.replace(
-                wire, config=wire.config.replace(shard_workers=shards)
-            )
         priority = (
             PRIORITY_HIGH if klass == CLASS_INTERACTIVE else PRIORITY_NORMAL
         )
@@ -672,8 +651,8 @@ class SynthesisServer:
         server_spans: List[dict] = []
         if trace_enabled:
             # Root span of the whole job; everything downstream (pool
-            # queue-wait, worker-job, engine levels, shard emits) hangs
-            # off it via the child context that rides the wire.
+            # queue-wait, worker-job, engine levels) hangs off it via
+            # the child context that rides the wire.
             ctx = wire.trace_ctx or TraceContext.mint()
             trace_id, root_span_id = ctx.trace_id, new_span_id()
             server_spans = [
@@ -704,7 +683,7 @@ class SynthesisServer:
                 wire, trace_ctx=ctx.child(root_span_id)
             )
         record = _JobRecord(
-            job_id, wire, klass, priority, shards,
+            job_id, wire, klass, priority,
             trace_id=trace_id, root_span_id=root_span_id,
             server_spans=server_spans,
         )

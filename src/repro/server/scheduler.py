@@ -5,22 +5,21 @@ specs that must answer in interactive time) and ``batch`` (wide sweeps
 that should saturate cores) — and runs each class on its own worker
 lane, so a flood of batch work can never sit in front of an interactive
 request (the Polynesia HTAP recipe: one shared substrate, specialised
-execution paths, no interference).  Everything in this module is plain,
-lock-protected Python with no asyncio dependency, so the scheduling
-policy is unit-testable without sockets or worker processes:
+execution paths, no interference).  Both lanes run every job on the
+serial engine: a lane's pool workers, one query each, are all the
+parallelism a class gets, so batch work saturates the cores through the
+pool instead of fanning one query out over more processes than there
+are cores.  Everything in this module is plain, lock-protected Python
+with no asyncio dependency, so the scheduling policy is unit-testable
+without sockets or worker processes:
 
-* :class:`WorkloadHistory` — measured level widths and wall-clock of
-  prior runs, keyed by staging fingerprint (requests over the same
-  example strings share a profile).  Optionally persisted as JSON under
-  the store directory so a restarted server keeps its measurements.
+* :class:`WorkloadHistory` — measured wall-clock of prior runs, keyed
+  by staging fingerprint (requests over the same example strings share
+  a profile).  Optionally persisted as JSON under the store directory
+  so a restarted server keeps its measurements.
 * :func:`estimate_cost` / :func:`classify` — a priori work estimate
   from the spec and budgets, overridden by *measured* latency once the
   history has seen the same staging fingerprint.
-* :func:`choose_shard_workers` — adaptive intra-query fan-out: shard
-  only when recorded level widths prove the levels are wide enough to
-  amortise the process fan-out (``BENCH_shard.json`` measured a 0.49×
-  *slowdown* on narrow work — static gating either wastes cores or
-  burns them).
 * :class:`AdmissionController` — per-class concurrency bookkeeping with
   a bounded queue: past the bound a submission is *rejected* with a
   suggested Retry-After instead of growing an unbounded backlog.  Under
@@ -53,10 +52,6 @@ CLASSES = (CLASS_INTERACTIVE, CLASS_BATCH)
 DEFAULT_INTERACTIVE_THRESHOLD = 2_000_000.0
 DEFAULT_LATENCY_TARGET_S = 0.5
 
-#: Shard only when a measured level was at least this wide (candidates
-#: emitted in one cost level) — below it the fan-out overhead dominates.
-DEFAULT_SHARD_WIDTH_THRESHOLD = 2_000_000
-
 
 # ----------------------------------------------------------------------
 # Measured history
@@ -66,25 +61,18 @@ class WorkloadProfile:
     """What prior runs over one staging fingerprint measured."""
 
     runs: int = 0
-    max_level_width: int = 0
-    last_generated: int = 0
     avg_elapsed_s: float = 0.0
 
     def to_json_dict(self) -> Dict[str, object]:
         """The JSON form persisted in the history file."""
-        return {
-            "runs": self.runs,
-            "max_level_width": self.max_level_width,
-            "last_generated": self.last_generated,
-            "avg_elapsed_s": self.avg_elapsed_s,
-        }
+        return {"runs": self.runs, "avg_elapsed_s": self.avg_elapsed_s}
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, object]) -> "WorkloadProfile":
+        """Inverse of :meth:`to_json_dict`; other keys, such as the
+        level widths older history files carry, are ignored."""
         return cls(
             runs=int(data.get("runs") or 0),
-            max_level_width=int(data.get("max_level_width") or 0),
-            last_generated=int(data.get("last_generated") or 0),
             avg_elapsed_s=float(data.get("avg_elapsed_s") or 0.0),
         )
 
@@ -93,10 +81,8 @@ class WorkloadHistory:
     """Per-staging-fingerprint measurements from completed jobs.
 
     ``record`` digests a finished :class:`~repro.core.result.
-    SynthesisResult`: the per-level ``generated`` counts in
-    ``extra["level_stats"]`` are the *level widths* the adaptive shard
-    gate needs, and ``elapsed_seconds`` is the measured latency the
-    classifier prefers over any a-priori estimate.  The history is an
+    SynthesisResult`: its ``elapsed_seconds`` is the measured latency
+    the classifier prefers over any a-priori estimate.  The history is an
     LRU bounded at ``max_entries`` profiles and (when given a path)
     persists itself as one JSON file — best-effort in both directions:
     a missing or corrupt file is an empty history, never an error.
@@ -117,15 +103,6 @@ class WorkloadHistory:
 
     def record(self, staging_fp: str, result) -> WorkloadProfile:
         """Fold one finished result into the fingerprint's profile."""
-        level_stats = []
-        if isinstance(getattr(result, "extra", None), dict):
-            level_stats = result.extra.get("level_stats") or []
-        width = 0
-        for level in level_stats:
-            try:
-                width = max(width, int(level.get("generated", 0)))
-            except (AttributeError, TypeError, ValueError):
-                continue
         with self._lock:
             profile = self._profiles.get(staging_fp)
             if profile is None:
@@ -141,8 +118,6 @@ class WorkloadHistory:
                 / (profile.runs + 1)
             )
             profile.runs += 1
-            profile.max_level_width = max(profile.max_level_width, width)
-            profile.last_generated = int(getattr(result, "generated", 0) or 0)
             return profile
 
     def profile(self, staging_fp: str) -> Optional[WorkloadProfile]:
@@ -193,7 +168,7 @@ class WorkloadHistory:
 
 
 # ----------------------------------------------------------------------
-# Classification and adaptive sharding
+# Classification
 # ----------------------------------------------------------------------
 def estimate_cost(wire) -> float:
     """A-priori work estimate of a wire request, in candidate-ish units.
@@ -239,32 +214,6 @@ def classify(wire, history: Optional[WorkloadHistory] = None) -> str:
         if estimate_cost(wire) <= DEFAULT_INTERACTIVE_THRESHOLD
         else CLASS_BATCH
     )
-
-
-def choose_shard_workers(
-    wire,
-    history: Optional[WorkloadHistory],
-    cpu_count: int,
-    max_shard_workers: int = 4,
-    width_threshold: int = DEFAULT_SHARD_WIDTH_THRESHOLD,
-) -> int:
-    """Adaptive per-job ``shard_workers`` from recorded level widths.
-
-    A request that already carries an explicit fan-out keeps it (the
-    caller knows something we do not).  Otherwise shard only when a
-    prior run over the same staging fingerprint measured a level at
-    least ``width_threshold`` candidates wide — the regime where
-    ``BENCH_shard.json`` shows the fan-out paying for itself — and never
-    wider than the machine (or ``max_shard_workers``).
-    """
-    if wire.config.shard_workers > 1:
-        return wire.config.shard_workers
-    if history is None or max_shard_workers <= 1 or cpu_count <= 1:
-        return 1
-    profile = history.profile(wire.staging_fingerprint())
-    if profile is None or profile.max_level_width < width_threshold:
-        return 1
-    return max(1, min(max_shard_workers, cpu_count))
 
 
 # ----------------------------------------------------------------------
@@ -483,11 +432,9 @@ __all__ = [
     "CLASSES",
     "DEFAULT_INTERACTIVE_THRESHOLD",
     "DEFAULT_LATENCY_TARGET_S",
-    "DEFAULT_SHARD_WIDTH_THRESHOLD",
     "LatencyTracker",
     "WorkloadHistory",
     "WorkloadProfile",
-    "choose_shard_workers",
     "classify",
     "estimate_cost",
 ]

@@ -63,6 +63,9 @@ class WireRequest:
     :func:`~repro.api.registry.default_registry`, so ``"gpu"`` and
     ``"vector"`` submissions share one fingerprint however the wire was
     built, and an unknown name raises :class:`ValueError` right here.
+    A wire request never carries a fan-out: construction also sets
+    ``config.shard_workers = 1``, because the pool's workers are the
+    service's parallelism and every pooled job runs the serial engine.
     """
 
     spec: Spec
@@ -79,9 +82,11 @@ class WireRequest:
 
     def __post_init__(self) -> None:
         canonical = default_registry().canonical(self.config.backend)
-        if canonical != self.config.backend:
+        if canonical != self.config.backend or self.config.shard_workers != 1:
             object.__setattr__(
-                self, "config", self.config.replace(backend=canonical)
+                self,
+                "config",
+                self.config.replace(backend=canonical, shard_workers=1),
             )
 
     @classmethod
@@ -139,7 +144,6 @@ class WireRequest:
                 "use_guide_table": self.config.use_guide_table,
                 "check_uniqueness": self.config.check_uniqueness,
                 "max_generated": self.config.max_generated,
-                "shard_workers": self.config.shard_workers,
                 "trace": self.config.trace,
             },
         }
@@ -151,7 +155,11 @@ class WireRequest:
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, object]) -> "WireRequest":
-        """Inverse of :meth:`to_json_dict` (tolerates omitted fields)."""
+        """Inverse of :meth:`to_json_dict` (tolerates omitted fields).
+
+        A ``config.shard_workers`` key, which stored requests from before
+        the wire dropped fan-out still carry, is accepted and ignored.
+        """
         spec = Spec.from_dict(data["spec"])
         cost_values = data.get("cost_fn")
         config_data = dict(data.get("config") or {})
@@ -172,7 +180,6 @@ class WireRequest:
                 use_guide_table=config_data.get("use_guide_table", True),
                 check_uniqueness=config_data.get("check_uniqueness", True),
                 max_generated=config_data.get("max_generated"),
-                shard_workers=int(config_data.get("shard_workers") or 1),
                 trace=bool(config_data.get("trace", False)),
             ),
             trace_ctx=TraceContext.from_json_dict(data.get("trace_ctx")),
@@ -185,22 +192,17 @@ class WireRequest:
         Two submissions with equal fingerprints would provably receive
         bit-identical answers, so the queue collapses them in flight and
         the result store answers repeats across restarts.  Pure
-        *execution* knobs are excluded for exactly that reason:
-        ``shard_workers`` changes how fast the answer arrives, never the
-        answer (the sharded engine is bit-identical by construction), so
-        submissions differing only in fan-out share one fingerprint —
-        and pre-sharding stores keep answering their old requests.
-        ``trace``/``trace_ctx`` are excluded on the same grounds: a
-        traced run answers bit-identically, so it must dedupe against
-        (and be answered by) untraced runs of the same question.
+        *observation* knobs are excluded for exactly that reason:
+        ``trace``/``trace_ctx`` change what a run records, never its
+        answer, so a traced run must dedupe against (and be answered
+        by) untraced runs of the same question.  The canonical form
+        carries no ``shard_workers`` (a wire request never fans out);
+        fingerprints always left it out, so stored answers keep their
+        addresses.
         """
         payload = self.to_json_dict()
         payload.pop("trace_ctx", None)
-        payload["config"] = {
-            key: value
-            for key, value in payload["config"].items()
-            if key not in ("shard_workers", "trace")
-        }
+        payload["config"].pop("trace")
         return _sha256_of(payload)
 
     def staging_fingerprint(self) -> str:

@@ -34,7 +34,6 @@ from repro.server import (
     ServerError,
     SynthesisServer,
     WorkloadHistory,
-    choose_shard_workers,
     classify,
     estimate_cost,
 )
@@ -133,35 +132,6 @@ class TestEstimateAndClassify:
         assert classify(tiny, slow_history) == CLASS_BATCH
 
 
-class TestChooseShardWorkers:
-    def test_explicit_fanout_is_respected(self):
-        wire = WireRequest(
-            spec=INTRO_SPEC,
-            config=EngineConfig(backend="vector", shard_workers=3),
-        )
-        assert choose_shard_workers(wire, WorkloadHistory(), 8) == 3
-
-    def test_unseen_fingerprint_stays_serial(self):
-        assert choose_shard_workers(wire_of(INTRO_SPEC), WorkloadHistory(), 8) == 1
-        assert choose_shard_workers(wire_of(INTRO_SPEC), None, 8) == 1
-
-    def test_narrow_history_stays_serial(self):
-        wire = wire_of(INTRO_SPEC)
-        history = WorkloadHistory()
-        history.record(wire.staging_fingerprint(), fake_result(widths=(10, 50)))
-        assert choose_shard_workers(wire, history, 8) == 1
-
-    def test_wide_history_fans_out_bounded_by_machine(self):
-        wire = wire_of(INTRO_SPEC)
-        history = WorkloadHistory()
-        history.record(
-            wire.staging_fingerprint(), fake_result(widths=(100, 5_000_000))
-        )
-        assert choose_shard_workers(wire, history, cpu_count=8) == 4
-        assert choose_shard_workers(wire, history, cpu_count=2) == 2
-        assert choose_shard_workers(wire, history, cpu_count=1) == 1
-
-
 class TestWorkloadHistory:
     def test_record_folds_running_average_and_width(self):
         history = WorkloadHistory()
@@ -169,7 +139,9 @@ class TestWorkloadHistory:
         profile = history.record("fp", fake_result(elapsed=3.0, widths=(9,)))
         assert profile.runs == 2
         assert profile.avg_elapsed_s == pytest.approx(2.0)
-        assert profile.max_level_width == 9
+        # The level widths are folded away: a profile keeps only what
+        # the classifier reads.
+        assert profile.to_json_dict() == {"runs": 2, "avg_elapsed_s": 2.0}
 
     def test_lru_bound(self):
         history = WorkloadHistory(max_entries=2)
@@ -188,7 +160,24 @@ class TestWorkloadHistory:
         profile = reloaded.profile("fp")
         assert profile is not None
         assert profile.avg_elapsed_s == pytest.approx(2.0)
-        assert profile.max_level_width == 7
+
+    def test_history_file_with_level_widths_still_loads(self, tmp_path):
+        # The format written while the server still chose shard fan-outs
+        # from recorded level widths: the extra keys are ignored, and
+        # the measurements the classifier reads survive.
+        path = tmp_path / "history.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "profiles": {
+                "fp": {"runs": 3, "max_level_width": 5_000_000,
+                       "last_generated": 123_456, "avg_elapsed_s": 1.5},
+            },
+        }), encoding="utf-8")
+        history = WorkloadHistory(path=path)
+        profile = history.profile("fp")
+        assert profile is not None
+        assert profile.runs == 3
+        assert profile.avg_elapsed_s == pytest.approx(1.5)
 
     def test_corrupt_file_is_an_empty_history(self, tmp_path):
         path = tmp_path / "history.json"
@@ -451,6 +440,28 @@ class TestEndpoints:
             "# TYPE repro_workers_alive gauge",
         ):
             assert line in text, line
+
+    def test_a_requested_fan_out_is_served_serially(
+        self, client, server, monkeypatch
+    ):
+        # The pool is the service's only parallelism: a submitted
+        # ``shard_workers`` is dropped, and the lane runs the job on
+        # the serial engine.
+        submitted = []
+        for lane in server.lanes.values():
+            def spy(wire, _submit=lane.submit, **kwargs):
+                submitted.append(wire)
+                return _submit(wire, **kwargs)
+            monkeypatch.setattr(lane, "submit", spy)
+        payload = wire_of(Spec(["0101", "01"], ["0", "11"])).to_json_dict()
+        payload["config"]["shard_workers"] = 3
+        job = client._json_call("POST", "/jobs", payload)
+        assert job["deduplicated"] is False
+        assert "shard_workers" not in job
+        assert [wire.config.shard_workers for wire in submitted] == [1]
+        done = client.result(job["job_id"], timeout=120)
+        assert "shard_workers" not in done
+        assert done["result"]["status"] == "success"
 
     def test_class_override_is_honoured(self, client):
         job = client.submit(

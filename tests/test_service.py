@@ -6,13 +6,17 @@ The headline acceptance criterion lives in
 bit-identical to solo ``Session.synthesize`` on both backends.
 """
 
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import (
     CancellationToken,
     EngineConfig,
@@ -57,6 +61,23 @@ SLOW_SPEC = Spec(
     positive=["0110100101", "1010010110"],
     negative=["", "0", "1", "0011001100"],
 )
+
+
+def _pid_alive(pid):
+    """Is ``pid`` still running?  A zombie awaiting its reaper is not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    try:
+        with open("/proc/%d/stat" % pid, encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: the signal probe is all there is
+        return True
 
 
 def slow_request(**kwargs):
@@ -153,19 +174,42 @@ class TestWire:
         )
         again = WireRequest.from_json_dict(wire.to_json_dict())
         assert again == wire
-        assert again.config.shard_workers == 3
+        # A wire request never carries a fan-out: the pool's workers are
+        # the service's parallelism, so every pooled job runs serially.
+        assert again.config.shard_workers == 1
         assert again.fingerprint() == wire.fingerprint()
 
     def test_shard_workers_is_not_part_of_the_fingerprint(self):
-        # Sharding is an execution knob with bit-identical answers, so
-        # submissions differing only in fan-out must dedupe onto one
-        # job/result — and stores written before the knob existed must
-        # keep answering their requests.
+        # Submissions differing only in fan-out dedupe onto one
+        # job/result, and stores written before the knob existed keep
+        # answering their requests.
         serial = WireRequest(spec=INTRO_SPEC)
         sharded = WireRequest(spec=INTRO_SPEC,
                               config=EngineConfig(shard_workers=4))
         assert serial.fingerprint() == sharded.fingerprint()
-        assert sharded.to_json_dict()["config"]["shard_workers"] == 4
+        assert "shard_workers" not in sharded.to_json_dict()["config"]
+
+    def test_stored_request_with_shard_workers_keeps_its_fingerprint(self):
+        # A request stored when the wire still carried ``shard_workers``
+        # parses (the key is ignored) and keeps the fingerprint it had.
+        stored = {
+            "spec": {"positive": ["10", "101", "1000"],
+                     "negative": ["", "0", "11"], "alphabet": ["0", "1"]},
+            "cost_fn": None, "max_cost": None, "allowed_error": 0.0,
+            "max_generated": None, "time_limit": None,
+            "config": {"backend": "vector", "max_cache_size": None,
+                       "use_guide_table": True, "check_uniqueness": True,
+                       "max_generated": None, "shard_workers": 3,
+                       "trace": False},
+        }
+        wire = WireRequest.from_json_dict(stored)
+        assert wire.config.shard_workers == 1
+        pinned = (
+            "6f45dde879ad17ffc62f0a6ba8698063abde47ca0810593dc97c535ef3df0aa7"
+        )
+        assert wire.fingerprint() == pinned
+        fresh = WireRequest(spec=Spec(["10", "101", "1000"], ["", "0", "11"]))
+        assert fresh.fingerprint() == pinned
 
     def test_hooks_are_dropped_on_the_wire(self):
         request = SynthesisRequest(
@@ -347,9 +391,8 @@ class TestJobQueue:
 # The affinity scheduler (pure planning, deterministic)
 # ----------------------------------------------------------------------
 class _FakeJob:
-    def __init__(self, staging_fp, slots=1):
+    def __init__(self, staging_fp):
         self.staging_fp = staging_fp
-        self.slots = slots
 
 
 class TestAffinityScheduling:
@@ -392,45 +435,6 @@ class TestAffinityScheduling:
         plan = WorkerPool.plan_assignments(
             jobs, worker_loads=[0, 0], worker_warm=[[], []], depth=2)
         assert plan == [(0, 0, "cold"), (1, 0, "affinity")]
-
-    def test_sharded_job_claims_its_shard_slots(self):
-        # A shard_workers=2 job occupies 2 of the worker's depth-2
-        # slots, so the following single-slot job must go elsewhere.
-        jobs = [_FakeJob("u1", slots=2), _FakeJob("u1")]
-        plan = WorkerPool.plan_assignments(
-            jobs, worker_loads=[0, 0], worker_warm=[["u1"], []], depth=2)
-        assert plan == [(0, 0, "affinity"), (1, 1, "steal")]
-
-    def test_wide_job_waits_for_an_idle_worker(self):
-        # A job wider than the depth is only admitted onto an idle
-        # worker; while it waits it parks the least-loaded worker
-        # (worker 0 here), so the narrow job behind it backfills the
-        # *other* worker and the parked one drains toward idle.
-        jobs = [_FakeJob("u1", slots=5), _FakeJob("u2")]
-        plan = WorkerPool.plan_assignments(
-            jobs, worker_loads=[1, 1], worker_warm=[[], []], depth=2)
-        assert plan == [(1, 1, "cold")]
-        plan = WorkerPool.plan_assignments(
-            jobs, worker_loads=[0, 1], worker_warm=[[], []], depth=2)
-        assert plan == [(0, 0, "cold"), (1, 1, "cold")]
-
-    def test_parked_wide_job_cannot_be_starved_by_backfill(self):
-        # Regression: sustained narrow traffic must not starve a wide
-        # head-of-line job.  The wide job parks worker 0; narrow jobs
-        # may only backfill worker 1, so worker 0's load can only
-        # drain — simulate the drain and the wide job places.
-        wide = _FakeJob("u1", slots=2)
-        narrow = [_FakeJob("u2"), _FakeJob("u3"), _FakeJob("u4")]
-        plan = WorkerPool.plan_assignments(
-            [wide] + narrow, worker_loads=[1, 1],
-            worker_warm=[[], []], depth=2)
-        # Worker 0 is parked: only one narrow job fits (worker 1).
-        assert plan == [(1, 1, "cold")]
-        # Worker 0's job completes -> idle -> the wide job runs first.
-        plan = WorkerPool.plan_assignments(
-            [wide] + narrow, worker_loads=[0, 2],
-            worker_warm=[[], []], depth=2)
-        assert plan[0] == (0, 0, "cold")
 
 
 # ----------------------------------------------------------------------
@@ -780,6 +784,46 @@ class TestPoolBehaviour:
         with pool:
             second = pool.submit(spec).result(timeout=120)
         assert _key(first) == _key(second)
+
+    def test_exit_without_close_stops_the_workers(self):
+        # An interpreter that exits without close() while one worker is
+        # mid-job: the workers are daemonic, so multiprocessing's own
+        # exit handler stops them, the exit is prompt and no worker
+        # outlives it.  The last line printed is the exit's start time.
+        script = "\n".join([
+            "import threading, time",
+            "from repro import EngineConfig, Spec, SynthesisRequest",
+            "from repro.regex.cost import CostFunction",
+            "from repro.service import WorkerPool",
+            "pool = WorkerPool(workers=2, config=EngineConfig(backend='vector'))",
+            "pool.start()",
+            "print(*(w.process.pid for w in pool._workers), flush=True)",
+            "pool.synthesize(Spec(['10', '101'], ['', '0']), timeout=120)",
+            "running = threading.Event()",
+            "pool.submit(SynthesisRequest(",
+            "    spec=Spec(['0110100101', '1010010110'],",
+            "              ['', '0', '1', '0011001100']),",
+            "    cost_fn=CostFunction.from_tuple((1, 1, 10, 1, 1)),",
+            "    max_generated=20_000_000,",
+            "), on_progress=lambda event: running.set())",
+            "assert running.wait(60), 'the long job never started'",
+            "print(time.time(), flush=True)",
+        ])
+        src = str(Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        exited = time.time()
+        assert completed.returncode == 0, completed.stderr
+        pids_line, exit_started = completed.stdout.split("\n")[:2]
+        assert exited - float(exit_started) < 30.0
+        pids = [int(pid) for pid in pids_line.split()]
+        assert len(pids) == 2
+        assert [pid for pid in pids if _pid_alive(pid)] == []
 
 
 class TestWarmStartAcrossRestarts:

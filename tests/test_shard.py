@@ -369,10 +369,11 @@ class TestSessionPlumbing:
                 b.generated,
             )
 
-    def test_pool_job_shards_inside_its_worker(self, monkeypatch):
-        # The service pool's workers are non-daemonic so a pooled job
-        # with shard_workers >= 2 really fans out inside its worker;
-        # Job.slots reserves the matching scheduler capacity.
+    def test_pool_job_runs_serially_inside_its_worker(self, monkeypatch):
+        # The pool's workers are the service's parallelism: a pooled job
+        # runs the serial engine in its worker even when the pool's
+        # config asks for shards and every level is wide enough to fan
+        # out (the wire drops the fan-out).
         import multiprocessing
 
         if multiprocessing.get_start_method() != "fork":
@@ -386,9 +387,9 @@ class TestSessionPlumbing:
         with WorkerPool(workers=1, config=config,
                         per_worker_depth=2) as pool:
             handle = pool.submit(SynthesisRequest.of(WIDE_SPEC))
-            assert handle._job.slots == 2
+            assert handle._job.wire.config.shard_workers == 1
             result = handle.result(timeout=120)
-        assert result.extra["sharded_emits"] > 0
+        assert result.extra["sharded_emits"] == 0
         assert (result.status, result.regex_str, result.cost,
                 result.generated) == (serial.status, serial.regex_str,
                                       serial.cost, serial.generated)

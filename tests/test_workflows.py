@@ -225,6 +225,23 @@ class TestCiContract:
                      "r['metrics']['checkpoint.saves']['value'] <= r['attempted']"):
             assert part in step, part
 
+    def test_load_smoke_runs_a_traced_sweep_benchmark_pass(self):
+        # The pool is the service's only parallelism: the step must fail
+        # unless every wide batch answer is correct, the server stops
+        # cleanly, no job fans out to shard workers and the pass still
+        # writes in-level checkpoints.
+        runs = [
+            str(s.get("run", ""))
+            for s in load("ci.yml")["jobs"]["load-smoke"]["steps"]
+        ]
+        step = next(run for run in runs if "--workload sweep" in run)
+        for part in ("perfbench/run.py", "--seed 1", "--seconds 3",
+                     "--trace 1", "tail -n 1", "'correct'", "'failed'",
+                     "r['metrics']['server.unclean_stops']['value'] == 0",
+                     "r['metrics']['shard.fanouts']['value'] == 0",
+                     "r['metrics']['checkpoint.partial_saves']['value'] > 0"):
+            assert part in step, part
+
 
 class TestNightlyContract:
     def test_scheduled_and_dispatchable(self):
