@@ -16,6 +16,15 @@ The evidence behind the admission-controlled, two-lane scheduler:
 * **overload** — interactive submissions past the lane's bounded
   backlog are rejected with 429 + Retry-After, and every rejection
   returns promptly: overload degrades to fast feedback, never a hang.
+* **unhinted mixed traffic** — the mixed phase again, on a server whose
+  interactive backlog admits every job, with fresh specs and fresh
+  heavy jobs and no class named anywhere.  Every job starts
+  interactive; each heavy one is demoted to the batch lane after one
+  quantum (``DEFAULT_LATENCY_TARGET_S``), which the phase asserts
+  together with every interactive answer.  Its p99 ratio is recorded
+  with no bound: each heavy job holds the interactive worker for one
+  quantum before it moves, so the interactive tail pays one quantum
+  per heavy job ahead of it.
 
 :func:`test_emit_load_artifact` writes ``BENCH_load.json`` to the repo
 root.
@@ -23,6 +32,7 @@ root.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -32,7 +42,7 @@ import threading
 import time
 
 from _bench_utils import REPO_ROOT, bench_scale, is_full
-from repro import CostFunction, EngineConfig, Spec
+from repro import CostFunction, EngineConfig, Session, Spec
 from repro.server import (
     CLASS_BATCH,
     CLASS_INTERACTIVE,
@@ -94,15 +104,33 @@ def batch_wire(index):
     )
 
 
+def unhinted_heavy_wire(index):
+    """:func:`batch_wire`'s sweep with one more negative example, an
+    infix of a positive.  The universe, and so the work, stays the
+    same, but each job gets a word set, hence a checkpoint journal, of
+    its own: no heavy job can finish within its quantum by resuming the
+    levels another one journalled."""
+    wire = batch_wire(0)
+    positive = wire.spec.positive[0]
+    spec = Spec(
+        positive=wire.spec.positive,
+        negative=[*wire.spec.negative, positive[index:index + 5]],
+    )
+    return dataclasses.replace(wire, spec=spec)
+
+
 def percentile(samples, q):
     ordered = sorted(samples)
     index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
     return ordered[index]
 
 
-def closed_loop(address, specs, clients):
+def closed_loop(address, specs, clients, klass=CLASS_INTERACTIVE,
+                answers=None):
     """Serve ``specs`` from ``clients`` threads, one request in flight
-    per thread; returns (latencies, wall_seconds)."""
+    per thread, each submitted with ``klass`` (None names no class);
+    returns (latencies, wall_seconds).  ``answers``, when given,
+    collects each spec's result document."""
     latencies = []
     lock = threading.Lock()
     queue = list(specs)
@@ -115,12 +143,13 @@ def closed_loop(address, specs, clients):
                     return
                 spec = queue.pop()
             started = time.perf_counter()
-            job = client.submit(interactive_wire(spec),
-                                klass=CLASS_INTERACTIVE)
-            client.result(job["job_id"], timeout=300)
+            job = client.submit(interactive_wire(spec), klass=klass)
+            done = client.result(job["job_id"], timeout=300)
             elapsed = time.perf_counter() - started
             with lock:
                 latencies.append(elapsed)
+                if answers is not None:
+                    answers[spec] = done["result"]
 
     threads = [threading.Thread(target=worker) for _ in range(clients)]
     started = time.perf_counter()
@@ -129,6 +158,65 @@ def closed_loop(address, specs, clients):
     for thread in threads:
         thread.join()
     return latencies, time.perf_counter() - started
+
+
+def unhinted_phase(store_dir, requests, clients, batch_jobs, baseline):
+    """Mixed traffic with no class named anywhere (see the module
+    docstring); returns the phase's stats."""
+    with SynthesisServer(
+        store_dir=store_dir,
+        interactive_workers=1,
+        batch_workers=1,
+        per_worker_depth=2,
+        max_queue={CLASS_INTERACTIVE: batch_jobs + clients,
+                   CLASS_BATCH: 2 * batch_jobs},
+        reuse_results=False,
+    ) as server:
+        control = HttpServiceClient(server.address)
+        heavy_ids = [
+            control.submit(unhinted_heavy_wire(index))["job_id"]
+            for index in range(batch_jobs)
+        ]
+        specs = interactive_specs(3 * requests)[2 * requests:]
+        answers = {}
+        latencies, wall = closed_loop(
+            server.address, specs, clients, klass=None, answers=answers
+        )
+        # Each heavy job reaches the batch lane after one quantum of its
+        # own; the bound leaves ample slack for that.
+        deadline = time.monotonic() + 60.0
+        docs = [control.status(job_id) for job_id in heavy_ids]
+        while time.monotonic() < deadline and any(
+            doc["class"] != CLASS_BATCH and doc["state"] in ("queued", "running")
+            for doc in docs
+        ):
+            time.sleep(0.05)
+            docs = [control.status(job_id) for job_id in heavy_ids]
+        for job_id in heavy_ids:
+            control.cancel(job_id)
+        for job_id in heavy_ids:
+            control.result(job_id, timeout=300)
+        demotions = server.demotions
+    assert [(doc["class"], doc["demotions"]) for doc in docs] == [
+        (CLASS_BATCH, 1)
+    ] * batch_jobs, "every heavy job must be demoted exactly once"
+    assert demotions == batch_jobs, "no interactive request may be demoted"
+    session = Session(EngineConfig(backend="vector"))
+    for spec in specs:
+        reference = session.synthesize(interactive_wire(spec).to_request())
+        answer = answers[spec]
+        assert (
+            answer["status"], answer["regex"], answer["cost"],
+            answer["generated"], answer["unique_cs"],
+        ) == (
+            reference.status, reference.regex_str, reference.cost,
+            reference.generated, reference.unique_cs,
+        ), spec
+    stats = phase_stats(latencies, wall)
+    stats["heavy_jobs"] = batch_jobs
+    stats["demotions"] = demotions
+    stats["interactive_p99_ratio"] = stats["p99_s"] / baseline
+    return stats
 
 
 def phase_stats(latencies, wall_seconds):
@@ -142,7 +230,7 @@ def phase_stats(latencies, wall_seconds):
 
 
 def test_emit_load_artifact():
-    """Drive the three load phases and record the evidence."""
+    """Drive the four load phases and record the evidence."""
     if is_full():
         requests, clients, batch_jobs = 60, 4, 6
     else:
@@ -230,6 +318,12 @@ def test_emit_load_artifact():
                 % max_reject
             )
             health = control.healthz()
+
+        # Phase 4: the mixed phase with no class hints (no ratio bound).
+        unhinted = unhinted_phase(
+            os.path.join(store_root, "unhinted"), requests, clients,
+            batch_jobs, baseline,
+        )
     finally:
         shutil.rmtree(store_root, ignore_errors=True)
 
@@ -242,6 +336,7 @@ def test_emit_load_artifact():
         "closed_loop_clients": clients,
         "interactive_only": solo,
         "mixed": mixed,
+        "mixed_unhinted": unhinted,
         "batch_jobs_injected": len(batch_ids),
         "interactive_p99_ratio": ratio,
         "p99_ratio_limit": P99_RATIO_LIMIT,

@@ -668,9 +668,11 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="time_limit")
     p.add_argument("--class", choices=["interactive", "batch"],
                    default=None, dest="klass",
-                   help="override the scheduler's workload classification")
+                   help="pin the job to this lane (without it, a job "
+                        "starts interactive and moves to batch after one "
+                        "quantum of run time)")
     p.add_argument("--wait", action="store_true",
-                   help="block (with backoff) until the job finishes")
+                   help="long-poll the server until the job finishes")
     p.add_argument("--timeout", type=float, default=300.0,
                    help="--wait timeout in seconds")
     _add_auth_token_arg(p, "bearer token for an authenticated server "

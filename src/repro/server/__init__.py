@@ -3,11 +3,13 @@
 The package splits into the three layers the tests exercise separately:
 
 * :mod:`repro.server.scheduler` — admission control, workload classes
-  and measured-history classification (pure Python, no sockets);
+  and latency tracking (pure Python, no sockets);
 * :mod:`repro.server.http11` — the minimal asyncio HTTP/1.1 layer;
 * :mod:`repro.server.app` — :class:`SynthesisServer`, wiring two
   worker-pool lanes behind the endpoints (the pools are the service's
-  only parallelism: every job runs the serial engine in one worker);
+  only parallelism: every job runs the serial engine in one worker).
+  A job without a class starts on the interactive lane and is demoted
+  to the batch lane after one quantum of run time;
 * :mod:`repro.server.client` — the blocking :class:`HttpServiceClient`.
 """
 
@@ -18,9 +20,6 @@ from .scheduler import (
     CLASS_INTERACTIVE,
     AdmissionController,
     LatencyTracker,
-    WorkloadHistory,
-    classify,
-    estimate_cost,
 )
 
 __all__ = [
@@ -32,7 +31,4 @@ __all__ = [
     "OverloadedError",
     "ServerError",
     "SynthesisServer",
-    "WorkloadHistory",
-    "classify",
-    "estimate_cost",
 ]

@@ -13,6 +13,17 @@ behind a long batch job on the *same* worker would wait out the sweep.
 Separate lanes mean batch load can saturate its own workers without
 ever standing in front of an interactive request.
 
+A job finds its lane by measurement.  A submission that names a
+``class`` is pinned to that lane.  One without starts on the
+interactive lane, and once it has run for one quantum
+(:data:`~repro.server.scheduler.DEFAULT_LATENCY_TARGET_S`, timed from
+its first progress event) the server cancels the attempt — which
+journals the level in progress, as a preemption does — and resubmits
+the same wire to the batch lane, where the worker resumes from that
+record.  The job keeps its id, its trace (plus a ``demote`` span) and
+its admission; its document counts ``demotions``.  Without checkpoints
+the batch attempt reruns cold: same answer, one quantum repeated.
+
 Endpoints (HTTP/1.1, keep-alive, JSON bodies):
 
 =========================  =============================================
@@ -20,7 +31,8 @@ Endpoints (HTTP/1.1, keep-alive, JSON bodies):
                            request's content fingerprint, so duplicate
                            submissions *join* the live job.  Tracing is
                            on by default (``"trace": false`` opts out)
-``GET /jobs/<id>``         status (+ result once finished);
+``GET /jobs/<id>``         status (+ result once finished), with the
+                           job's class and ``demotions``;
                            ``?wait=S`` long-polls: the request parks
                            until the job finishes or ``S`` seconds
                            (clamped to :data:`MAX_WAIT_S`) pass, then
@@ -60,7 +72,6 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..api.config import EngineConfig
@@ -79,16 +90,15 @@ from .scheduler import (
     CLASS_BATCH,
     CLASS_INTERACTIVE,
     CLASSES,
+    DEFAULT_LATENCY_TARGET_S,
     AdmissionController,
     LatencyTracker,
-    WorkloadHistory,
-    classify,
 )
 
 #: Finished jobs kept around for late status/result reads.
 FINISHED_RECORDS_KEPT = 1024
 
-#: Completions between best-effort history/prune maintenance passes.
+#: Completions between best-effort checkpoint prune passes.
 MAINTENANCE_EVERY = 8
 
 #: Seconds a kept-alive connection may sit idle between requests.
@@ -131,10 +141,15 @@ class _JobRecord:
         "server_spans",
         "spans_json",
         "waiters",
+        "pinned",
+        "quantum",
+        "demoting",
+        "demotions",
     )
 
     def __init__(self, job_id: str, wire: WireRequest, klass: str,
-                 priority: int, trace_id: Optional[str] = None,
+                 priority: int, pinned: bool = False,
+                 trace_id: Optional[str] = None,
                  root_span_id: Optional[str] = None,
                  server_spans: Optional[List[dict]] = None) -> None:
         self.job_id = job_id
@@ -142,6 +157,16 @@ class _JobRecord:
         self.klass = klass
         self.state = "queued"
         self.priority = priority
+        #: True when the submission named its class: the job keeps its
+        #: lane and is never demoted.
+        self.pinned = pinned
+        #: The interactive quantum's timer, armed at the first event.
+        self.quantum: Optional[asyncio.TimerHandle] = None
+        #: Epoch seconds a pending demotion began, while the stopped
+        #: interactive attempt winds down (None otherwise).
+        self.demoting: Optional[float] = None
+        #: Moves from the interactive to the batch lane.
+        self.demotions = 0
         self.submitted_monotonic = time.monotonic()
         #: Observability identity of this job (None when untraced) plus
         #: the spans the *server* recorded — the root job span first.
@@ -172,6 +197,7 @@ class _JobRecord:
             "job_id": self.job_id,
             "state": self.state,
             "class": self.klass,
+            "demotions": self.demotions,
             "joined": self.joined,
             "events": len(self.events),
         }
@@ -203,8 +229,8 @@ class _JobRecord:
         result is a copy whose ``extra`` holds just the keys the job
         document forwards, so ``extra["trace"]`` and the level stats go
         (the pool's object is shared with every joined handle and stays
-        as it is); the pool handle, the wire request and the span list
-        go too.
+        as it is); the pool handle, the quantum timer, the wire request
+        and the span list go too.
         """
         if self.trace_id is not None:
             self.spans_json = json.dumps(spans, separators=(",", ":"))
@@ -218,7 +244,9 @@ class _JobRecord:
                     if key in result.extra
                 },
             )
-        self.handle = None
+        if self.quantum is not None:
+            self.quantum.cancel()
+        self.handle = self.quantum = None
         self.wire = None
         self.server_spans = []
 
@@ -245,7 +273,13 @@ def _wait_seconds(raw: Optional[str]) -> float:
 
 
 class SynthesisServer:
-    """Admission-controlled HTTP front of the synthesis service."""
+    """Admission-controlled HTTP front of the synthesis service.
+
+    Two worker-pool lanes, one per class, behind bounded admission.  A
+    job submitted with a ``class`` runs on that lane; one without starts
+    interactive and is demoted to the batch lane once it has run for
+    one quantum (see the module docstring).
+    """
 
     def __init__(
         self,
@@ -277,6 +311,8 @@ class SynthesisServer:
         #: submission finds its lane saturated (set False to disable).
         self.preempt_on_saturation = preempt_on_saturation
         self.preemptions_triggered = 0
+        #: Jobs moved from the interactive to the batch lane.
+        self.demotions = 0
         lane_workers = {
             CLASS_INTERACTIVE: max(1, interactive_workers),
             CLASS_BATCH: max(1, batch_workers),
@@ -309,10 +345,6 @@ class SynthesisServer:
             brownout_enter_after_s=brownout_enter_after_s,
             brownout_exit_after_s=brownout_exit_after_s,
         )
-        history_path = (
-            Path(store_dir) / "history.json" if store_dir is not None else None
-        )
-        self.history = WorkloadHistory(path=history_path)
         # Observability ------------------------------------------------
         self.obs = MetricsRegistry()
         self._stage_seconds = self.obs.histogram(
@@ -418,7 +450,6 @@ class SynthesisServer:
         )
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10.0)
-        self.history.save()
         for lane in self.lanes.values():
             lane.close(wait=False, cancel_pending=True)
 
@@ -609,7 +640,7 @@ class SynthesisServer:
             # resubmission starts a fresh run.
             del self._records[job_id]
 
-        klass = klass_override or classify(wire, self.history)
+        klass = klass_override or CLASS_INTERACTIVE
         admission_started = time.time()
         admission = self.admission.try_admit(klass)
         admission_ended = time.time()
@@ -684,6 +715,7 @@ class SynthesisServer:
             )
         record = _JobRecord(
             job_id, wire, klass, priority,
+            pinned=klass_override is not None,
             trace_id=trace_id, root_span_id=root_span_id,
             server_spans=server_spans,
         )
@@ -697,17 +729,8 @@ class SynthesisServer:
             else:
                 break
 
-        loop = self._loop
-
-        def on_progress(event, _job_id=job_id):
-            # Collector thread → loop thread.
-            loop.call_soon_threadsafe(self._on_event, _job_id, event)
-
-        submit_started = time.time()
         try:
-            handle = self.lanes[klass].submit(
-                wire, priority=priority, on_progress=on_progress
-            )
+            self._submit(record)
         except Exception as exc:
             self.admission.release(klass)
             del self._records[job_id]
@@ -715,11 +738,32 @@ class SynthesisServer:
                 writer, 503, {"error": "submit failed: %s" % exc}
             )
             return
-        if trace_enabled:
+        data = record.status_dict()
+        data["deduplicated"] = False
+        await http11.send_response(writer, 202, data)
+
+    # ------------------------------------------------------------------
+    # Record transitions (loop thread only)
+    # ------------------------------------------------------------------
+    def _submit(self, record: _JobRecord) -> None:
+        """Submit the record's wire to the lane of its class; raises
+        when the lane refuses it."""
+        loop, job_id = self._loop, record.job_id
+
+        def on_progress(event):
+            # Collector thread → loop thread.
+            loop.call_soon_threadsafe(self._on_event, job_id, event)
+
+        submit_started = time.time()
+        handle = self.lanes[record.klass].submit(
+            record.wire, priority=record.priority, on_progress=on_progress
+        )
+        if record.trace_id is not None:
             record.server_spans.append(
                 span_record(
-                    "pool-submit", trace_id, root_span_id, submit_started,
-                    time.time(), "server", {"class": klass},
+                    "pool-submit", record.trace_id, record.root_span_id,
+                    submit_started, time.time(), "server",
+                    {"class": record.klass},
                 )
             )
         record.handle = handle
@@ -732,27 +776,66 @@ class SynthesisServer:
                 self._complete, job_id, ended
             )
         )
-        data = record.status_dict()
-        data["deduplicated"] = False
-        await http11.send_response(writer, 202, data)
 
-    # ------------------------------------------------------------------
-    # Record transitions (loop thread only)
-    # ------------------------------------------------------------------
     def _on_event(self, job_id: str, event: ProgressEvent) -> None:
         record = self._records.get(job_id)
         if record is None:
             return
+        if event.done and record.demoting is not None:
+            # The end of the attempt being stopped: the batch attempt
+            # sends the job's one ``done`` event.
+            return
         if record.state == "queued" and not record.finished:
             record.state = "running"
+            if not record.pinned:
+                # The quantum runs from the first event, not from
+                # dispatch: a dispatched job may still wait in its
+                # worker's task queue behind another job.
+                record.quantum = self._loop.call_later(
+                    DEFAULT_LATENCY_TARGET_S, self._demote, job_id
+                )
         data = event.to_json_dict()
         record.events.append(data)
         for queue in record.subscribers:
             queue.put_nowait(data)
 
+    def _demote(self, job_id: str) -> None:
+        """The quantum ran out: stop a live interactive attempt.
+
+        The cancel stops the run within one emit batch and journals the
+        level in progress; :meth:`_complete` then moves the job to the
+        batch lane instead of finishing it.
+        """
+        record = self._records.get(job_id)
+        if record is None or record.finished or record.klass != CLASS_INTERACTIVE:
+            return
+        record.demoting = time.time()
+        record.handle.cancel()
+
+    def _resubmit_to_batch(self, record: _JobRecord, stopped) -> None:
+        """Move a demoted job to the batch lane, where its next attempt
+        resumes from the record the ``stopped`` one journalled."""
+        if record.trace_id is not None:
+            record.server_spans.extend(self._result_spans(record, stopped))
+            record.server_spans.append(
+                span_record(
+                    "demote", record.trace_id, record.root_span_id,
+                    record.demoting, time.time(), "server",
+                    {"from": CLASS_INTERACTIVE, "to": CLASS_BATCH},
+                )
+            )
+        # Admitted once, never rejected mid-run: the live count moves.
+        self.admission.transfer(CLASS_INTERACTIVE, CLASS_BATCH)
+        record.klass = CLASS_BATCH
+        record.priority = PRIORITY_NORMAL
+        record.demoting = None
+        record.demotions += 1
+        self.demotions += 1
+        self._submit(record)
+
     def _complete(self, job_id: str, handle) -> None:
         record = self._records.get(job_id)
-        if record is None or record.finished:
+        if record is None or record.finished or handle is not record.handle:
             return
         try:
             result = handle.result(timeout=0)
@@ -761,12 +844,19 @@ class SynthesisServer:
             record.state = "failed"
             record.error = str(exc)
         else:
-            record.result = result
-            record.state = (
-                "cancelled" if result.status == "cancelled" else "done"
-            )
-            if result.status != "cancelled":
-                self.history.record(record.wire.staging_fingerprint(), result)
+            if record.demoting is not None and result.status == "cancelled":
+                try:
+                    self._resubmit_to_batch(record, result)
+                    return
+                except Exception as exc:
+                    result = None
+                    record.state = "failed"
+                    record.error = "batch resubmission failed: %s" % exc
+            else:
+                record.result = result
+                record.state = (
+                    "cancelled" if result.status == "cancelled" else "done"
+                )
         elapsed = time.monotonic() - record.submitted_monotonic
         spans: List[dict] = []
         if record.root_span_id is not None and record.server_spans:
@@ -819,7 +909,6 @@ class SynthesisServer:
         record.wake_waiters()
         self._completions += 1
         if self._completions % MAINTENANCE_EVERY == 0:
-            self.history.save()
             self._prune_checkpoints()
 
     # ------------------------------------------------------------------
@@ -866,32 +955,40 @@ class SynthesisServer:
             data["cancelled"] = False
             await http11.send_response(writer, 200, data)
             return
+        # A cancel that lands while a demoted attempt is stopping ends
+        # the job: _complete then finishes it instead of resubmitting.
+        stopping = record.demoting is not None
+        record.demoting = None
         delivered = (
             record.handle.cancel() if record.handle is not None else False
         )
         data = record.status_dict()
-        data["cancelled"] = bool(delivered)
+        data["cancelled"] = bool(delivered or stopping)
         await http11.send_response(writer, 202, data)
 
     # ------------------------------------------------------------------
     # GET /jobs/<id>/trace
     # ------------------------------------------------------------------
+    @staticmethod
+    def _result_spans(record: _JobRecord, result) -> List[dict]:
+        """The spans that came back with ``result`` on the job's trace."""
+        trace = (
+            result.extra.get("trace")
+            if result is not None and isinstance(result.extra, dict)
+            else None
+        )
+        # Guard on the trace id: a result answered from the store may
+        # carry the trace of the run that produced it.
+        if isinstance(trace, dict) and trace.get("trace_id") == record.trace_id:
+            return list(trace.get("spans") or [])
+        return []
+
     def _job_spans(self, record: _JobRecord) -> List[dict]:
-        """Server spans + the spans that came back with the result."""
+        """Server spans (with any demoted attempt's) + the spans that
+        came back with the result."""
         if record.spans_json is not None:
             return json.loads(record.spans_json)
-        spans = list(record.server_spans)
-        result = record.result
-        if result is not None and isinstance(result.extra, dict):
-            trace = result.extra.get("trace")
-            # Guard on the trace id: a result answered from the store
-            # may carry the trace of the run that produced it.
-            if (
-                isinstance(trace, dict)
-                and trace.get("trace_id") == record.trace_id
-            ):
-                spans.extend(trace.get("spans") or [])
-        return spans
+        return record.server_spans + self._result_spans(record, record.result)
 
     def trace_document(self, record: _JobRecord) -> dict:
         """The ``/jobs/<id>/trace`` document (also used by the CLI)."""
@@ -1019,7 +1116,6 @@ class SynthesisServer:
             "preemptions_triggered": self.preemptions_triggered,
             "latency": self.latency.snapshot(),
             "jobs": dict(self._status_counts),
-            "history_profiles": len(self.history),
         }
 
     def metrics_text(self) -> str:
@@ -1106,6 +1202,13 @@ class SynthesisServer:
             "Interactive admissions that evicted a batch attempt.",
             "counter",
             [({}, self.preemptions_triggered)],
+        )
+        metric(
+            "repro_demotions_total",
+            "Jobs without a class moved from the interactive to the "
+            "batch lane after one quantum.",
+            "counter",
+            [({}, self.demotions)],
         )
         metric(
             "repro_jobs_total",

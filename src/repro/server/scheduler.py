@@ -1,4 +1,4 @@
-"""Admission control and latency-aware scheduling for the HTTP server.
+"""Admission control and latency tracking for the HTTP server.
 
 The server splits traffic into two *classes* — ``interactive`` (small
 specs that must answer in interactive time) and ``batch`` (wide sweeps
@@ -9,31 +9,36 @@ execution paths, no interference).  Both lanes run every job on the
 serial engine: a lane's pool workers, one query each, are all the
 parallelism a class gets, so batch work saturates the cores through the
 pool instead of fanning one query out over more processes than there
-are cores.  Everything in this module is plain, lock-protected Python
-with no asyncio dependency, so the scheduling policy is unit-testable
-without sockets or worker processes:
+are cores.
 
-* :class:`WorkloadHistory` — measured wall-clock of prior runs, keyed
-  by staging fingerprint (requests over the same example strings share
-  a profile).  Optionally persisted as JSON under the store directory
-  so a restarted server keeps its measurements.
-* :func:`estimate_cost` / :func:`classify` — a priori work estimate
-  from the spec and budgets, overridden by *measured* latency once the
-  history has seen the same staging fingerprint.
+A job finds its lane by measurement, not prediction: Paresy's work per
+query is set by the cost of its minimal answer, which the sweep only
+learns by reaching it.  A job submitted without a class starts on the
+interactive lane, and once it has run for one quantum
+(:data:`DEFAULT_LATENCY_TARGET_S`) the server stops the attempt and
+resubmits it to the batch lane, where it resumes from the level the
+stopped attempt journalled — a two-level feedback queue (Corbató et al.,
+1962).  An explicit class pins a job to its lane.  The demotion itself
+lives in :mod:`repro.server.app`; everything in this module is plain,
+lock-protected Python with no asyncio dependency, so the policy is
+unit-testable without sockets or worker processes:
+
 * :class:`AdmissionController` — per-class concurrency bookkeeping with
   a bounded queue: past the bound a submission is *rejected* with a
   suggested Retry-After instead of growing an unbounded backlog.  Under
   *sustained* interactive saturation it additionally enters **brownout**
   — a degraded mode that sheds batch admissions outright until the
   interactive lane has been calm for a while — so a standing batch flood
-  cannot keep the interactive lane pinned at its queue bound.
+  cannot keep the interactive lane pinned at its queue bound.  A demoted
+  job's admission moves to the batch class with
+  :meth:`AdmissionController.transfer`, so a job admitted once is never
+  rejected mid-run.
 * :class:`LatencyTracker` — per-class p50/p99 over a sliding window,
   feeding both ``/metrics`` and the Retry-After estimate.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import time
@@ -46,174 +51,9 @@ CLASS_INTERACTIVE = "interactive"
 CLASS_BATCH = "batch"
 CLASSES = (CLASS_INTERACTIVE, CLASS_BATCH)
 
-#: Classification bounds (see :func:`classify`): the estimated cost at
-#: or below which an unseen request is interactive, and the measured
-#: average seconds at or below which a seen one is.
-DEFAULT_INTERACTIVE_THRESHOLD = 2_000_000.0
+#: The quantum: seconds a job submitted without a class runs on the
+#: interactive lane before the server demotes it to the batch lane.
 DEFAULT_LATENCY_TARGET_S = 0.5
-
-
-# ----------------------------------------------------------------------
-# Measured history
-# ----------------------------------------------------------------------
-@dataclass
-class WorkloadProfile:
-    """What prior runs over one staging fingerprint measured."""
-
-    runs: int = 0
-    avg_elapsed_s: float = 0.0
-
-    def to_json_dict(self) -> Dict[str, object]:
-        """The JSON form persisted in the history file."""
-        return {"runs": self.runs, "avg_elapsed_s": self.avg_elapsed_s}
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "WorkloadProfile":
-        """Inverse of :meth:`to_json_dict`; other keys, such as the
-        level widths older history files carry, are ignored."""
-        return cls(
-            runs=int(data.get("runs") or 0),
-            avg_elapsed_s=float(data.get("avg_elapsed_s") or 0.0),
-        )
-
-
-class WorkloadHistory:
-    """Per-staging-fingerprint measurements from completed jobs.
-
-    ``record`` digests a finished :class:`~repro.core.result.
-    SynthesisResult`: its ``elapsed_seconds`` is the measured latency
-    the classifier prefers over any a-priori estimate.  The history is an
-    LRU bounded at ``max_entries`` profiles and (when given a path)
-    persists itself as one JSON file — best-effort in both directions:
-    a missing or corrupt file is an empty history, never an error.
-    """
-
-    def __init__(self, path=None, max_entries: int = 4096) -> None:
-        self._lock = threading.Lock()
-        self._profiles: "Dict[str, WorkloadProfile]" = {}
-        self._order: deque = deque()
-        self.max_entries = max_entries
-        self.path = path
-        if path is not None:
-            self._load()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._profiles)
-
-    def record(self, staging_fp: str, result) -> WorkloadProfile:
-        """Fold one finished result into the fingerprint's profile."""
-        with self._lock:
-            profile = self._profiles.get(staging_fp)
-            if profile is None:
-                profile = WorkloadProfile()
-                self._profiles[staging_fp] = profile
-                self._order.append(staging_fp)
-                while len(self._profiles) > self.max_entries:
-                    evicted = self._order.popleft()
-                    self._profiles.pop(evicted, None)
-            elapsed = float(getattr(result, "elapsed_seconds", 0.0) or 0.0)
-            profile.avg_elapsed_s = (
-                (profile.avg_elapsed_s * profile.runs + elapsed)
-                / (profile.runs + 1)
-            )
-            profile.runs += 1
-            return profile
-
-    def profile(self, staging_fp: str) -> Optional[WorkloadProfile]:
-        """The fingerprint's measured profile, or None when unseen."""
-        with self._lock:
-            return self._profiles.get(staging_fp)
-
-    # ------------------------------------------------------------------
-    def _load(self) -> None:
-        try:
-            data = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return
-        profiles = data.get("profiles") if isinstance(data, dict) else None
-        if not isinstance(profiles, dict):
-            return
-        for key, value in profiles.items():
-            if not isinstance(value, dict):
-                continue
-            try:
-                self._profiles[str(key)] = WorkloadProfile.from_json_dict(value)
-            except (TypeError, ValueError):
-                continue
-            self._order.append(str(key))
-
-    def save(self) -> None:
-        """Persist the profiles (best-effort, atomic)."""
-        if self.path is None:
-            return
-        with self._lock:
-            payload = {
-                "version": 1,
-                "profiles": {
-                    key: profile.to_json_dict()
-                    for key, profile in self._profiles.items()
-                },
-            }
-        from ..service.store import atomic_write_bytes
-
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_bytes(
-                self.path,
-                json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"),
-            )
-        except OSError:
-            pass
-
-
-# ----------------------------------------------------------------------
-# Classification
-# ----------------------------------------------------------------------
-def estimate_cost(wire) -> float:
-    """A-priori work estimate of a wire request, in candidate-ish units.
-
-    Enumeration work scales with the universe (bounded by the infix
-    closure of the example words, ``Σ len·(len+1)/2``) and with how far
-    the sweep may run (the effective cost ceiling, dampened by any
-    explicit candidate budget).  The absolute value is meaningless; only
-    the ordering matters, and measured history overrides it as soon as
-    the same staging fingerprint has completed once (see
-    :func:`classify`).
-    """
-    words = set(wire.spec.all_words)
-    closure_bound = sum(len(w) * (len(w) + 1) // 2 for w in words) + 1
-    ceiling = wire.effective_max_cost()
-    estimate = float(closure_bound) * float(ceiling) ** 2
-    budget = wire.max_generated
-    if budget is None:
-        budget = wire.config.max_generated
-    if budget is not None:
-        estimate = min(estimate, float(budget) * float(closure_bound) ** 0.5)
-    return estimate
-
-
-def classify(wire, history: Optional[WorkloadHistory] = None) -> str:
-    """Interactive or batch, measured latency trumping the estimate.
-
-    A fingerprint the history has seen is classified by what it actually
-    cost last time (``avg_elapsed_s`` against the interactive latency
-    target) — the latency-aware path.  An unseen fingerprint falls back
-    to the :func:`estimate_cost` heuristic against the threshold.
-    """
-    if history is not None:
-        profile = history.profile(wire.staging_fingerprint())
-        if profile is not None and profile.runs > 0:
-            return (
-                CLASS_INTERACTIVE
-                if profile.avg_elapsed_s <= DEFAULT_LATENCY_TARGET_S
-                else CLASS_BATCH
-            )
-    return (
-        CLASS_INTERACTIVE
-        if estimate_cost(wire) <= DEFAULT_INTERACTIVE_THRESHOLD
-        else CLASS_BATCH
-    )
 
 
 # ----------------------------------------------------------------------
@@ -393,6 +233,16 @@ class AdmissionController:
             self._live[klass] = max(0, self._live.get(klass, 0) - 1)
             self._update_brownout_locked(self._clock())
 
+    def transfer(self, source: str, target: str) -> None:
+        """Move one admitted job's live count from ``source`` to
+        ``target``.  The job was admitted once, so ``target``'s bound
+        and brownout do not apply: a demoted job is never shed
+        mid-run."""
+        with self._lock:
+            self._live[source] = max(0, self._live.get(source, 0) - 1)
+            self._live[target] = self._live.get(target, 0) + 1
+            self._update_brownout_locked(self._clock())
+
     def retry_after(self, klass: str, queued: int) -> float:
         """Seconds until the class's backlog plausibly has room."""
         p50 = self.latency.percentile(klass, 0.50)
@@ -430,11 +280,6 @@ __all__ = [
     "CLASS_BATCH",
     "CLASS_INTERACTIVE",
     "CLASSES",
-    "DEFAULT_INTERACTIVE_THRESHOLD",
     "DEFAULT_LATENCY_TARGET_S",
     "LatencyTracker",
-    "WorkloadHistory",
-    "WorkloadProfile",
-    "classify",
-    "estimate_cost",
 ]

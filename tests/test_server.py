@@ -1,4 +1,4 @@
-"""Network server tests: scheduler policy, HTTP endpoints, streaming.
+"""Network server tests: admission, HTTP endpoints, streaming, demotion.
 
 The headline acceptance criterion lives in :class:`TestHttpBitIdentity`:
 an answer served over HTTP is bit-identical (modulo wall-clock) to the
@@ -20,8 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import EngineConfig, Spec
-from repro.core.result import SynthesisResult
+from repro import EngineConfig, Session, Spec
 from repro.obs.validate import parse_prometheus
 from repro.regex.cost import CostFunction
 from repro.server import (
@@ -33,9 +32,6 @@ from repro.server import (
     OverloadedError,
     ServerError,
     SynthesisServer,
-    WorkloadHistory,
-    classify,
-    estimate_cost,
 )
 from repro.server.app import _JobRecord
 from repro.server.client import poll_intervals
@@ -74,117 +70,9 @@ def slow_wire(star_cost=10, **kwargs):
     )
 
 
-def fake_result(elapsed=0.1, widths=(), generated=100, status="success"):
-    return SynthesisResult(
-        status=status,
-        spec=INTRO_SPEC,
-        backend="vector",
-        cost_function=(1, 1, 1, 1, 1),
-        allowed_error=0.0,
-        max_cost=40,
-        generated=generated,
-        elapsed_seconds=elapsed,
-        extra={
-            "level_stats": [
-                {"cost": i + 1, "generated": w, "stored": w, "otf": 0}
-                for i, w in enumerate(widths)
-            ]
-        },
-    )
-
-
 # ----------------------------------------------------------------------
 # Scheduler policy (pure, no sockets)
 # ----------------------------------------------------------------------
-class TestEstimateAndClassify:
-    def test_estimate_orders_by_universe_and_ceiling(self):
-        small = wire_of(Spec(["0"], ["1"]))
-        large = wire_of(Spec(["0" * 30, "1" * 24], ["01" * 12]), max_cost=500)
-        assert estimate_cost(small) < estimate_cost(large)
-
-    def test_estimate_capped_by_candidate_budget(self):
-        unbounded = wire_of(Spec(["0" * 30], ["1" * 30]), max_cost=500)
-        budgeted = WireRequest(
-            spec=Spec(["0" * 30], ["1" * 30]),
-            max_cost=500,
-            max_generated=1_000,
-            config=EngineConfig(backend="vector"),
-        )
-        assert estimate_cost(budgeted) < estimate_cost(unbounded)
-
-    def test_classify_heuristic_small_is_interactive(self):
-        assert classify(wire_of(Spec(["0"], ["1"])), None) == CLASS_INTERACTIVE
-
-    def test_classify_heuristic_huge_is_batch(self):
-        huge = wire_of(Spec(["0" * 30, "1" * 24], ["01" * 12]), max_cost=500)
-        assert classify(huge, None) == CLASS_BATCH
-
-    def test_measured_latency_overrides_the_estimate(self):
-        huge = wire_of(Spec(["0" * 30, "1" * 24], ["01" * 12]), max_cost=500)
-        history = WorkloadHistory()
-        history.record(huge.staging_fingerprint(), fake_result(elapsed=0.01))
-        assert classify(huge, history) == CLASS_INTERACTIVE
-        slow_history = WorkloadHistory()
-        tiny = wire_of(Spec(["0"], ["1"]))
-        slow_history.record(
-            tiny.staging_fingerprint(), fake_result(elapsed=30.0)
-        )
-        assert classify(tiny, slow_history) == CLASS_BATCH
-
-
-class TestWorkloadHistory:
-    def test_record_folds_running_average_and_width(self):
-        history = WorkloadHistory()
-        profile = history.record("fp", fake_result(elapsed=1.0, widths=(5,)))
-        profile = history.record("fp", fake_result(elapsed=3.0, widths=(9,)))
-        assert profile.runs == 2
-        assert profile.avg_elapsed_s == pytest.approx(2.0)
-        # The level widths are folded away: a profile keeps only what
-        # the classifier reads.
-        assert profile.to_json_dict() == {"runs": 2, "avg_elapsed_s": 2.0}
-
-    def test_lru_bound(self):
-        history = WorkloadHistory(max_entries=2)
-        for name in ("a", "b", "c"):
-            history.record(name, fake_result())
-        assert len(history) == 2
-        assert history.profile("a") is None
-        assert history.profile("c") is not None
-
-    def test_persistence_round_trip(self, tmp_path):
-        path = tmp_path / "history.json"
-        history = WorkloadHistory(path=path)
-        history.record("fp", fake_result(elapsed=2.0, widths=(7,)))
-        history.save()
-        reloaded = WorkloadHistory(path=path)
-        profile = reloaded.profile("fp")
-        assert profile is not None
-        assert profile.avg_elapsed_s == pytest.approx(2.0)
-
-    def test_history_file_with_level_widths_still_loads(self, tmp_path):
-        # The format written while the server still chose shard fan-outs
-        # from recorded level widths: the extra keys are ignored, and
-        # the measurements the classifier reads survive.
-        path = tmp_path / "history.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "profiles": {
-                "fp": {"runs": 3, "max_level_width": 5_000_000,
-                       "last_generated": 123_456, "avg_elapsed_s": 1.5},
-            },
-        }), encoding="utf-8")
-        history = WorkloadHistory(path=path)
-        profile = history.profile("fp")
-        assert profile is not None
-        assert profile.runs == 3
-        assert profile.avg_elapsed_s == pytest.approx(1.5)
-
-    def test_corrupt_file_is_an_empty_history(self, tmp_path):
-        path = tmp_path / "history.json"
-        path.write_text("not json", encoding="utf-8")
-        assert len(WorkloadHistory(path=path)) == 0
-
-
 class TestAdmission:
     def test_bounded_admission_and_release(self):
         controller = AdmissionController(
@@ -204,6 +92,22 @@ class TestAdmission:
         snapshot = controller.depth_snapshot()
         assert snapshot[CLASS_INTERACTIVE]["rejected"] == 1
         assert snapshot[CLASS_INTERACTIVE]["live"] == 2
+
+    def test_transfer_moves_one_live_count_past_the_target_bound(self):
+        controller = AdmissionController(
+            slots={CLASS_INTERACTIVE: 1, CLASS_BATCH: 1},
+            max_queue={CLASS_INTERACTIVE: 0, CLASS_BATCH: 0},
+        )
+        assert controller.try_admit(CLASS_INTERACTIVE).admitted
+        assert controller.try_admit(CLASS_BATCH).admitted
+        assert not controller.try_admit(CLASS_BATCH).admitted  # full
+        # A demoted job was admitted once: it moves even though the
+        # batch lane is at its bound, and frees its interactive slot.
+        controller.transfer(CLASS_INTERACTIVE, CLASS_BATCH)
+        assert controller.live(CLASS_INTERACTIVE) == 0
+        assert controller.live(CLASS_BATCH) == 2
+        assert controller.try_admit(CLASS_INTERACTIVE).admitted
+        assert controller.depth_snapshot()[CLASS_BATCH]["rejected"] == 1
 
     def test_retry_after_scales_with_backlog_and_p50(self):
         latency = LatencyTracker()
@@ -710,12 +614,30 @@ class TestOverload:
 # Server-side maintenance
 # ----------------------------------------------------------------------
 class TestServerMaintenance:
-    def test_history_recorded_and_persisted(self, client, server):
-        wire = wire_of(Spec(["001", "0011"], ["1", "0"]))
-        job = client.submit(wire)
-        client.result(job["job_id"], timeout=120)
-        profile = server.history.profile(wire.staging_fingerprint())
-        assert profile is not None and profile.runs >= 1
+    def test_an_old_history_file_is_left_alone(self, tmp_path):
+        # Servers that routed by a persisted per-universe latency
+        # history kept it here.  Its measurement would route the job to
+        # batch; the server neither reads nor rewrites the file.
+        wire = wire_of(INTRO_SPEC)
+        store = tmp_path / "store"
+        store.mkdir()
+        history = store / "history.json"
+        history.write_text(json.dumps({
+            "version": 1,
+            "profiles": {
+                wire.staging_fingerprint(): {"runs": 3, "avg_elapsed_s": 30.0},
+            },
+        }, indent=2, sort_keys=True), encoding="utf-8")
+        before = (history.read_bytes(), history.stat().st_mtime_ns)
+        with SynthesisServer(
+            store_dir=str(store), interactive_workers=1, batch_workers=1
+        ) as running:
+            with HttpServiceClient(running.address) as client:
+                job = client.submit(wire)
+                done = client.result(job["job_id"], timeout=120)
+        assert done["result"]["status"] == "success"
+        assert done["class"] == CLASS_INTERACTIVE
+        assert (history.read_bytes(), history.stat().st_mtime_ns) == before
 
     def test_resubmit_after_cancel_starts_fresh(self, client):
         wire = slow_wire(max_generated=10_000_000)
@@ -790,6 +712,153 @@ class TestJobCompletion:
             assert hits == restart
             answers.append(done["result"]["regex"])
         assert answers[0] == answers[1]
+
+
+# ----------------------------------------------------------------------
+# Demotion: a job without a class starts interactive and moves to the
+# batch lane after one quantum
+# ----------------------------------------------------------------------
+#: Per backend, a job that runs well past the test quantum and ends in a
+#: found answer: on the vector engine ``((10+0(01*)?1)0?)*`` at cost 17,
+#: after 5.1 M candidates; a smaller universe keeps the scalar oracle's
+#: run near a second.
+LONG_SPECS = {
+    "vector": Spec(["00111", "100", "010", "01", "10", "010011"],
+                   ["01011", "0", "11", "1", "0000010", "00100"]),
+    "scalar": Spec(["00111", "100", "010", "01"],
+                   ["01011", "0", "11", "1", "00100"]),
+}
+
+
+@pytest.fixture()
+def demoting_server(tmp_path, monkeypatch):
+    """A server of its own, its quantum cut to 50 ms."""
+    monkeypatch.setattr(repro.server.app, "DEFAULT_LATENCY_TARGET_S", 0.05)
+    with SynthesisServer(
+        store_dir=str(tmp_path / "store"),
+        interactive_workers=1,
+        batch_workers=1,
+    ) as running:
+        yield running
+
+
+class TestDemotion:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unhinted_long_job_is_demoted_once_and_answers_bit_identically(
+        self, backend, demoting_server
+    ):
+        wire = wire_of(LONG_SPECS[backend], backend=backend)
+        events = []
+        with HttpServiceClient(demoting_server.address) as client:
+            job = client.submit(wire)
+            assert job["class"] == CLASS_INTERACTIVE
+            assert job["demotions"] == 0
+            stream = threading.Thread(
+                target=lambda: events.extend(
+                    HttpServiceClient(demoting_server.address).events(
+                        job["job_id"]
+                    )
+                )
+            )
+            stream.start()
+            record = demoting_server._records[job["job_id"]]
+            # Subscribed while the job is live, so the stream is live.
+            _wait(lambda: len(record.subscribers) == 1, timeout=10)
+            done = client.result(job["job_id"], timeout=300)
+            stream.join(timeout=30)
+            trace = client.trace(job["job_id"])
+            metrics = client.metrics()
+        assert done["state"] == "done"
+        assert done["class"] == CLASS_BATCH
+        assert done["demotions"] == 1
+        answer = done["result"]
+        # The batch attempt resumed from what the stopped one journalled.
+        assert answer["extra"]["resumed_levels"] > 0
+        solo = Session(EngineConfig(backend=backend)).synthesize(
+            wire.to_request()
+        )
+        assert solo.status == "success"
+        assert (
+            answer["status"], answer["regex"], answer["cost"],
+            answer["generated"], answer["unique_cs"],
+        ) == (
+            solo.status, solo.regex_str, solo.cost, solo.generated,
+            solo.unique_cs,
+        )
+        names = [span["name"] for span in trace["spans"]]
+        assert names.count("demote") == 1
+        assert names.count("worker-job") == 2
+        assert "repro_demotions_total 1" in metrics.splitlines()
+        assert not stream.is_alive()
+        assert [event.done for event in events].count(True) == 1
+        assert events[-1].done
+
+    def test_a_pinned_interactive_job_is_never_demoted(self, demoting_server):
+        with HttpServiceClient(demoting_server.address) as client:
+            job = client.submit(
+                wire_of(LONG_SPECS["vector"]), klass=CLASS_INTERACTIVE
+            )
+            done = client.result(job["job_id"], timeout=300)
+            metrics = client.metrics()
+        assert done["state"] == "done"
+        assert done["class"] == CLASS_INTERACTIVE
+        assert done["demotions"] == 0
+        # It ran far past the quantum on the interactive lane.
+        assert done["result"]["elapsed_seconds"] > 0.05 * 4
+        assert "repro_demotions_total 0" in metrics.splitlines()
+
+    def test_a_small_unhinted_job_stays_interactive(self, demoting_server):
+        with HttpServiceClient(demoting_server.address) as client:
+            job = client.submit(wire_of(INTRO_SPEC))
+            done = client.result(job["job_id"], timeout=120)
+        assert done["result"]["status"] == "success"
+        assert done["class"] == CLASS_INTERACTIVE
+        assert done["demotions"] == 0
+
+    def test_a_cancel_while_the_attempt_stops_ends_the_job(
+        self, demoting_server, monkeypatch
+    ):
+        server = demoting_server
+        # A quantum that never runs out: the test demotes by hand.
+        monkeypatch.setattr(repro.server.app, "DEFAULT_LATENCY_TARGET_S", 60.0)
+        batch_submits = []
+        batch_lane = server.lanes[CLASS_BATCH]
+
+        def spy(wire, _submit=batch_lane.submit, **kwargs):
+            batch_submits.append(wire)
+            return _submit(wire, **kwargs)
+
+        monkeypatch.setattr(batch_lane, "submit", spy)
+        # Hold the stopped attempt's completion until the DELETE has
+        # been answered, so the cancel always lands mid-stop.
+        released = threading.Event()
+        complete = server._complete
+
+        def held(job_id, handle):
+            if released.is_set():
+                complete(job_id, handle)
+            else:
+                server._loop.call_later(0.01, held, job_id, handle)
+
+        monkeypatch.setattr(server, "_complete", held)
+        with HttpServiceClient(server.address) as client:
+            job_id = client.submit(wire_of(LONG_SPECS["vector"]))["job_id"]
+            record = server._records[job_id]
+            _wait(lambda: record.state == "running", timeout=60)
+            server._loop.call_soon_threadsafe(server._demote, job_id)
+            _wait(lambda: record.demoting is not None, timeout=10)
+            answer = client.cancel(job_id)
+            released.set()
+            done = client.result(job_id, timeout=120)
+            events = list(client.events(job_id))
+        assert answer["cancelled"] is True
+        assert done["state"] == "cancelled"
+        assert done["result"]["status"] == "cancelled"
+        assert done["class"] == CLASS_INTERACTIVE
+        assert done["demotions"] == 0
+        assert batch_submits == []
+        assert [event.done for event in events].count(True) == 1
+        assert events[-1].done
 
 
 # ----------------------------------------------------------------------

@@ -209,6 +209,22 @@ class TestCiContract:
                      'test "$(ls service-state/outbox | wc -l)" -eq 1'):
             assert part in step, part
 
+    def test_load_smoke_round_trip_demotes_an_unhinted_long_job(self):
+        # The found-answer spec runs past one quantum: the step must fail
+        # unless its unhinted job answers and the server counts exactly
+        # one demotion.
+        runs = [
+            str(s.get("run", ""))
+            for s in load("ci.yml")["jobs"]["load-smoke"]["steps"]
+        ]
+        step = next(run for run in runs if "repro client submit" in run)
+        assert "--class" not in step
+        for part in ("--pos 00111 100 010 01 10 010011",
+                     "--neg 01011 0 11 1 0000010 00100 --wait",
+                     '| grep -x "repro_demotions_total 1"'):
+            assert part in step, part
+        assert step.index("010011") < step.index("repro client metrics")
+
     def test_load_smoke_runs_a_traced_interactive_benchmark_pass(self):
         # The long-poll completion path end to end: the step must fail
         # unless every answer is correct and the server stops cleanly.
