@@ -16,13 +16,18 @@ The evidence behind the admission-controlled, two-lane scheduler:
 * **overload** — interactive submissions past the lane's bounded
   backlog are rejected with 429 + Retry-After, and every rejection
   returns promptly: overload degrades to fast feedback, never a hang.
-* **unhinted mixed traffic** — the mixed phase again, on a server whose
-  interactive backlog admits every job, with fresh specs and fresh
-  heavy jobs and no class named anywhere.  Every job starts
-  interactive; each heavy one is demoted to the batch lane after one
-  quantum (``DEFAULT_LATENCY_TARGET_S``), which the phase asserts
-  together with every interactive answer.  Its p99 ratio is recorded
-  with no bound: each heavy job holds the interactive worker for one
+* **unhinted mixed traffic** — the mixed phase again, on a server with
+  the same lanes and admission bounds, with fresh specs and fresh heavy
+  jobs and no class named anywhere.  Every job starts interactive, so
+  the heavy jobs count against the interactive bound until they move: a
+  client that gets a 429 waits out its Retry-After and submits again,
+  and its latency includes the wait.  Each heavy job is demoted to the
+  batch lane after one quantum (``DEFAULT_LATENCY_TARGET_S``) and runs
+  there to its end.  The phase asserts one demotion per heavy job,
+  every answer, interactive and heavy, against an in-process run, and
+  that no unhinted admission preempted a demoted job; it records the
+  429s, brownout and the heavy jobs' completion times.  Its p99 ratio
+  has no bound: each heavy job holds the interactive worker for one
   quantum before it moves, so the interactive tail pays one quantum
   per heavy job ahead of it.
 
@@ -125,12 +130,24 @@ def percentile(samples, q):
     return ordered[index]
 
 
+def submit_admitted(client, wire, klass, rejections):
+    """Submit ``wire`` until it is admitted, waiting out each 429's
+    Retry-After; appends one entry per 429 to ``rejections``."""
+    while True:
+        try:
+            return client.submit(wire, klass=klass)
+        except OverloadedError as exc:
+            rejections.append(exc.retry_after_s)
+            time.sleep(exc.retry_after_s)
+
+
 def closed_loop(address, specs, clients, klass=CLASS_INTERACTIVE,
-                answers=None):
+                answers=None, rejections=None):
     """Serve ``specs`` from ``clients`` threads, one request in flight
     per thread, each submitted with ``klass`` (None names no class);
     returns (latencies, wall_seconds).  ``answers``, when given,
-    collects each spec's result document."""
+    collects each spec's result document.  With ``rejections`` a 429
+    is waited out and counted there (:func:`submit_admitted`)."""
     latencies = []
     lock = threading.Lock()
     queue = list(specs)
@@ -143,7 +160,12 @@ def closed_loop(address, specs, clients, klass=CLASS_INTERACTIVE,
                     return
                 spec = queue.pop()
             started = time.perf_counter()
-            job = client.submit(interactive_wire(spec), klass=klass)
+            if rejections is None:
+                job = client.submit(interactive_wire(spec), klass=klass)
+            else:
+                job = submit_admitted(
+                    client, interactive_wire(spec), klass, rejections
+                )
             done = client.result(job["job_id"], timeout=300)
             elapsed = time.perf_counter() - started
             with lock:
@@ -160,62 +182,96 @@ def closed_loop(address, specs, clients, klass=CLASS_INTERACTIVE,
     return latencies, time.perf_counter() - started
 
 
-def unhinted_phase(store_dir, requests, clients, batch_jobs, baseline):
-    """Mixed traffic with no class named anywhere (see the module
-    docstring); returns the phase's stats."""
+def unhinted_phase(store_dir, requests, clients, batch_jobs, max_queue,
+                   baseline):
+    """Mixed traffic with no class named anywhere, under ``max_queue``
+    (see the module docstring); returns the phase's stats."""
+    rejections = []
+    heavy = []  # (job id, perf_counter of its first submit)
     with SynthesisServer(
         store_dir=store_dir,
         interactive_workers=1,
         batch_workers=1,
         per_worker_depth=2,
-        max_queue={CLASS_INTERACTIVE: batch_jobs + clients,
-                   CLASS_BATCH: 2 * batch_jobs},
+        max_queue=max_queue,
         reuse_results=False,
     ) as server:
-        control = HttpServiceClient(server.address)
-        heavy_ids = [
-            control.submit(unhinted_heavy_wire(index))["job_id"]
-            for index in range(batch_jobs)
-        ]
+
+        def inject():
+            with HttpServiceClient(server.address) as client:
+                for index in range(batch_jobs):
+                    started = time.perf_counter()
+                    job = submit_admitted(
+                        client, unhinted_heavy_wire(index), None, rejections
+                    )
+                    heavy.append((job["job_id"], started))
+
+        injector = threading.Thread(target=inject)
+        injector.start()
         specs = interactive_specs(3 * requests)[2 * requests:]
         answers = {}
         latencies, wall = closed_loop(
-            server.address, specs, clients, klass=None, answers=answers
+            server.address, specs, clients, klass=None, answers=answers,
+            rejections=rejections,
         )
-        # Each heavy job reaches the batch lane after one quantum of its
-        # own; the bound leaves ample slack for that.
-        deadline = time.monotonic() + 60.0
-        docs = [control.status(job_id) for job_id in heavy_ids]
-        while time.monotonic() < deadline and any(
-            doc["class"] != CLASS_BATCH and doc["state"] in ("queued", "running")
-            for doc in docs
-        ):
-            time.sleep(0.05)
-            docs = [control.status(job_id) for job_id in heavy_ids]
-        for job_id in heavy_ids:
-            control.cancel(job_id)
-        for job_id in heavy_ids:
-            control.result(job_id, timeout=300)
+        injector.join()
+        heavy_docs = [None] * batch_jobs
+        heavy_seconds = [0.0] * batch_jobs
+
+        def finish(slot):
+            job_id, started = heavy[slot]
+            with HttpServiceClient(server.address) as client:
+                heavy_docs[slot] = client.result(job_id, timeout=300)
+            heavy_seconds[slot] = time.perf_counter() - started
+
+        waiters = [
+            threading.Thread(target=finish, args=(slot,))
+            for slot in range(batch_jobs)
+        ]
+        for waiter in waiters:
+            waiter.start()
+        for waiter in waiters:
+            waiter.join()
+        health = HttpServiceClient(server.address).healthz()
         demotions = server.demotions
-    assert [(doc["class"], doc["demotions"]) for doc in docs] == [
+    assert [(doc["class"], doc["demotions"]) for doc in heavy_docs] == [
         (CLASS_BATCH, 1)
     ] * batch_jobs, "every heavy job must be demoted exactly once"
     assert demotions == batch_jobs, "no interactive request may be demoted"
+    assert health["preemptions_triggered"] == 0, (
+        "an unhinted admission must not preempt the demoted jobs"
+    )
     session = Session(EngineConfig(backend="vector"))
-    for spec in specs:
-        reference = session.synthesize(interactive_wire(spec).to_request())
-        answer = answers[spec]
+    checks = [
+        (interactive_wire(spec), answers[spec]) for spec in specs
+    ] + [
+        (unhinted_heavy_wire(index), doc["result"])
+        for index, doc in enumerate(heavy_docs)
+    ]
+    for wire, answer in checks:
+        reference = session.synthesize(wire.to_request())
         assert (
             answer["status"], answer["regex"], answer["cost"],
             answer["generated"], answer["unique_cs"],
         ) == (
             reference.status, reference.regex_str, reference.cost,
             reference.generated, reference.unique_cs,
-        ), spec
+        ), wire.spec
     stats = phase_stats(latencies, wall)
-    stats["heavy_jobs"] = batch_jobs
-    stats["demotions"] = demotions
     stats["interactive_p99_ratio"] = stats["p99_s"] / baseline
+    stats["rejected_429"] = len(rejections)
+    stats["preemptions_triggered"] = health["preemptions_triggered"]
+    stats["brownout"] = health["brownout"]
+    stats["heavy"] = {
+        "jobs": batch_jobs,
+        "demotions": demotions,
+        "p50_s": percentile(heavy_seconds, 0.50),
+        "max_s": max(heavy_seconds),
+        "batch_preemptions": sum(
+            doc["result"]["extra"].get("preemptions", 0)
+            for doc in heavy_docs
+        ),
+    }
     return stats
 
 
@@ -236,6 +292,7 @@ def test_emit_load_artifact():
     else:
         requests, clients, batch_jobs = 12, 2, 2
 
+    max_queue = {CLASS_INTERACTIVE: 2, CLASS_BATCH: 2 * batch_jobs}
     store_root = tempfile.mkdtemp(prefix="repro-bench-load-")
     try:
         with SynthesisServer(
@@ -243,7 +300,7 @@ def test_emit_load_artifact():
             interactive_workers=1,
             batch_workers=1,
             per_worker_depth=2,
-            max_queue={CLASS_INTERACTIVE: 2, CLASS_BATCH: 2 * batch_jobs},
+            max_queue=max_queue,
             reuse_results=False,
         ) as server:
             address = server.address
@@ -322,7 +379,7 @@ def test_emit_load_artifact():
         # Phase 4: the mixed phase with no class hints (no ratio bound).
         unhinted = unhinted_phase(
             os.path.join(store_root, "unhinted"), requests, clients,
-            batch_jobs, baseline,
+            batch_jobs, max_queue, baseline,
         )
     finally:
         shutil.rmtree(store_root, ignore_errors=True)

@@ -144,7 +144,7 @@ class _JobRecord:
         "pinned",
         "quantum",
         "demoting",
-        "demotions",
+        "cancel_requested",
     )
 
     def __init__(self, job_id: str, wire: WireRequest, klass: str,
@@ -165,8 +165,8 @@ class _JobRecord:
         #: Epoch seconds a pending demotion began, while the stopped
         #: interactive attempt winds down (None otherwise).
         self.demoting: Optional[float] = None
-        #: Moves from the interactive to the batch lane.
-        self.demotions = 0
+        #: A client cancelled the job: it ends where it is, undemoted.
+        self.cancel_requested = False
         self.submitted_monotonic = time.monotonic()
         #: Observability identity of this job (None when untraced) plus
         #: the spans the *server* recorded — the root job span first.
@@ -197,7 +197,9 @@ class _JobRecord:
             "job_id": self.job_id,
             "state": self.state,
             "class": self.klass,
-            "demotions": self.demotions,
+            # A job moves at most once, and an unpinned job reaches the
+            # batch lane only by moving.
+            "demotions": int(not self.pinned and self.klass == CLASS_BATCH),
             "joined": self.joined,
             "events": len(self.events),
         }
@@ -307,8 +309,9 @@ class SynthesisServer:
         self.checkpoint_budget_bytes = checkpoint_budget_bytes
         #: Bearer token every request must present (None = open server).
         self.auth_token = auth_token
-        #: Preempt the longest-running batch attempt when an interactive
-        #: submission finds its lane saturated (set False to disable).
+        #: Preempt the longest-running batch attempt when a submission
+        #: pinned interactive finds its lane saturated (set False to
+        #: disable).
         self.preempt_on_saturation = preempt_on_saturation
         self.preemptions_triggered = 0
         #: Jobs moved from the interactive to the batch lane.
@@ -661,11 +664,14 @@ class SynthesisServer:
         # Latency protection: an interactive admission that finds its
         # lane saturated evicts the longest-running batch attempt — the
         # batch job checkpoints mid-level and requeues, freeing cores
-        # for the interactive burst while losing almost no work.
+        # for the interactive burst while losing almost no work.  Only
+        # a job pinned interactive does: an unhinted one claims no
+        # latency, and the jobs saturating the lane may be the next
+        # ones demoted onto the batch lane it would preempt.
         preempted_job = None
         preempt_started = preempt_ended = None
         if (
-            klass == CLASS_INTERACTIVE
+            klass_override == CLASS_INTERACTIVE
             and self.preempt_on_saturation
             and self.admission.interactive_saturated()
         ):
@@ -807,14 +813,32 @@ class SynthesisServer:
         batch lane instead of finishing it.
         """
         record = self._records.get(job_id)
-        if record is None or record.finished or record.klass != CLASS_INTERACTIVE:
+        if (
+            record is None
+            or record.finished
+            or record.cancel_requested
+            or record.klass != CLASS_INTERACTIVE
+        ):
             return
         record.demoting = time.time()
         record.handle.cancel()
 
-    def _resubmit_to_batch(self, record: _JobRecord, stopped) -> None:
+    def _resubmit_to_batch(self, record: _JobRecord, stopped) -> bool:
         """Move a demoted job to the batch lane, where its next attempt
-        resumes from the record the ``stopped`` one journalled."""
+        resumes from the record the ``stopped`` one journalled.
+
+        A ``time_limit`` bounds the job, not each attempt: the batch
+        attempt gets what the stopped one left.  When nothing is left,
+        the stopped attempt ended by its own deadline; the job does not
+        move, and False says so.  (The shortened wire has a fingerprint
+        of its own, so a finished answer is stored under that one.)
+        """
+        wire = record.wire
+        if wire.time_limit is not None:
+            left = wire.time_limit - stopped.elapsed_seconds
+            if left <= 0:
+                return False
+            wire = dataclasses.replace(wire, time_limit=left)
         if record.trace_id is not None:
             record.server_spans.extend(self._result_spans(record, stopped))
             record.server_spans.append(
@@ -826,12 +850,13 @@ class SynthesisServer:
             )
         # Admitted once, never rejected mid-run: the live count moves.
         self.admission.transfer(CLASS_INTERACTIVE, CLASS_BATCH)
+        record.wire = wire
         record.klass = CLASS_BATCH
         record.priority = PRIORITY_NORMAL
         record.demoting = None
-        record.demotions += 1
         self.demotions += 1
         self._submit(record)
+        return True
 
     def _complete(self, job_id: str, handle) -> None:
         record = self._records.get(job_id)
@@ -846,13 +871,13 @@ class SynthesisServer:
         else:
             if record.demoting is not None and result.status == "cancelled":
                 try:
-                    self._resubmit_to_batch(record, result)
-                    return
+                    if self._resubmit_to_batch(record, result):
+                        return
                 except Exception as exc:
                     result = None
                     record.state = "failed"
                     record.error = "batch resubmission failed: %s" % exc
-            else:
+            if result is not None:
                 record.result = result
                 record.state = (
                     "cancelled" if result.status == "cancelled" else "done"
@@ -955,8 +980,10 @@ class SynthesisServer:
             data["cancelled"] = False
             await http11.send_response(writer, 200, data)
             return
-        # A cancel that lands while a demoted attempt is stopping ends
-        # the job: _complete then finishes it instead of resubmitting.
+        # A client cancel ends the job where it is: no quantum demotes
+        # it from here on, and one that lands while a demoted attempt is
+        # stopping makes _complete finish the job instead of moving it.
+        record.cancel_requested = True
         stopping = record.demoting is not None
         record.demoting = None
         delivered = (

@@ -819,28 +819,7 @@ class TestDemotion:
         self, demoting_server, monkeypatch
     ):
         server = demoting_server
-        # A quantum that never runs out: the test demotes by hand.
-        monkeypatch.setattr(repro.server.app, "DEFAULT_LATENCY_TARGET_S", 60.0)
-        batch_submits = []
-        batch_lane = server.lanes[CLASS_BATCH]
-
-        def spy(wire, _submit=batch_lane.submit, **kwargs):
-            batch_submits.append(wire)
-            return _submit(wire, **kwargs)
-
-        monkeypatch.setattr(batch_lane, "submit", spy)
-        # Hold the stopped attempt's completion until the DELETE has
-        # been answered, so the cancel always lands mid-stop.
-        released = threading.Event()
-        complete = server._complete
-
-        def held(job_id, handle):
-            if released.is_set():
-                complete(job_id, handle)
-            else:
-                server._loop.call_later(0.01, held, job_id, handle)
-
-        monkeypatch.setattr(server, "_complete", held)
+        batch_submits, released = _hold_completions(server, monkeypatch)
         with HttpServiceClient(server.address) as client:
             job_id = client.submit(wire_of(LONG_SPECS["vector"]))["job_id"]
             record = server._records[job_id]
@@ -859,6 +838,154 @@ class TestDemotion:
         assert batch_submits == []
         assert [event.done for event in events].count(True) == 1
         assert events[-1].done
+
+    def test_a_quantum_that_runs_out_after_a_cancel_does_not_demote(
+        self, demoting_server, monkeypatch
+    ):
+        server = demoting_server
+        batch_submits, released = _hold_completions(server, monkeypatch)
+        with HttpServiceClient(server.address) as client:
+            job_id = client.submit(wire_of(LONG_SPECS["vector"]))["job_id"]
+            record = server._records[job_id]
+            _wait(lambda: record.state == "running", timeout=60)
+            answer = client.cancel(job_id)
+            # The quantum runs out while the cancelled attempt stops.
+            _on_loop(server, server._demote, job_id)
+            demoting = record.demoting
+            released.set()
+            done = client.result(job_id, timeout=120)
+            events = list(client.events(job_id))
+        assert answer["cancelled"] is True
+        assert demoting is None
+        assert done["state"] == "cancelled"
+        assert done["class"] == CLASS_INTERACTIVE
+        assert done["demotions"] == 0
+        assert batch_submits == []
+        assert [event.done for event in events].count(True) == 1
+
+    def test_a_time_limit_bounds_the_job_not_each_attempt(
+        self, demoting_server, monkeypatch
+    ):
+        batch_submits = _spy_batch_submits(demoting_server, monkeypatch)
+        wire = wire_of(LONG_SPECS["vector"], time_limit=120.0)
+        with HttpServiceClient(demoting_server.address) as client:
+            job = client.submit(wire)
+            done = client.result(job["job_id"], timeout=300)
+        assert done["state"] == "done"
+        assert done["demotions"] == 1
+        # The batch attempt got what the interactive one left: at least
+        # one quantum less.
+        [moved] = batch_submits
+        assert 0 < moved.time_limit <= 120.0 - 0.05
+        solo = Session(EngineConfig(backend="vector")).synthesize(
+            wire.to_request()
+        )
+        answer = done["result"]
+        assert (answer["status"], answer["regex"], answer["generated"]) == (
+            solo.status, solo.regex_str, solo.generated
+        )
+
+    def test_an_attempt_stopped_by_its_deadline_is_not_demoted(
+        self, demoting_server, monkeypatch
+    ):
+        server = demoting_server
+        batch_submits, released = _hold_completions(server, monkeypatch)
+        wire = wire_of(LONG_SPECS["vector"], time_limit=0.2)
+        with HttpServiceClient(server.address) as client:
+            job_id = client.submit(wire)["job_id"]
+            record = server._records[job_id]
+            _wait(lambda: record.handle.done, timeout=60)
+            # The quantum runs out after the deadline stopped the run.
+            _on_loop(server, server._demote, job_id)
+            released.set()
+            done = client.result(job_id, timeout=120)
+            events = list(client.events(job_id))
+        assert done["state"] == "cancelled"
+        assert done["class"] == CLASS_INTERACTIVE
+        assert done["demotions"] == 0
+        assert batch_submits == []
+        assert [event.done for event in events].count(True) == 1
+
+    def test_only_a_pinned_interactive_admission_preempts(
+        self, demoting_server, monkeypatch
+    ):
+        server = demoting_server
+        # No quantum runs out: the unhinted jobs stay interactive.
+        monkeypatch.setattr(repro.server.app, "DEFAULT_LATENCY_TARGET_S", 60.0)
+        with HttpServiceClient(server.address) as client:
+            batch_id = client.submit(slow_wire(), klass=CLASS_BATCH)["job_id"]
+            _wait(
+                lambda: server._records[batch_id].state == "running",
+                timeout=60,
+            )
+            # Two long unhinted jobs fill the interactive lane's slots.
+            job_ids = [
+                client.submit(
+                    wire_of(LONG_SPECS["vector"], max_generated=limit)
+                )["job_id"]
+                for limit in (20_000_000, 20_000_001)
+            ]
+            assert server.admission.interactive_saturated()
+            job_ids.append(client.submit(wire_of(INTRO_SPEC))["job_id"])
+            unhinted_triggers = server.preemptions_triggered
+            job_ids.append(
+                client.submit(
+                    wire_of(INTRO_SPEC, max_generated=1_000_000),
+                    klass=CLASS_INTERACTIVE,
+                )["job_id"]
+            )
+            pinned_triggers = server.preemptions_triggered
+            for job_id in [batch_id, *job_ids]:
+                client.cancel(job_id)
+                client.result(job_id, timeout=120)
+        assert unhinted_triggers == 0
+        assert pinned_triggers == 1
+
+
+def _spy_batch_submits(server, monkeypatch):
+    """The list each wire submitted to the batch lane is appended to."""
+    batch_submits = []
+    batch_lane = server.lanes[CLASS_BATCH]
+
+    def spy(wire, _submit=batch_lane.submit, **kwargs):
+        batch_submits.append(wire)
+        return _submit(wire, **kwargs)
+
+    monkeypatch.setattr(batch_lane, "submit", spy)
+    return batch_submits
+
+
+def _hold_completions(server, monkeypatch):
+    """Make a quantum that never runs out (a test demotes by hand), spy
+    on the batch lane's submissions, and hold every completion until
+    the returned event is set; returns (batch submissions, event)."""
+    monkeypatch.setattr(repro.server.app, "DEFAULT_LATENCY_TARGET_S", 60.0)
+    batch_submits = _spy_batch_submits(server, monkeypatch)
+    released = threading.Event()
+    complete = server._complete
+
+    def held(job_id, handle):
+        if released.is_set():
+            complete(job_id, handle)
+        else:
+            server._loop.call_later(0.01, held, job_id, handle)
+
+    monkeypatch.setattr(server, "_complete", held)
+    return batch_submits, released
+
+
+def _on_loop(server, callback, *args):
+    """Run ``callback(*args)`` on the server's loop and wait for it."""
+    ran = threading.Event()
+
+    def call():
+        try:
+            callback(*args)
+        finally:
+            ran.set()
+
+    server._loop.call_soon_threadsafe(call)
+    assert ran.wait(timeout=10)
 
 
 # ----------------------------------------------------------------------
