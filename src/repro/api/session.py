@@ -330,7 +330,9 @@ class Session:
             )
         if status == STATUS_SUCCESS:
             result.regex = reconstruct(
-                engine.solution, engine.cache.provenance, engine.universe.alphabet
+                engine.solution,
+                engine.cache.provenance_lookup,
+                engine.universe.alphabet,
             )
             result.cost = engine.solution_cost
         self.stats.requests_served += 1
@@ -474,7 +476,7 @@ class Session:
                 query.finalize(leftover_status, engine, started)
 
         sweep_seconds = time.perf_counter() - started
-        provenance = engine.cache.provenance
+        provenance = engine.cache.provenance_lookup
         shared_extra = {
             "batched": True,
             "batch_size": len(requests),

@@ -39,15 +39,16 @@ DEFAULT_PLANE_CACHE_BYTES = 1 << 27
 #: The on-disk-relevant layout contract of the caches.  Any change that
 #: alters what a stored level *means* — row packing, dedupe discipline
 #: (which decides what gets stored at all), provenance or ordinal
-#: encoding, the checkpoint record format — must be reflected here so
-#: persisted checkpoints keyed by :func:`cache_version_fingerprint`
-#: invalidate instead of replaying rows under the wrong interpretation.
+#: encoding, the checkpoint record format (v4: each record a delta past
+#: its cost's journalled cursor) — must be reflected here so persisted
+#: checkpoints keyed by :func:`cache_version_fingerprint` invalidate
+#: instead of replaying rows under the wrong interpretation.
 CACHE_SCHEMA = {
     "rows": "uint64-le-lanes/pow2-padded/v1",
     "dedupe": "two-tier-fingerprint-exact/v1",
     "provenance": "op-left-right-int64-columns/v1",
     "ordinals": "absolute-1based-generation-int64/v1",
-    "checkpoints": "self-indexed-journal-cost-cursor-headers/v3",
+    "checkpoints": "self-indexed-journal-cost-delta-chains/v4",
 }
 
 
@@ -104,6 +105,25 @@ class LevelIndex:
         return 0 if bounds is None else bounds[1] - bounds[0]
 
 
+class ProvenanceColumns:
+    """Row-indexable ``(op, left, right)`` triples over the three
+    provenance columns of a :class:`PackedCache`.
+
+    What :func:`repro.core.reconstruct.reconstruct` reads: a solution's
+    few dozen ancestors, without a tuple per cached row.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(
+        self, ops: np.ndarray, lefts: np.ndarray, rights: np.ndarray
+    ) -> None:
+        self._columns = (ops, lefts, rights)
+
+    def __getitem__(self, index: int) -> Tuple[int, int, int]:
+        return tuple(int(column[index]) for column in self._columns)
+
+
 class IntCache:
     """Scalar language cache: CSs as Python ints, plus provenance."""
 
@@ -137,6 +157,12 @@ class IntCache:
         self.provenance.append((op, left, right))
         self.ordinals.append(ordinal)
         return len(self.cs_list) - 1
+
+    @property
+    def provenance_lookup(self) -> List[Tuple[int, int, int]]:
+        """Row-indexable provenance for reconstruction (the triple list
+        itself)."""
+        return self.provenance
 
     def cs_at(self, index: int) -> int:
         """The CS stored at a global index."""
@@ -222,6 +248,12 @@ class PackedCache:
                 )
             )
         return self._provenance_view
+
+    @property
+    def provenance_lookup(self) -> ProvenanceColumns:
+        """Row-indexable provenance for reconstruction: views of the
+        stored rows' columns, nothing materialised."""
+        return ProvenanceColumns(*self.provenance_arrays(0, self.n_rows))
 
     def _ensure(self, extra: int) -> None:
         needed = self.n_rows + extra

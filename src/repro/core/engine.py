@@ -18,7 +18,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,23 +96,6 @@ class Checkpoint:
     ordinals: np.ndarray  # (n,) int64, 1-based absolute
     generated_total: int  # cumulative ``generated`` at the snapshot
     level_progress: int  # candidates generated within this level
-
-    def to_payload(self) -> dict:
-        """A plain-dict form (what the checkpoint journal pickles)."""
-        return {field.name: getattr(self, field.name) for field in fields(self)}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Checkpoint":
-        return cls(
-            cost=int(payload["cost"]),
-            rows=np.asarray(payload["rows"], dtype=np.uint64),
-            ops=np.asarray(payload["ops"], dtype=np.int64),
-            lefts=np.asarray(payload["lefts"], dtype=np.int64),
-            rights=np.asarray(payload["rights"], dtype=np.int64),
-            ordinals=np.asarray(payload["ordinals"], dtype=np.int64),
-            generated_total=int(payload["generated_total"]),
-            level_progress=int(payload["level_progress"]),
-        )
 
 
 def _pair_candidates(

@@ -551,13 +551,13 @@ class VectorEngine(SearchEngine):
     def _level_payload(
         self, start: int, end: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        ops, lefts, rights = self._cache.provenance_arrays(start, end)
+        # Views, not copies: the sink runs inside the hand-over, and
+        # cache rows are write-once, so a view stays valid even after
+        # the cache grows into new arrays.
         return (
-            np.array(self._cache.rows(start, end), dtype=np.uint64),
-            np.array(ops, dtype=np.int64),
-            np.array(lefts, dtype=np.int64),
-            np.array(rights, dtype=np.int64),
-            np.array(self._cache.gen_ordinals(start, end), dtype=np.int64),
+            self._cache.rows(start, end),
+            *self._cache.provenance_arrays(start, end),
+            self._cache.gen_ordinals(start, end),
         )
 
     def _adopt_restored(self, payload, lo: int, hi: int) -> None:

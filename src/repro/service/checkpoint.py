@@ -1,9 +1,9 @@
-"""Durable checkpoints: one self-indexing journal per key.
+"""Durable checkpoints: one self-indexing journal of deltas per key.
 
 Enumeration is a deterministic sequence over cost levels, so any point
 in it is a prefix of completed levels plus a cursor inside the next one
-(the multicore-recovery recipe: lightweight logging, recovery replays
-only the tail).  The :class:`CheckpointStore` persists
+(the multicore-recovery recipe: log only what is new, and recovery
+replays only the tail).  The :class:`CheckpointStore` persists
 :class:`~repro.core.engine.Checkpoint` records — one level's stored rows
 up to a cursor, where a finished level is the cursor at the level's
 end — per *checkpoint key*: the content address of an enumeration,
@@ -18,32 +18,45 @@ from either engine.
 
 A key is one file, ``<key>.journal``: append-only records, each ::
 
-    RCKP | u64 cost | u64 level cursor | u64 payload length | sha256 | pickle
+    RCKP | u64 cost | u64 base cursor | u64 level cursor
+         | u64 payload length | sha256 | pickle
 
-where the SHA-256 covers the header and the pickled payload.  Each
-record names its cost and cursor, so the journal is its own index: a
-scan of the headers (no payload is read) gives every cost's largest
-cursor and the end of the intact prefix.
+where the SHA-256 covers the header and the pickled payload.  A record
+is a *delta*: the rows its level stored between the base cursor and the
+level cursor.  Because a level's rows up to one cursor are a prefix of
+its rows up to any later one, each cost is a *chain* of deltas in file
+order — the first with base 0, each next one based on the previous
+one's cursor — and a level's rows go to disk once, however many records
+it takes.  Each record names its cost and both cursors, so the journal
+is its own index: a scan of the headers (no payload is read) gives
+every cost's chain and the end of the intact prefix.
 
 Writes are group commits.  The engine queues records on one work
 cadence (:data:`~repro.core.engine.CHECKPOINT_EVERY_CANDIDATES` /
 :data:`~repro.core.engine.CHECKPOINT_EVERY_S`) and hands them over as
-one group, and :meth:`CheckpointStore.append` journals a group in one
-round under a ``flock`` on the journal itself: one header scan, the
-records that advance their cost's cursor, one fsync — plus one of the
-directory when the round wrote the journal's first record.  A small job
-makes one round, when its run returns.  A kill inside a round loses
-that round only: what it wrote is at most a torn tail, which the next
-append cuts off before writing.
+one group, each holding its level's rows from the level's start, and
+:meth:`CheckpointStore.append` journals a group in one round under a
+``flock`` on the journal itself: one header scan, then, for each record
+that advances its cost's cursor, only the rows past the cursor the
+journal already holds, then one fsync — plus one of the directory when
+the round wrote the journal's first record.  Trimming against the
+journal rather than against what one engine sent leaves no gap to
+handle: a failed round's rows reappear in the next record, and a pool
+sibling's or an earlier attempt's record is simply trimmed against.  A
+small job makes one round, when its run returns.  A kill inside a round
+loses that round only: what it wrote is at most a torn tail, which the
+next append cuts off before writing.
 
-:meth:`CheckpointStore.load` takes each cost's largest-cursor record,
-verifies them in cost order and serves the valid cost-consecutive
-prefix.  A torn tail or a bit-rotten record is healed by truncating the
-journal at the first bad offset, so the next run re-journals what was
-lost: damage means a shorter resume, never a wrong answer.  Concurrent
-appenders (pool siblings at the same point) serialise on the flock and
-keep the largest cursor, and since enumeration is deterministic they
-would write identical payloads anyway.
+:meth:`CheckpointStore.load` verifies each cost's chain in cost order,
+joins it into one record from the level's start and serves the valid
+cost-consecutive prefix.  A torn tail or a bit-rotten record is healed
+by truncating the journal at the first bad offset, so the next run
+re-journals what was lost; the part of a chain before a damaged delta is
+still a valid cursor inside its level.  Damage means a shorter resume,
+never a wrong answer.  Concurrent appenders (pool siblings at the same
+point) serialise on the flock, and since enumeration is deterministic
+each one's rows past the other's cursor are the rows the other would
+have written.
 """
 
 from __future__ import annotations
@@ -54,6 +67,8 @@ import pickle
 import struct
 from pathlib import Path
 from typing import IO, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.cache import cache_version_fingerprint
 from ..core.engine import Checkpoint
@@ -68,8 +83,15 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 _RECORD_MAGIC = b"RCKP"
-_HEADER = struct.Struct("<4sQQQ")  # magic, cost, level cursor, payload length
+# magic, cost, base cursor, level cursor, payload length
+_HEADER = struct.Struct("<4sQQQQ")
 _DIGEST_SIZE = hashlib.sha256().digest_size
+
+#: A record's per-row array fields.
+_ARRAYS = ("rows", "ops", "lefts", "rights", "ordinals")
+
+#: One journalled delta: ``(base cursor, level cursor, file offset)``.
+_Link = Tuple[int, int, int]
 
 
 def checkpoint_key(
@@ -92,67 +114,116 @@ def checkpoint_key(
     )
 
 
-def _scan(handle) -> Tuple[Dict[int, Tuple[int, int]], int, int]:
+def _scan(handle) -> Tuple[Dict[int, List[_Link]], int, int]:
     """Walk a journal's record headers without reading any payload.
 
-    Returns ``{cost: (cursor, offset)}`` for each cost's record with the
-    largest cursor, the end of the intact prefix and the file size.  A
-    short header, a wrong magic or a record running past the end of the
-    file ends the prefix.
+    Returns each cost's chain of deltas in file order, the end of the
+    intact prefix and the file size.  A short header, a wrong magic, a
+    record running past the end of the file or one that does not extend
+    its cost's chain (its base is not the chain's cursor, or 0 for a
+    cost's first record) ends the prefix: every record an append writes
+    extends its chain, so such a record is damage.
     """
     size = os.fstat(handle.fileno()).st_size
-    best: Dict[int, Tuple[int, int]] = {}
+    chains: Dict[int, List[_Link]] = {}
     offset = 0
     while offset < size:
         handle.seek(offset)
         header = handle.read(_HEADER.size)
         if len(header) != _HEADER.size:
             break
-        magic, cost, cursor, length = _HEADER.unpack(header)
+        magic, cost, base, cursor, length = _HEADER.unpack(header)
         end = offset + _HEADER.size + _DIGEST_SIZE + length
         if magic != _RECORD_MAGIC or end > size:
             break
-        if cursor > best.get(cost, (-1, 0))[0]:
-            best[cost] = (cursor, offset)
+        chain = chains.get(cost)
+        if chain is None and base == 0:
+            chains[cost] = [(base, cursor, offset)]
+        elif chain is not None and base == chain[-1][1] < cursor:
+            chain.append((base, cursor, offset))
+        else:
+            break
         offset = end
-    return best, offset, size
+    return chains, offset, size
 
 
-def _read_record(
-    handle, offset: int, cost: int, cursor: int
-) -> Optional[Checkpoint]:
-    """The record at ``offset`` if its digest, cost and cursor check out."""
+def _delta(record: Checkpoint, base: int) -> dict:
+    """The journal payload of ``record`` past cursor ``base``: the rows
+    its level stored after its first ``base`` candidates (all of them
+    for base 0)."""
+    level_start = record.generated_total - record.level_progress
+    skip = int(
+        np.searchsorted(record.ordinals, level_start + base, side="right")
+    )
+    payload = {name: getattr(record, name)[skip:] for name in _ARRAYS}
+    payload.update(
+        cost=record.cost,
+        base_progress=base,
+        level_progress=record.level_progress,
+        generated_total=record.generated_total,
+    )
+    return payload
+
+
+def _read_delta(handle, cost: int, link: _Link) -> Optional[dict]:
+    """The payload of one journalled delta if its digest, cost and
+    cursors check out."""
+    base, cursor, offset = link
     try:
         handle.seek(offset)
         header = handle.read(_HEADER.size)
-        length = _HEADER.unpack(header)[3]
+        length = _HEADER.unpack(header)[-1]
         digest = handle.read(_DIGEST_SIZE)
         payload = handle.read(length)
         check = hashlib.sha256(header)
         check.update(payload)
         if check.digest() != digest:
             return None
-        record = Checkpoint.from_payload(pickle.loads(payload))
+        delta = pickle.loads(payload)
+        named = (delta["cost"], delta["base_progress"], delta["level_progress"])
     except Exception:
         return None
-    if (record.cost, record.level_progress) != (cost, cursor):
-        return None
-    return record
+    return delta if named == (cost, base, cursor) else None
+
+
+def _join(deltas: List[dict]) -> Checkpoint:
+    """One record from a chain's verified deltas: their rows from the
+    level's start, at the last delta's cursor."""
+    last = deltas[-1]
+    if len(deltas) == 1:
+        arrays = [last[name] for name in _ARRAYS]
+    else:
+        arrays = [
+            np.concatenate([delta[name] for delta in deltas])
+            for name in _ARRAYS
+        ]
+    return Checkpoint(
+        int(last["cost"]),
+        *arrays,
+        generated_total=int(last["generated_total"]),
+        level_progress=int(last["level_progress"]),
+    )
 
 
 def _read(handle) -> Tuple[List[Checkpoint], Optional[int]]:
-    """A journal's verified cost-consecutive records, ascending, and the
-    offset of the first damage found (None when there is none)."""
-    best, end, size = _scan(handle)
+    """A journal's verified cost-consecutive records, ascending, each
+    cost's chain joined into one, and the offset of the first damage
+    found (None when there is none)."""
+    chains, end, size = _scan(handle)
     records: List[Checkpoint] = []
-    for cost in sorted(best):
+    for cost in sorted(chains):
         if records and cost != records[-1].cost + 1:
             break
-        cursor, offset = best[cost]
-        record = _read_record(handle, offset, cost, cursor)
-        if record is None:
-            return records, offset
-        records.append(record)
+        deltas = []
+        for link in chains[cost]:
+            delta = _read_delta(handle, cost, link)
+            if delta is None:
+                # The deltas before it still end at a valid cursor.
+                if deltas:
+                    records.append(_join(deltas))
+                return records, link[2]
+            deltas.append(delta)
+        records.append(_join(deltas))
     return records, (end if end < size else None)
 
 
@@ -200,15 +271,20 @@ class CheckpointStore:
         """Journal a group of records in one round; returns how many
         were journalled.
 
-        A record is skipped when the journal, or another record of the
-        group, already holds its cost with at least its cursor — a pool
-        sibling got there first, or the level already finished.
+        Each record goes to disk as a delta: the rows past the cursor
+        the journal already holds for its cost (all of them for a cost
+        it does not hold yet).  A record is skipped when the journal, or
+        another record of the group, already holds its cost with at
+        least its cursor — a pool sibling got there first, or the level
+        already finished.  A delta without rows still advances its
+        cost's cursor, so it is written.
         """
         with self._open_locked(key, create=True) as handle:
-            best, end, size = _scan(handle)
+            chains, end, size = _scan(handle)
             if end < size:
                 handle.truncate(end)  # the torn tail of a killed round
-            cursors = {cost: cursor for cost, (cursor, _) in best.items()}
+            held = {cost: chain[-1][1] for cost, chain in chains.items()}
+            cursors = dict(held)
             fresh = {}
             for record in records:
                 if record.level_progress > cursors.get(record.cost, -1):
@@ -220,12 +296,13 @@ class CheckpointStore:
             # wrote is a torn tail the next append cuts off.
             fault_point("checkpoint.append")
             handle.seek(end)
-            for record in fresh.values():
+            for cost, record in fresh.items():
+                base = held.get(cost, 0)
                 payload = pickle.dumps(
-                    record.to_payload(), protocol=pickle.HIGHEST_PROTOCOL
+                    _delta(record, base), protocol=pickle.HIGHEST_PROTOCOL
                 )
                 header = _HEADER.pack(
-                    _RECORD_MAGIC, record.cost, record.level_progress, len(payload)
+                    _RECORD_MAGIC, cost, base, record.level_progress, len(payload)
                 )
                 digest = hashlib.sha256(header)
                 digest.update(payload)
@@ -250,15 +327,18 @@ class CheckpointStore:
         return self.append(key, records)
 
     def load(self, key: str) -> List[Checkpoint]:
-        """The valid cost-consecutive records under ``key``, ascending.
+        """The valid cost-consecutive records under ``key``, ascending,
+        each starting at its level's start.
 
-        Reads without the lock, verifying each cost's largest-cursor
-        record (digest, cost, cursor) and stopping at the first failure
-        or cost gap, so the result is always a replayable prefix.  On a
-        torn tail or a damaged record it reads again under the lock (an
-        appender may have been mid-round) and truncates the journal at
-        the first bad offset (self-healing) — the lost tail is simply
-        re-enumerated and re-journalled by the next run.
+        Reads without the lock, verifying every delta of each cost's
+        chain (digest, cost, both cursors) and joining the chain into
+        one record.  It stops at the first failure or cost gap, serving
+        the part of a damaged chain before the bad delta, so the result
+        is always a replayable prefix.  On a torn tail or a damaged
+        record it reads again under the lock (an appender may have been
+        mid-round) and truncates the journal at the first bad offset
+        (self-healing) — the lost tail is simply re-enumerated and
+        re-journalled by the next run.
         """
         try:
             handle = open(self._journal_path(key), "rb")

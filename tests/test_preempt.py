@@ -14,11 +14,15 @@ pure in :class:`TestBrownout`, and bearer-token auth end-to-end in
 :class:`TestAuth`.
 """
 
+import multiprocessing
+import pickle
 import time
 
+import numpy as np
 import pytest
 
 import repro.core.engine as engine_module
+import repro.service.checkpoint as checkpoint_module
 from repro import EngineConfig, Session, Spec, SynthesisRequest
 from repro.core.engine import STATUS_PREEMPTED, RunControl
 from repro.server import (
@@ -32,6 +36,7 @@ from repro.server import (
 from repro.service import CheckpointStore, StoreBackedSession
 from repro.service.pool import WorkerPool
 from repro.testing import faults
+from repro.testing.faults import corrupt_file
 
 #: Small but non-trivial: five full cost levels before the solution.
 SPEC = Spec(positive=["00", "010", "0110"], negative=["", "11", "101"])
@@ -71,21 +76,28 @@ def assert_identical(resumed, reference):
     assert resumed.extra["level_stats"] == reference.extra["level_stats"]
 
 
-def run_with_records(backend, every=7):
-    """A solo run that keeps every checkpoint record: each level's end,
-    plus in-level records on a cadence of ``every`` candidates."""
+def run_with_groups(backend, every=7):
+    """A solo run that keeps every checkpoint group it hands over: each
+    level's end, plus in-level records on a cadence of ``every``
+    candidates."""
     engine = Session(EngineConfig(backend=backend)).make_engine(
         SynthesisRequest(spec=SPEC)
     )
-    records = []
+    groups = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_module, "CHECKPOINT_EVERY_CANDIDATES", every)
-        status = engine.run(40, RunControl(on_checkpoint=records.extend))
+        status = engine.run(40, RunControl(on_checkpoint=groups.append))
     reference = (
         status, engine.generated, engine.levels_built, engine.level_stats,
         engine.solution, engine.solution_cost, len(engine.cache),
     )
-    return records, reference
+    return groups, reference
+
+
+def run_with_records(backend, every=7):
+    """:func:`run_with_groups`, its groups flattened into one list."""
+    groups, reference = run_with_groups(backend, every)
+    return [record for group in groups for record in group], reference
 
 
 def level_ends_before(records, cost):
@@ -101,6 +113,46 @@ def in_level(records):
         if following.cost == record.cost
         and following.level_progress > record.level_progress
     ]
+
+
+#: Bytes before a journal record's payload: its header and digest.
+RECORD_HEADER_SIZE = (
+    checkpoint_module._HEADER.size + checkpoint_module._DIGEST_SIZE
+)
+
+
+def journal_deltas(store, key):
+    """What a journal holds, in file order: each record's ``(offset,
+    cost, base cursor, level cursor, payload)``."""
+    data = store._journal_path(key).read_bytes()
+    deltas, offset = [], 0
+    while offset < len(data):
+        _, cost, base, cursor, length = checkpoint_module._HEADER.unpack_from(
+            data, offset
+        )
+        start = offset + RECORD_HEADER_SIZE
+        payload = pickle.loads(data[start:start + length])
+        deltas.append((offset, cost, base, cursor, payload))
+        offset = start + length
+    return deltas
+
+
+def race_group_appends(root, groups, rounds, barrier):
+    """Append every group, in order, to one fresh key per round, in step."""
+    store = CheckpointStore(root)
+    for index in range(rounds):
+        barrier.wait()
+        for group in groups:
+            store.append("q%d" % index, group)
+
+
+def assert_same_record(got, want):
+    """Two checkpoint records agree field by field."""
+    assert (got.cost, got.generated_total, got.level_progress) == (
+        want.cost, want.generated_total, want.level_progress
+    )
+    for field in ("rows", "ops", "lefts", "rights", "ordinals"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +183,40 @@ class TestPartialCheckpointResume:
                 engine.level_stats, engine.solution, engine.solution_cost,
                 len(engine.cache),
             ) == reference, (record.cost, record.level_progress)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_kill_at_every_record_through_the_store_is_bit_identical(
+        self, backend, tmp_path
+    ):
+        # As above, but the records reach the fresh engine the way a
+        # restarted worker's do: journalled group by group as deltas,
+        # then joined again by the store's load.
+        groups, reference = run_with_groups(backend)
+        killed = 0
+        for index, group in enumerate(groups):
+            for count in range(1, len(group) + 1):
+                store = CheckpointStore(tmp_path / ("%d-%d" % (index, count)))
+                for earlier in groups[:index]:
+                    store.append("q", earlier)
+                store.append("q", group[:count])
+                restored = store.load("q")
+                assert restored[-1].level_progress == (
+                    group[count - 1].level_progress
+                )
+                engine = Session(EngineConfig(backend=backend)).make_engine(
+                    SynthesisRequest(spec=SPEC)
+                )
+                status = engine.run(40, RunControl(restored=restored))
+                assert engine.resumed_levels + engine.partial_resumes == len(
+                    restored
+                )
+                assert (
+                    status, engine.generated, engine.levels_built,
+                    engine.level_stats, engine.solution, engine.solution_cost,
+                    len(engine.cache),
+                ) == reference, (index, count)
+                killed += 1
+        assert killed == sum(len(group) for group in groups) > len(groups)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rework_is_bounded_by_the_checkpoint_interval(self, backend):
@@ -230,14 +316,126 @@ class TestStorePartials:
         records, _ = run_with_records("vector")
         first = in_level(records)[0]
         last = [r for r in records if r.cost == first.cost][-1]
-        store = CheckpointStore(tmp_path)
+        store = CheckpointStore(tmp_path / "first-then-last")
         assert store.append("q", [first]) == 1
         assert store.append("q", [last]) == 1
-        (loaded,) = store.load("q")
-        assert (loaded.cost, loaded.level_progress) == (
-            last.cost, last.level_progress
+        # The later record went to disk as the rows past the first one.
+        (_, _, _, _, whole), (_, cost, base, cursor, delta) = journal_deltas(
+            store, "q"
         )
+        assert (cost, base, cursor) == (
+            last.cost, first.level_progress, last.level_progress
+        )
+        assert len(whole["rows"]) == len(first.rows)
+        assert len(delta["rows"]) == len(last.rows) - len(first.rows)
+        (loaded,) = store.load("q")
+        assert_same_record(loaded, last)
         assert store.append("q", [first]) == 0  # no longer advances
+        # The other order: the earlier record is skipped.
+        store = CheckpointStore(tmp_path / "last-then-first")
+        assert store.append("q", [last]) == 1
+        assert store.append("q", [first]) == 0
+        (loaded,) = store.load("q")
+        assert_same_record(loaded, last)
+
+    def test_each_row_is_written_once(self, tmp_path):
+        groups, _ = run_with_groups("vector")
+        records = [record for group in groups for record in group]
+        store = CheckpointStore(tmp_path)
+        for group in groups:
+            store.append("q", group)
+        final = {record.cost: record for record in records}
+        deltas = journal_deltas(store, "q")
+        assert any(base > 0 and len(payload["rows"])
+                   for _, _, base, _, payload in deltas)
+        written = {}
+        for _, cost, _, _, payload in deltas:
+            written[cost] = written.get(cost, 0) + len(payload["rows"])
+        assert written == {
+            cost: len(record.rows) for cost, record in final.items()
+        }
+        loaded = store.load("q")
+        assert [record.cost for record in loaded] == sorted(final)
+        for record in loaded:
+            assert_same_record(record, final[record.cost])
+
+    def test_racing_appenders_write_each_row_once(self, tmp_path):
+        # More appender processes than cores journal the same in-level
+        # and level-end records into one fresh key per round, in step: a
+        # delta trimmed against a stale cursor would write rows twice or
+        # break its chain.
+        groups, _ = run_with_groups("vector")
+        final = {
+            record.cost: record for group in groups for record in group
+        }
+        rounds, appenders = 40, 4
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(appenders, timeout=30)
+        procs = [
+            context.Process(
+                target=race_group_appends,
+                args=(tmp_path, groups, rounds, barrier),
+            )
+            for _ in range(appenders)
+        ]
+        try:
+            for proc in procs:
+                proc.start()
+            for proc in procs:
+                proc.join(timeout=120)
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.kill()
+        assert [proc.exitcode for proc in procs] == [0] * appenders
+        store = CheckpointStore(tmp_path)
+        for index in range(rounds):
+            key = "q%d" % index
+            written = {}
+            for _, cost, _, _, payload in journal_deltas(store, key):
+                written[cost] = written.get(cost, 0) + len(payload["rows"])
+            assert written == {
+                cost: len(record.rows) for cost, record in final.items()
+            }, key
+            loaded = store.load(key)
+            assert [record.cost for record in loaded] == sorted(final)
+            for record in loaded:
+                assert_same_record(record, final[record.cost])
+
+    def test_damage_inside_a_chain_serves_its_prefix_and_heals(
+        self, tmp_path
+    ):
+        groups, _ = run_with_groups("vector")
+        records = [record for group in groups for record in group]
+        store = CheckpointStore(tmp_path)
+        for group in groups:
+            store.append("q", group)
+        undamaged = store.load("q")
+        deltas = journal_deltas(store, "q")
+        # The second delta of the first cost journalled in several.
+        offset, cost, base, _, _ = next(d for d in deltas if d[2] > 0)
+        journal = store._journal_path("q")
+        corrupt_file(journal, offset=offset + RECORD_HEADER_SIZE + 40)
+        loaded = store.load("q")
+        # The earlier levels, then the chain up to its first delta.
+        assert [record.cost for record in loaded] == [
+            record.cost for record in undamaged if record.cost <= cost
+        ]
+        for got, want in zip(loaded[:-1], undamaged):
+            assert_same_record(got, want)
+        first = next(
+            record for record in records
+            if (record.cost, record.level_progress) == (cost, base)
+        )
+        assert_same_record(loaded[-1], first)
+        # Healed by truncation at the damaged delta.
+        assert journal.stat().st_size == offset
+        for group in groups:
+            store.append("q", group)
+        healed = store.load("q")
+        assert len(healed) == len(undamaged)
+        for got, want in zip(healed, undamaged):
+            assert_same_record(got, want)
 
     def test_corrupt_partial_heals_and_keeps_levels(self, tmp_path):
         records, _ = run_with_records("vector")

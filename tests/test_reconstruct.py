@@ -74,3 +74,34 @@ class TestComposite:
         regex = reconstruct(engine.solution, engine.cache.provenance,
                             engine.universe.alphabet)
         assert to_string(regex) == "10(0+1)*"
+
+
+class TestFoundAnswers:
+    def test_vector_answers_never_materialise_the_row_wise_provenance(
+        self, monkeypatch
+    ):
+        # A found answer reads its few dozen ancestors only, so neither
+        # a solo nor a batched vector answer may build one tuple per
+        # cached row.
+        from repro import EngineConfig, Session, Spec
+        from repro.core.cache import PackedCache
+
+        specs = [
+            Spec(positive=["00", "010", "0110"], negative=["", "11", "101"]),
+            Spec(positive=["00", "101"], negative=["", "11", "010", "0110"]),
+        ]
+        scalar = Session(EngineConfig(backend="scalar"))
+        want = [scalar.synthesize(spec) for spec in specs]
+        assert [result.status for result in want] == ["success"] * 2
+
+        def materialised(cache):
+            raise AssertionError("the whole provenance was materialised")
+
+        monkeypatch.setattr(PackedCache, "provenance", property(materialised))
+        session = Session(EngineConfig(backend="vector"))
+        got = [session.synthesize(specs[0])] + session.synthesize_many(specs)
+        assert session.stats.batch_groups == 1
+        for result, reference in zip(got, want[:1] + want):
+            assert (result.regex, result.cost) == (
+                reference.regex, reference.cost
+            )

@@ -211,8 +211,10 @@ class TestCiContract:
 
     def test_load_smoke_round_trip_demotes_an_unhinted_long_job(self):
         # The found-answer spec runs past one quantum: the step must fail
-        # unless its unhinted job answers and the server counts exactly
-        # one demotion.
+        # unless its unhinted job answers, the server counts exactly one
+        # demotion and the journal holds each level's rows once (below
+        # 40 MB, where re-journalling every in-level record from its
+        # level's start took ~104 MB).
         runs = [
             str(s.get("run", ""))
             for s in load("ci.yml")["jobs"]["load-smoke"]["steps"]
@@ -221,9 +223,12 @@ class TestCiContract:
         assert "--class" not in step
         for part in ("--pos 00111 100 010 01 10 010011",
                      "--neg 01011 0 11 1 0000010 00100 --wait",
-                     '| grep -x "repro_demotions_total 1"'):
+                     '| grep -x "repro_demotions_total 1"',
+                     '$1 == "repro_checkpoint_store_bytes" {n = $2}',
+                     'END {exit !(n != "" && n < 40000000)}'):
             assert part in step, part
         assert step.index("010011") < step.index("repro client metrics")
+        assert step.index("010011") < step.index("repro_checkpoint_store_bytes")
 
     def test_load_smoke_runs_a_traced_interactive_benchmark_pass(self):
         # The long-poll completion path end to end: the step must fail
