@@ -22,8 +22,9 @@ import numpy as np
 import pytest
 
 from _bench_utils import REPO_ROOT, bench_scale, is_full
-from repro.core.bitops import concat_cs, star_cs
+from repro.core.bitops import concat_cs, int_to_lanes, star_cs
 from repro.core.hashset import FingerprintHashSet, PackedKeySet, splitmix64_array
+from repro.core.shard import LaneMatcher
 from repro.core.vector_engine import VectorEngine, _Kernels
 from repro.language.guide_table import GuideTable
 from repro.language.universe import Universe
@@ -489,7 +490,9 @@ def test_emit_kernel_bench_artifact():
     previous 222 ns/candidate figure), and >= 1.5x end-to-end wide-spec
     level building over the PR-1 pipeline — with the PR-1 and seed
     pipelines measured live, and enumeration bit-identity asserted
-    across all three.
+    across all three.  The ``solve`` record, appended last because the
+    gates index ``results`` by position, is guarded by its ceiling in
+    ``perf_ceilings.json``.
     """
     universe = Universe(ARTIFACT_WORDS)
     guide = GuideTable(universe)
@@ -624,6 +627,38 @@ def test_emit_kernel_bench_artifact():
         "ns_per_candidate_seed": seed_s / engine.generated * 1e9,
         "speedup_vs_pr1": pr1_s / level_s,
         "speedup_vs_seed": seed_s / level_s,
+    })
+
+    # --- solve: lane-wise spec check vs the (n, lanes) reduction ------
+    # The frozen reference engines above check ``(rows & pos) == pos``
+    # and ``(rows & neg) == 0`` over whole rows, reduced with
+    # ``.all(axis=1)``: the seed form of the check.
+    pos_lanes = int_to_lanes(left_int, universe.lanes)
+    neg_lanes = int_to_lanes(right_int & ~left_int, universe.lanes)
+    matcher = LaneMatcher(pos_lanes, neg_lanes, 0)
+
+    def seed_solve(rows):
+        pos_ok = ((rows & pos_lanes) == pos_lanes).all(axis=1)
+        return pos_ok & ((rows & neg_lanes) == 0).all(axis=1)
+
+    solve_batch = batch.copy()
+    solve_batch[::3] |= pos_lanes
+    solve_batch[::3] &= ~neg_lanes
+    assert np.array_equal(
+        matcher.flags(solve_batch), seed_solve(solve_batch)
+    )
+    solve_ns = _time_per_item(
+        lambda: matcher.flags(solve_batch), batch_size, dedupe_repeats
+    )
+    seed_solve_ns = _time_per_item(
+        lambda: seed_solve(solve_batch), batch_size, dedupe_repeats
+    )
+    results.append({
+        "op": "solve",
+        "batch_size": batch_size,
+        "ns_per_candidate": solve_ns,
+        "ns_per_candidate_seed": seed_solve_ns,
+        "speedup_vs_seed": seed_solve_ns / solve_ns,
     })
 
     artifact = {

@@ -352,7 +352,7 @@ class SearchEngine:
 
         The default runs the pairings one at a time; the vectorised
         engine overrides this to *fuse* the small pairings of a level
-        into shared solution-check/dedupe/store batches (candidate order
+        into shared dedupe/solution-check/store batches (candidate order
         is unchanged, so results stay bit-identical).
         """
         for pairing in pairings:

@@ -117,6 +117,22 @@ _INT32_SLOTS = 1 << 30
 _FP_SHIFT = np.uint64(32)
 _REF_MASK = (1 << 32) - 1
 
+#: Slot-table growth factor per resize.  Grown to 1.6 M keys in
+#: 131,072-row batches, a quadrupling set re-places 0.41× its final
+#: size in rehashes, a doubling one 1.31×; the price is a table up to
+#: twice as large between resizes.
+_GROWTH = 4
+
+
+def _rows_equal(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row-wise equality of two ``(n, lanes)`` uint64 matrices, one lane
+    at a time: at a key's few lanes this beats the boolean matrix and
+    axis reduction of ``(left == right).all(axis=1)``."""
+    equal = left[:, 0] == right[:, 0]
+    for lane in range(1, left.shape[1]):
+        equal &= left[:, lane] == right[:, lane]
+    return equal
+
 
 class PackedKeySet:
     """Batched two-tier open-addressing set of multi-lane uint64 keys.
@@ -297,7 +313,7 @@ class PackedKeySet:
         needed = self._size + extra
         new_capacity = self.capacity
         while needed > self._max_load * new_capacity:
-            new_capacity *= 2
+            new_capacity *= _GROWTH
         if new_capacity != self.capacity:
             self._rehash(new_capacity)
 
@@ -416,10 +432,10 @@ class PackedKeySet:
                 hit_refs = (
                     words.take(hit_pos).astype(np.int64) & _REF_MASK
                 ) - 1
-                equal = (
-                    self._dense_keys.take(hit_refs, axis=0)
-                    == rows.take(colliding, axis=0)
-                ).all(axis=1)
+                equal = _rows_equal(
+                    self._dense_keys.take(hit_refs, axis=0),
+                    rows.take(colliding, axis=0),
+                )
                 advance[hit_pos.compress(~equal)] = True
             keep = advance.copy()
             empty_pos = np.flatnonzero(empty_mask)
@@ -514,10 +530,10 @@ class PackedKeySet:
                 hit_refs = (
                     words.take(hit_pos).astype(np.int64) & _REF_MASK
                 ) - 1
-                equal = (
-                    self._dense_keys.take(hit_refs, axis=0)
-                    == rows.take(colliding, axis=0)
-                ).all(axis=1)
+                equal = _rows_equal(
+                    self._dense_keys.take(hit_refs, axis=0),
+                    rows.take(colliding, axis=0),
+                )
                 present[colliding.compress(equal)] = True
                 advance[hit_pos.compress(~equal)] = True
             advancing = pending.compress(advance)

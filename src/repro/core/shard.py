@@ -37,14 +37,14 @@ enumeration"):
   kept, and phase two catches everything phase one's stale mirror
   missed, so the stored sequence is exactly the serial one.
 * **Solution arbitration.**  Workers solution-check every candidate
-  (before dedupe, as the vectorised engine does — a duplicate can never
-  be a *first* solution) and report the first hit's global ordinal; the
-  coordinator takes the minimum across shards, keeps only candidates
-  with smaller ordinals, and the engine records the winner — the same
-  candidate the serial sweep would have stopped at.  A shared advisory
-  stop ordinal lets shards past a reported hit abandon their remaining
-  blocks early (a pure optimisation: their output is discarded either
-  way).
+  (before their local dedupe — a duplicate can never be a *first*
+  solution, so the order does not change the answer) and report the
+  first hit's global ordinal; the coordinator takes the minimum across
+  shards, keeps only candidates with smaller ordinals, and the engine
+  records the winner — the same candidate the serial sweep would have
+  stopped at.  A shared advisory stop ordinal lets shards past a
+  reported hit abandon their remaining blocks early (a pure
+  optimisation: their output is discarded either way).
 * **Budgets.**  ``max_generated`` truncation is exact: the coordinator
   passes the remaining budget as a hard stop ordinal, workers clamp
   block generation to it, and the engine's ``generated`` counter
@@ -92,9 +92,16 @@ class LaneMatcher:
     error-relaxed variant.  Shared by the vectorised engine's batch
     checks and the shard workers, so both evaluate the exact same
     predicate.
+
+    The precise check runs lane by lane: per active lane ``k`` it ANDs
+    ``(col & pos[k]) == pos[k]`` and ``(col & neg[k]) == 0`` into the
+    verdicts, with no ``(n, lanes)`` intermediate and no axis reduction.
+    The two compares stay separate: folded into ``(col & (pos | neg))
+    == pos`` they would accept rows under the unsatisfiable masks
+    ``pos = neg = 1`` of :meth:`SearchEngine.disable_solution_checks`.
     """
 
-    __slots__ = ("max_errors", "active", "pos", "neg", "lanes")
+    __slots__ = ("max_errors", "active", "pos", "neg", "lanes", "_columns")
 
     def __init__(
         self,
@@ -108,15 +115,21 @@ class LaneMatcher:
         self.active = None if active.size == self.lanes else active
         self.pos = pos_lanes if self.active is None else pos_lanes[self.active]
         self.neg = neg_lanes if self.active is None else neg_lanes[self.active]
+        self._columns = [
+            (int(lane), pos_lanes[lane], neg_lanes[lane]) for lane in active
+        ]
 
     def flags(self, rows: np.ndarray) -> np.ndarray:
         """Per-row ``|= (P, N)`` verdicts for a ``(n, lanes)`` batch."""
+        if self.max_errors == 0:
+            ok = np.ones(rows.shape[0], dtype=bool)
+            for lane, pos, neg in self._columns:
+                col = rows[:, lane]
+                ok &= (col & pos) == pos
+                ok &= (col & neg) == 0
+            return ok
         if self.active is not None:
             rows = rows.take(self.active, axis=1)
-        if self.max_errors == 0:
-            pos_ok = ((rows & self.pos) == self.pos).all(axis=1)
-            neg_ok = ((rows & self.neg) == 0).all(axis=1)
-            return pos_ok & neg_ok
         mistakes = popcount_rows((rows & self.pos) ^ self.pos)
         mistakes += popcount_rows(rows & self.neg)
         return mistakes <= self.max_errors

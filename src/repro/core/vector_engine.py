@@ -18,7 +18,7 @@ implementation on top of numpy:
 * the Kleene-star fixpoint iterates entirely in plane form, masking out
   converged byte-columns, and un-bit-slices only the final result,
 * all pairings of a cost level that share a constructor are *fused*
-  into shared solution-check/dedupe/store batches, with pair indices
+  into shared dedupe/solution-check/store batches, with pair indices
   generated lazily per block (no O(n²) index materialisation up front),
 * uniqueness is a batched probe of a numpy-native fingerprint-first
   two-tier set (:class:`~repro.core.hashset.PackedKeySet` — the
@@ -332,16 +332,27 @@ class VectorEngine(SearchEngine):
         a_idx: np.ndarray,
         b_idx: Optional[np.ndarray],
     ) -> bool:
-        """Solution-check, dedupe and store a batch of candidates.
+        """Dedupe, solution-check and store a batch of candidates.
 
-        Duplicates can never be solutions (their first occurrence was
-        already solution-checked when it was constructed), so checking
-        solutions before uniqueness is equivalent to Algorithm 2's order
-        and keeps the check fully data-parallel.
+        Algorithm 2's order (lines 15–19), as the scalar engine runs it:
+        the whole batch goes into the seen-set first, and only its novel
+        rows, gathered once, are solution-checked and stored.  A
+        duplicate can never be a first solution (its first occurrence
+        was already solution-checked when it was constructed), so the
+        first hit ``h`` among the novel rows is the batch's first
+        solution, at batch position ``kept[h]``.  Without dedupe
+        (OnTheFly mode, ``check_uniqueness=False``) ``kept`` is every
+        row.
+
+        The seen-set also takes the rows after a solution in its batch,
+        which the cache never holds.  Nothing reads them: a run ends at
+        its solution, ``Session`` runs an engine once, and ``unique_cs``
+        is the cache's length.
 
         The candidate budget is enforced with per-candidate granularity
-        (the batch is truncated to the remaining budget), so budget
-        verdicts are bit-identical to the scalar engine's.
+        (the batch is truncated to the remaining budget before the
+        dedupe), so budget verdicts are bit-identical to the scalar
+        engine's.
         """
         truncated = False
         if self.max_generated is not None:
@@ -354,38 +365,27 @@ class VectorEngine(SearchEngine):
                 if b_idx is not None:
                     b_idx = b_idx[:remaining]
                 truncated = True
-        started = time.perf_counter()
-        flags = self._solve_flags(rows)
-        self.phase_seconds["solve"] += time.perf_counter() - started
         base = self.generated
+        kept, novel = self._dedupe(rows)
+        started = time.perf_counter()
+        flags = self._solve_flags(novel)
+        self.phase_seconds["solve"] += time.perf_counter() - started
         hits = np.flatnonzero(flags)
         if hits.size:
-            first = int(hits[0])
+            h = int(hits[0])
+            first = int(kept[h])
             # Count candidates up to and including the solution, and store
-            # the non-solution prefix of the batch, so the cache and the
-            # ``generated`` counter match the scalar engine's sequential
-            # behaviour exactly.
+            # the novel rows before it, so the cache and the ``generated``
+            # counter match the scalar engine's sequential behaviour
+            # exactly.
             self.generated = base + first + 1
-            if not self.otf:
-                self._store_rows(
-                    op,
-                    rows[:first],
-                    a_idx,
-                    b_idx,
-                    base + 1 + np.arange(first, dtype=np.int64),
-                )
+            kept = kept[:h]
+            self._store_rows(op, novel[:h], kept, a_idx, b_idx, base + 1 + kept)
             right = -1 if b_idx is None else int(b_idx[first])
             self._record_solution(op, int(a_idx[first]), right, self._current_cost)
             return True
         self.generated = base + rows.shape[0]
-        if not self.otf:
-            self._store_rows(
-                op,
-                rows,
-                a_idx,
-                b_idx,
-                base + 1 + np.arange(rows.shape[0], dtype=np.int64),
-            )
+        self._store_rows(op, novel, kept, a_idx, b_idx, base + 1 + kept)
         if truncated:
             raise SweepStopped(STATUS_BUDGET)
         self._check_budget()
@@ -396,52 +396,56 @@ class VectorEngine(SearchEngine):
         self._safe_point()
         return False
 
+    def _dedupe(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(kept, novel)``: the batch positions of the first
+        occurrences of keys new to the seen-set, in batch order, and
+        those rows — every row without dedupe (OnTheFly mode,
+        ``check_uniqueness=False``).  A batch with no duplicate is not
+        gathered."""
+        rows = np.ascontiguousarray(rows)
+        if not self.check_uniqueness or self.otf:
+            return np.arange(rows.shape[0], dtype=np.int64), rows
+        started = time.perf_counter()
+        kept = np.flatnonzero(self._seen.insert_batch(rows))
+        if kept.size < rows.shape[0]:
+            rows = rows[kept]
+        self.phase_seconds["dedupe"] += time.perf_counter() - started
+        return kept, rows
+
     def _store_rows(
         self,
         op: int,
-        rows: np.ndarray,
+        novel: np.ndarray,
+        kept: np.ndarray,
         a_idx: np.ndarray,
         b_idx: Optional[np.ndarray],
         ordinals: np.ndarray,
     ) -> None:
-        """Dedupe (order-preserving) and bulk-append a batch to the cache.
+        """Bulk-append deduped rows to the cache.
 
-        Uniqueness is one batched probe of the packed two-tier hash set;
-        its novelty mask marks exactly the first occurrence of each
-        distinct key in batch order, so the surviving rows — and
-        therefore the cache — are ordered identically to the scalar
-        engine's sequential inserts.  No per-row Python loop anywhere.
+        Row ``i`` of ``novel`` is batch candidate ``kept[i]``, whose
+        operands sit at ``a_idx[kept[i]]`` and ``b_idx[kept[i]]``, and
+        whose ordinal is ``ordinals[i]``.  A bounded cache stores the
+        prefix that fits and enters OnTheFly mode (paper §3), exactly as
+        the scalar engine does one candidate at a time.
         """
-        if rows.shape[0] == 0:
-            return
-        contiguous = np.ascontiguousarray(rows)
-        if self.check_uniqueness:
-            started = time.perf_counter()
-            kept = np.flatnonzero(self._seen.insert_batch(contiguous))
-            self.phase_seconds["dedupe"] += time.perf_counter() - started
-        else:
-            kept = np.arange(rows.shape[0], dtype=np.int64)
-        if kept.size == 0:
+        if self.otf:
             return
         if self._cache.max_size is not None:
             space = self._cache.max_size - len(self._cache)
             if kept.size > space:
-                # Capacity reached mid-batch: store the prefix that fits
-                # and enter OnTheFly mode (paper §3), exactly as the
-                # scalar engine does one candidate at a time.
-                kept = kept[:space]
+                kept, novel, ordinals = (
+                    kept[:space], novel[:space], ordinals[:space]
+                )
                 self.otf = True
         if kept.size == 0:
             return
         started = time.perf_counter()
-        lefts = a_idx[kept]
         if b_idx is None:
             rights = np.full(kept.size, -1, dtype=np.int64)
         else:
             rights = b_idx[kept]
-        self._cache.append_rows(
-            contiguous[kept], op, lefts, rights, ordinals[kept]
-        )
+        self._cache.append_rows(novel, op, a_idx[kept], rights, ordinals)
         self.phase_seconds["store"] += time.perf_counter() - started
 
     # ------------------------------------------------------------------
@@ -524,24 +528,26 @@ class VectorEngine(SearchEngine):
 
     def _apply_shard_outcome(self, op: int, outcome) -> bool:
         """Phase two of the sharded dedupe: the locally-novel survivors
-        pass through the engine's normal store path (authoritative
+        pass through the engine's normal dedupe and store (authoritative
         seen-set insert, order-preserving), and the counters advance by
         the ordinals the partition plan fixed up front — exactly the
         serial batch semantics."""
         base = self.generated
-        absolute = base + 1 + outcome.ordinals
+        kept, novel = self._dedupe(outcome.rows)
+        self._store_rows(
+            op,
+            novel,
+            kept,
+            outcome.a_idx,
+            outcome.b_idx,
+            base + 1 + outcome.ordinals[kept],
+        )
         if outcome.hit is not None:
             ordinal, left, right = outcome.hit
             self.generated = base + ordinal + 1
-            self._store_rows(
-                op, outcome.rows, outcome.a_idx, outcome.b_idx, absolute
-            )
             self._record_solution(op, left, right, self._current_cost)
             return True
         self.generated = base + outcome.total
-        self._store_rows(
-            op, outcome.rows, outcome.a_idx, outcome.b_idx, absolute
-        )
         self._check_budget()
         return False
 

@@ -86,3 +86,19 @@ class TestRandomSpecs:
     @settings(max_examples=12, deadline=None)
     def test_equivalence_with_tiny_cache(self, spec):
         assert_equivalent(*run_both(spec, max_cost=12, max_cache_size=25))
+
+    @given(small_specs(max_len=4, max_each=5))
+    @settings(max_examples=25, deadline=None)
+    def test_equivalence_without_uniqueness_checks(self, spec):
+        # Without dedupe the cache keeps every candidate, so a budget
+        # bounds the run (and covers its truncation).
+        assert_equivalent(*run_both(
+            spec, max_cost=10, check_uniqueness=False, max_generated=2000
+        ))
+
+    @given(small_specs(max_len=4, max_each=6))
+    @settings(max_examples=25, deadline=None)
+    def test_equivalence_error_tolerant_with_tiny_cache(self, spec):
+        assert_equivalent(*run_both(
+            spec, max_cost=12, allowed_error=0.2, max_cache_size=10
+        ))

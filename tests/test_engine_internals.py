@@ -9,6 +9,7 @@ from repro.core.engine import (
     OP_STAR,
     OP_UNION,
 )
+from repro.core.shard import LaneMatcher
 from repro.core.synthesizer import make_engine
 from repro.regex.cost import CostFunction
 from repro.spec import Spec
@@ -101,6 +102,32 @@ class TestSolutionInvariants:
             s["generated"] for s in finished_engine.level_stats
         )
         assert total == finished_engine.generated
+
+
+class TestVectorBatchOrder:
+    @pytest.mark.parametrize("max_cost, max_generated, status", [
+        (30, 1000, "budget"),
+        (6, None, "not_found"),
+    ])
+    def test_solve_sees_only_novel_rows(self, monkeypatch, intro_spec,
+                                        max_cost, max_generated, status):
+        """The vector engine dedupes each batch before it solution-checks
+        it, so a run that stores every novel row checks exactly the rows
+        it stores — not every candidate it generates."""
+        checked = []
+        flags = LaneMatcher.flags
+
+        def counting_flags(self, rows):
+            checked.append(rows.shape[0])
+            return flags(self, rows)
+
+        monkeypatch.setattr(LaneMatcher, "flags", counting_flags)
+        engine = make_engine(intro_spec, CostFunction.uniform(),
+                             backend="vector", max_generated=max_generated)
+        engine.run(max_cost)
+        assert engine.status == status
+        assert sum(checked) == len(engine.cache)
+        assert len(engine.cache) < engine.generated
 
 
 class TestConstructorOrderWithinLevel:

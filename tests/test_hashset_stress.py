@@ -56,7 +56,8 @@ class TestHighLoadFactor:
         key_set = PackedKeySet(lanes=2, initial_capacity=2, max_load=0.6)
         seen = set()
         generations = 0
-        for round_index in range(40):
+        # Under 4x growth, 60 rounds cross 5 resize generations.
+        for round_index in range(60):
             capacity_before = key_set.capacity
             rows = rng.integers(0, 1 << 62, size=(257, 2), dtype=np.uint64)
             # Re-insert some already-present keys alongside fresh ones.
@@ -75,6 +76,32 @@ class TestHighLoadFactor:
                 generations += 1
         assert generations >= 5, "the test must actually cross resizes"
         assert len(key_set) == len(seen)
+
+    def test_growth_re_places_under_0_6x_of_a_sweep_jobs_keys(self,
+                                                              monkeypatch):
+        """A 6 M-candidate job stores 1.6 M distinct 2-lane keys through
+        131,072-row batches: the refs its rehashes re-place must stay
+        below 0.6x the final size (doubling re-places 1.31x).  The ratio
+        depends on where the stream ends against a power of two, so the
+        stream keeps this job's size."""
+        re_placed = []
+        rehash = PackedKeySet._rehash
+
+        def counting_rehash(self, new_capacity):
+            re_placed.append(len(self))
+            rehash(self, new_capacity)
+
+        monkeypatch.setattr(PackedKeySet, "_rehash", counting_rehash)
+        total = 1_600_000
+        batch = 131_072
+        key_set = PackedKeySet(lanes=2, initial_capacity=1 << 12)
+        for start in range(0, total, batch):
+            ids = np.arange(start, min(start + batch, total), dtype=np.uint64)
+            rows = np.stack([ids, ids ^ np.uint64(0x5DEECE66D)], axis=1)
+            assert key_set.insert_batch(rows).all()
+        assert len(key_set) == total
+        assert re_placed, "the stream must cross resizes"
+        assert sum(re_placed) <= 0.6 * total
 
     def test_resize_preserves_membership(self):
         key_set = PackedKeySet(lanes=1, initial_capacity=2, max_load=0.6)

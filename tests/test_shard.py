@@ -195,6 +195,21 @@ class TestLaneMatcher:
         rows = ints_to_matrix([0, 5, 1 << 100], lanes)
         assert matcher.flags(rows).all()
 
+    @pytest.mark.parametrize("lanes", [1, 2, 5])
+    def test_disabled_solution_check_masks_reject_every_row(self, lanes):
+        """``disable_solution_checks`` requires bit 0 both set and clear
+        (pos = neg = 1): every row must fail, on one lane and with the
+        other lanes inactive."""
+        rng = np.random.RandomState(lanes)
+        pos = int_to_lanes(1, lanes)
+        neg = int_to_lanes(1, lanes)
+        rows = rng.randint(0, 1 << 62, size=(256, lanes)).astype(np.uint64)
+        rows[::2, 0] |= np.uint64(1)
+        rows[:4] = [[0] * lanes, [1] * lanes,
+                    [(1 << 64) - 1] * lanes, [(1 << 64) - 2] * lanes]
+        matcher = LaneMatcher(pos, neg, 0)
+        assert not matcher.flags(rows).any()
+
 
 # ----------------------------------------------------------------------
 # End-to-end bit-identity
