@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.bitops import int_to_lanes, popcount_rows
+from ..core.bitops import int_to_lanes
 from ..core.cache import PackedCache
 from ..core.engine import (
     OP_EMPTY,
@@ -47,6 +47,7 @@ from ..core.engine import (
 )
 from ..core.reconstruct import reconstruct
 from ..core.result import SynthesisResult
+from ..core.shard import LaneMatcher
 from ..language.guide_table import GuideTable
 from ..language.universe import Universe
 from ..obs.export import trace_payload
@@ -506,9 +507,8 @@ class _BatchQuery:
         "request",
         "pos_mask",
         "neg_mask",
-        "pos_lanes",
-        "neg_lanes",
         "max_errors",
+        "matcher",
         "max_cost",
         "status",
         "solution",
@@ -530,13 +530,17 @@ class _BatchQuery:
         self.request = request
         self.pos_mask = universe.cs_of(spec.positive)
         self.neg_mask = universe.cs_of(spec.negative)
-        self.pos_lanes = (
-            int_to_lanes(self.pos_mask, universe.lanes) if packed else None
-        )
-        self.neg_lanes = (
-            int_to_lanes(self.neg_mask, universe.lanes) if packed else None
-        )
         self.max_errors = max_errors_for(request.allowed_error, spec.n_examples)
+        # The vector engine's own batch predicate, on this query's masks.
+        self.matcher = (
+            LaneMatcher(
+                int_to_lanes(self.pos_mask, universe.lanes),
+                int_to_lanes(self.neg_mask, universe.lanes),
+                self.max_errors,
+            )
+            if packed
+            else None
+        )
         self.max_cost = request.effective_max_cost(cost_fn)
         self.status: Optional[str] = None
         self.solution: Optional[Tuple[int, int, int]] = None
@@ -575,15 +579,7 @@ class _BatchQuery:
         cache = engine.cache
         hit: Optional[int] = None
         if isinstance(cache, PackedCache):
-            rows = cache.rows(start, end)
-            if self.max_errors == 0:
-                flags = ((rows & self.pos_lanes) == self.pos_lanes).all(axis=1)
-                flags &= ((rows & self.neg_lanes) == 0).all(axis=1)
-            else:
-                mistakes = popcount_rows((rows & self.pos_lanes) ^ self.pos_lanes)
-                mistakes += popcount_rows(rows & self.neg_lanes)
-                flags = mistakes <= self.max_errors
-            hits = np.flatnonzero(flags)
+            hits = np.flatnonzero(self.matcher.flags(cache.rows(start, end)))
             if hits.size:
                 hit = start + int(hits[0])
         else:

@@ -90,8 +90,9 @@ class LaneMatcher:
     only the uint64 lanes the specification masks actually touch (most
     lanes of a wide spec are all-zero in both masks), supporting the
     error-relaxed variant.  Shared by the vectorised engine's batch
-    checks and the shard workers, so both evaluate the exact same
-    predicate.
+    checks, the shard workers and the batched serving scans of
+    :meth:`repro.api.session.Session.synthesize_many`, so all of them
+    evaluate the exact same predicate.
 
     The precise check runs lane by lane: per active lane ``k`` it ANDs
     ``(col & pos[k]) == pos[k]`` and ``(col & neg[k]) == 0`` into the

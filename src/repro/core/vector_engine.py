@@ -320,11 +320,6 @@ class VectorEngine(SearchEngine):
         self._refresh_active_lanes()
 
     # ------------------------------------------------------------------
-    def _solve_flags(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorised ``|= (P, N)`` (error-relaxed when configured),
-        restricted to the lanes where the spec masks are nonzero."""
-        return self._matcher.flags(rows)
-
     def _handle_batch(
         self,
         op: int,
@@ -368,7 +363,7 @@ class VectorEngine(SearchEngine):
         base = self.generated
         kept, novel = self._dedupe(rows)
         started = time.perf_counter()
-        flags = self._solve_flags(novel)
+        flags = self._matcher.flags(novel)
         self.phase_seconds["solve"] += time.perf_counter() - started
         hits = np.flatnonzero(flags)
         if hits.size:

@@ -872,7 +872,11 @@ class WorkerPool:
             # Reaping must keep working while the pool is closing:
             # ``close(wait=True)`` blocks on the live-job count, and
             # a worker that died mid-job can only be drained here.
-            closing = self._closing
+            # Once the main thread has finished, the interpreter is
+            # exiting without close(): multiprocessing's exit handler
+            # stops the daemonic workers and then joins its children,
+            # so a replacement spawned now would be joined forever.
+            closing = self._closing or not threading.main_thread().is_alive()
             for worker in self._workers:
                 if worker.dead or worker.process.is_alive():
                     continue

@@ -24,6 +24,16 @@ from repro.regex.ast import (
 from repro.spec import Spec
 
 
+#: Two long heterogeneous strings: ic(P ∪ N) has 73 words, so a CS
+#: spans two uint64 lanes.  The infixes of the three 10-character words
+#: are the universe; ``""``, ``"0"`` and ``"1"`` sit in lane 0 and the
+#: 10-character words in lane 1.
+WIDE_SPEC = Spec(
+    positive=["0110100101", "1010010110"],
+    negative=["", "0", "1", "0011001100"],
+)
+
+
 def regexes(alphabet: str = "01", max_leaves: int = 6):
     """Hypothesis strategy for hole-free regular expressions."""
     leaves = st.one_of(

@@ -807,7 +807,16 @@ class TestDemotion:
         assert done["result"]["elapsed_seconds"] > 0.05 * 4
         assert "repro_demotions_total 0" in metrics.splitlines()
 
-    def test_a_small_unhinted_job_stays_interactive(self, demoting_server):
+    def test_a_small_unhinted_job_stays_interactive(
+        self, demoting_server, monkeypatch
+    ):
+        # A job that ends inside its quantum is never demoted.  The
+        # fixture's 50 ms quantum is shorter than this job can take on a
+        # loaded machine, so the test runs under the default 0.5 s one.
+        monkeypatch.setattr(
+            repro.server.app, "DEFAULT_LATENCY_TARGET_S",
+            repro.server.scheduler.DEFAULT_LATENCY_TARGET_S,
+        )
         with HttpServiceClient(demoting_server.address) as client:
             job = client.submit(wire_of(INTRO_SPEC))
             done = client.result(job["job_id"], timeout=120)

@@ -9,6 +9,7 @@ import pytest
 
 import repro.api.session as session_module
 import repro.core.engine as engine_module
+from _fixtures import WIDE_SPEC
 from repro import (
     CancellationToken,
     EngineConfig,
@@ -17,6 +18,7 @@ from repro import (
     Spec,
     synthesize,
 )
+from repro.language.universe import Universe
 from repro.regex.cost import CostFunction
 
 INTRO_SPEC = Spec(
@@ -216,6 +218,43 @@ class TestSynthesizeMany:
         for request, result in zip(requests, batch):
             solo = synthesize(request.spec, backend=backend)
             assert _key(result) == _key(solo)
+
+
+#: Five words of ``WIDE_SPEC``'s universe that all sit in lane 1 (its
+#: three 10-character words and two 9-character infixes of them), so
+#: the universe is the same 73 words and a spec over them leaves lane 0
+#: out of the batch matcher.
+LANE_1_WORDS = ("0011001100", "0110100101", "1010010110", "001100110",
+                "110100101")
+
+
+# No ``max_generated`` budget: a budgeted request is served solo, past
+# the batched scan.  Every partition here is solved by cost 7.
+@pytest.mark.parametrize("backend", ["scalar", "vector"])
+@pytest.mark.parametrize("allowed_error", [0.0, 0.2])
+@pytest.mark.parametrize(
+    "words, lanes_touched",
+    [(WIDE_SPEC.all_words, {0, 1}), (LANE_1_WORDS, {1})],
+    ids=["both-lanes", "lane-1"],
+)
+def test_batch_over_a_two_lane_universe_is_bit_identical_to_solo(
+    backend, allowed_error, words, lanes_touched
+):
+    universe = Universe(words)
+    assert universe.lanes == 2
+    assert {universe.index[w] >> 6 for w in words} == lanes_touched
+    requests = [
+        SynthesisRequest(spec=spec, allowed_error=allowed_error)
+        for spec in _partitions_of(list(words), 3)
+    ]
+    session = Session(EngineConfig(backend=backend))
+    batch = session.synthesize_many(requests)
+    assert session.stats.batch_groups == 1
+    for request, result in zip(requests, batch):
+        solo = synthesize(request.spec, backend=backend,
+                          allowed_error=allowed_error)
+        assert result.found
+        assert _key(result) == _key(solo)
 
 
 class TestSynthesizeManyGrouping:

@@ -8,17 +8,12 @@ engine through multiple uint64 lanes.  These tests pin that down.
 
 import pytest
 
+from _fixtures import WIDE_SPEC
 from repro import Spec, synthesize
 from repro.core.bitops import lanes_to_int
 from repro.core.synthesizer import make_engine
 from repro.language.universe import Universe
 from repro.regex.cost import CostFunction
-
-# Two long heterogeneous strings: ic(P ∪ N) has > 64 words.
-WIDE_SPEC = Spec(
-    positive=["0110100101", "1010010110"],
-    negative=["", "0", "1", "0011001100"],
-)
 
 
 @pytest.fixture(scope="module")
