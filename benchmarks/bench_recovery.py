@@ -13,6 +13,15 @@ The evidence behind the durability layer:
   ``Session`` (``cold_seconds``) and a ``StoreBackedSession`` on an
   empty checkpoint store (``durable_cold_seconds``), which pays the
   same journal round a resume pays.
+* **relabel after budget** — a budgeted query runs cold on an empty
+  checkpoint store and stops at its budget inside a level; then a
+  relabelled query (one example moved across, the same budget) runs
+  from a fresh ``StoreBackedSession`` on that store.  The first run
+  journals the level its budget stopped in, so the second stops inside
+  the replay: its answer must equal a cold ``Session``'s and it must
+  enumerate no candidate.  The artifact records both medians and their
+  ratio; the gate is the candidate count, not the ratio, because ~10 ms
+  timings are too noisy on a shared 2-core box to bound.
 * **retry overhead** — the same job batch served by a pool twice: once
   undisturbed, once with an injected ``SIGKILL`` of a worker mid-job
   (``pool.worker.before_job:kill:1:once``).  The faulted run must
@@ -28,6 +37,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import statistics
 import tempfile
 import time
 
@@ -47,6 +57,20 @@ RESUME_SPEC = (
         positive=["10", "101", "100", "1010", "1011", "1000", "1001"],
         negative=["", "0", "1", "00", "11", "010"],
     )
+)
+
+#: A ``refine``-shaped case: eleven words, uniform cost, and the
+#: ``refine`` workload's candidate budget, at which both labellings stop
+#: inside cost level 11.
+RELABEL_BUDGET = 60_000
+RELABEL_FROM = Spec(
+    positive=["10100", "11110", "010001", "0111010", "0111111"],
+    negative=["010", "110", "0011", "10001", "11111", "111101"],
+)
+#: ``RELABEL_FROM`` with "0011" moved to the positives.
+RELABEL_TO = Spec(
+    positive=["0011", "10100", "11110", "010001", "0111010", "0111111"],
+    negative=["010", "110", "10001", "11111", "111101"],
 )
 
 RETRY_SPECS = [
@@ -145,6 +169,63 @@ def _bench_resume(config):
     }
 
 
+def _bench_relabel_after_budget(config):
+    """A budgeted query, then a relabelled one served from its journal."""
+
+    def budgeted(spec):
+        return SynthesisRequest(spec=spec, max_generated=RELABEL_BUDGET)
+
+    reference = Session(config).synthesize(budgeted(RELABEL_TO))
+    assert reference.status == "budget"
+    repeats = 9 if is_full() else 5
+    cold_seconds, resumed_seconds = [], []
+    root = tempfile.mkdtemp(prefix="repro-bench-relabel-")
+    try:
+        for index in range(repeats):
+            store = CheckpointStore(os.path.join(root, "r%d" % index))
+            started = time.perf_counter()
+            first = StoreBackedSession(config, checkpoint_store=store).synthesize(
+                budgeted(RELABEL_FROM)
+            )
+            cold_seconds.append(time.perf_counter() - started)
+            assert first.status == "budget"
+            started = time.perf_counter()
+            resumed = StoreBackedSession(
+                config, checkpoint_store=store
+            ).synthesize(budgeted(RELABEL_TO))
+            resumed_seconds.append(time.perf_counter() - started)
+            assert _identity(resumed) == _identity(reference), (
+                "a relabelled resume must be bit-identical to a cold run")
+        # One traced resume counts what it enumerated: each level span
+        # records the candidates built inside the level, and adopted
+        # candidates are not built there.
+        traced = StoreBackedSession(
+            config.replace(trace=True), checkpoint_store=store
+        ).synthesize(budgeted(RELABEL_TO))
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    assert _identity(traced) == _identity(reference)
+    enumerated = sum(
+        span["args"].get("generated", 0)
+        for span in traced.extra["trace"]["spans"]
+        if span["name"] in ("level", "seed-level")
+    )
+    assert enumerated == 0, (
+        "a relabelled request with the same budget must end inside the "
+        "replay (%d candidates enumerated)" % enumerated)
+    cold = statistics.median(cold_seconds)
+    resume = statistics.median(resumed_seconds)
+    return {
+        "budget": RELABEL_BUDGET,
+        "repeats": repeats,
+        "resumed_levels": traced.extra["resumed_levels"],
+        "cold_seconds": cold,
+        "resume_seconds": resume,
+        "speedup_vs_cold": cold / resume if resume else 0.0,
+        "enumerated_candidates": enumerated,
+    }
+
+
 def _run_pool(store_dir, fault_spec=None):
     sentinel_dir = None
     if fault_spec is not None:
@@ -209,6 +290,9 @@ def test_emit_recovery_bench_artifact():
         "scale": "full" if is_full() else "quick",
         "cpu_count": os.cpu_count(),
         "resume": _bench_resume(EngineConfig(backend="vector")),
+        "relabel_after_budget": _bench_relabel_after_budget(
+            EngineConfig(backend="vector")
+        ),
         "retry": _bench_retry_overhead(),
     }
     (REPO_ROOT / "BENCH_recovery.json").write_text(

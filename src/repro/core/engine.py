@@ -60,11 +60,13 @@ STATUS_PREEMPTED = "preempted"
 #: enumerated work have passed since the last group, when the run stops
 #: and when it returns.  The check runs at level ends and at emit-loop
 #: safe points; a safe point that finds it due, or that stops the run,
-#: adds an in-level record of the level being built.  Candidates
-#: adopted from restored records are not work and do not count.  A
-#: small job therefore hands over one group, when its run returns, and
-#: a SIGKILL loses at most one interval of unjournalled enumeration,
-#: whether inside one wide level or across many small ones.
+#: adds an in-level record of the level being built, and so does a
+#: budget that runs out inside a level past the seed level.  A solution
+#: adds none.  Candidates adopted from restored records are not work
+#: and do not count.  A small job therefore hands over one group, when
+#: its run returns, and a SIGKILL loses at most one interval of
+#: unjournalled enumeration, whether inside one wide level or across
+#: many small ones.
 CHECKPOINT_EVERY_CANDIDATES = 250_000
 CHECKPOINT_EVERY_S = 2.0
 
@@ -161,10 +163,13 @@ class RunControl:
       :data:`CHECKPOINT_EVERY_CANDIDATES`).
     * ``restored`` holds checkpoint records to adopt, at most one per
       cost, ascending from the seed cost.  The sweep adopts each where
-      its level would begin — dedupe-set inserts, cache appends,
-      solution scans and budget accounting included — and fast-forwards
-      the level past the record's cursor; the first record that does
-      not start where the engine stands ends the replay.
+      its level would begin — cache appends, solution scans and budget
+      accounting included — and fast-forwards the level past the
+      record's cursor; the first record that does not start where the
+      engine stands ends the replay.  The adopted rows enter the
+      seen-set in one bulk insert before the first candidate is
+      enumerated, so a replay that ends on a solution or at the budget
+      never builds it.
     * ``tracer`` (a :class:`repro.obs.trace.Tracer`) records checkpoint
       replay and save, per-level and shard fan-out spans; ``None``
       records nothing.
@@ -261,6 +266,10 @@ class SearchEngine:
         #: Cursor of the record adopted for the level being built (None
         #: when the level starts fresh); :meth:`_build_level` consumes it.
         self._level_skip: Optional[int] = None
+        #: The first cache row adopted from a record that the seen-set
+        #: does not hold yet (None when it holds every stored row);
+        #: :meth:`_build_level` fills it before enumerating.
+        self._unseen_from: Optional[int] = None
         # Safe-point bookkeeping (armed only while _build_level runs).
         self._safe_points_armed = False
         self._level_start_cache = 0
@@ -498,8 +507,16 @@ class SearchEngine:
         raise NotImplementedError
 
     def _adopt_restored(self, payload: Checkpoint, lo: int, hi: int) -> None:
-        """Append rows ``[lo, hi)`` of a checkpoint record to the cache
-        and the dedupe set, exactly as enumeration would have."""
+        """Append rows ``[lo, hi)`` of a checkpoint record to the cache,
+        exactly as enumeration would have stored them.  The seen-set is
+        left alone: :meth:`_fill_seen` adds the rows once a run goes on
+        to enumerate."""
+        raise NotImplementedError
+
+    def _fill_seen(self, start: int, end: int) -> None:
+        """Insert cache rows ``[start, end)`` into the seen-set.  Stored
+        rows are distinct from each other and from every key the set
+        holds, so no row needs a probe."""
         raise NotImplementedError
 
     def _scan_restored(self, payload: Checkpoint, limit: int) -> Optional[int]:
@@ -725,6 +742,8 @@ class SearchEngine:
             return None
         n = int(record.ordinals.shape[0])
         adopted_from = self.generated
+        if self._unseen_from is None:
+            self._unseen_from = len(self.cache)
         replay_started = time.monotonic()
         with self._span("checkpoint-replay", cost=cost, rows=n):
             budget = self.max_generated
@@ -839,12 +858,23 @@ class SearchEngine:
 
     def _build(self, cost: int) -> bool:
         """:meth:`_build_level` with safe points armed past the seed
-        level (seeding has none)."""
+        level (seeding has none).  A budget that runs out inside an
+        armed level queues an in-level record of it up to the budget,
+        for the run-end group to journal."""
         self._safe_points_armed = cost != self.cost_fn.literal and not self.otf
         try:
             if self._control.tracer is None:
                 return self._build_level(cost)
             return self._build_level_traced(cost)
+        except SweepStopped as stop:
+            if (
+                stop.status == STATUS_BUDGET
+                and self._safe_points_armed
+                and not self.otf
+                and self.generated > self._level_start_generated
+            ):
+                self._queue_record()
+            raise
         finally:
             self._safe_points_armed = False
 
@@ -900,6 +930,11 @@ class SearchEngine:
                     continue
                 offset, skip = skip, None
                 self.partial_resumes += 1
+            if self._unseen_from is not None:
+                # The first enumerated candidate needs the adopted rows.
+                start, self._unseen_from = self._unseen_from, None
+                if self.check_uniqueness:
+                    self._fill_seen(start, len(self.cache))
             if op == OP_CHAR:
                 solved = self._seed_alphabet()
             elif op in (OP_QUESTION, OP_STAR):

@@ -250,8 +250,6 @@ class ScalarEngine(SearchEngine):
     def _adopt_restored(self, payload, lo: int, hi: int) -> None:
         for offset, cs in enumerate(self._restored_ints(payload, lo, hi)):
             k = lo + offset
-            if self.check_uniqueness:
-                self._seen.insert(cs)
             self._cache.append(
                 cs,
                 int(payload.ops[k]),
@@ -259,6 +257,11 @@ class ScalarEngine(SearchEngine):
                 int(payload.rights[k]),
                 int(payload.ordinals[k]),
             )
+
+    def _fill_seen(self, start: int, end: int) -> None:
+        insert = self._seen.insert
+        for cs in self._cache.cs_list[start:end]:
+            insert(cs)
 
     def _scan_restored(self, payload, limit: int) -> Optional[int]:
         for k, cs in enumerate(self._restored_ints(payload, 0, limit)):

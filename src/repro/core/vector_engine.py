@@ -562,20 +562,16 @@ class VectorEngine(SearchEngine):
         )
 
     def _adopt_restored(self, payload, lo: int, hi: int) -> None:
-        if hi <= lo:
-            return
-        rows = np.ascontiguousarray(payload.rows[lo:hi])
-        if self.check_uniqueness:
-            # Stored cache rows are globally distinct by construction,
-            # so the cheap no-probe bulk insert applies.
-            self._seen.insert_novel_batch(rows)
         self._cache.append_rows(
-            rows,
+            payload.rows[lo:hi],
             payload.ops[lo:hi],
             payload.lefts[lo:hi],
             payload.rights[lo:hi],
             payload.ordinals[lo:hi],
         )
+
+    def _fill_seen(self, start: int, end: int) -> None:
+        self._seen.insert_novel_batch(self._cache.rows(start, end))
 
     def _scan_restored(self, payload, limit: int) -> Optional[int]:
         if limit <= 0:

@@ -33,6 +33,18 @@ WIDE_SPEC = Spec(
     negative=["", "0", "1", "0011001100"],
 )
 
+#: Small but non-trivial: five full cost levels before the solution, at
+#: candidate 209 in cost level 6.  Level 6 starts at candidate 140 and
+#: stores its first row at candidate 152.
+SPEC = Spec(positive=["00", "010", "0110"], negative=["", "11", "101"])
+
+#: A candidate budget inside SPEC's cost level 6, past its first row.
+BUDGET = 170
+
+#: SPEC with "0110" moved to the negatives: the same universe, solved at
+#: candidate 216, so it too stops at BUDGET.
+RELABELLED = Spec(positive=["00", "010"], negative=["", "11", "101", "0110"])
+
 
 def regexes(alphabet: str = "01", max_leaves: int = 6):
     """Hypothesis strategy for hole-free regular expressions."""

@@ -14,6 +14,7 @@ pure in :class:`TestBrownout`, and bearer-token auth end-to-end in
 :class:`TestAuth`.
 """
 
+import dataclasses
 import multiprocessing
 import pickle
 import time
@@ -21,10 +22,14 @@ import time
 import numpy as np
 import pytest
 
+from _fixtures import BUDGET, RELABELLED, SPEC
 import repro.core.engine as engine_module
 import repro.service.checkpoint as checkpoint_module
 from repro import EngineConfig, Session, Spec, SynthesisRequest
 from repro.core.engine import STATUS_PREEMPTED, RunControl
+from repro.core.result import SynthesisResult
+from repro.core.scalar_engine import ScalarEngine
+from repro.core.vector_engine import VectorEngine
 from repro.server import (
     CLASS_BATCH,
     CLASS_INTERACTIVE,
@@ -37,9 +42,6 @@ from repro.service import CheckpointStore, StoreBackedSession
 from repro.service.pool import WorkerPool
 from repro.testing import faults
 from repro.testing.faults import corrupt_file
-
-#: Small but non-trivial: five full cost levels before the solution.
-SPEC = Spec(positive=["00", "010", "0110"], negative=["", "11", "101"])
 
 #: ~1.5 s on the scalar backend — long enough that the parent can
 #: deterministically preempt the attempt mid-run.
@@ -76,12 +78,12 @@ def assert_identical(resumed, reference):
     assert resumed.extra["level_stats"] == reference.extra["level_stats"]
 
 
-def run_with_groups(backend, every=7):
-    """A solo run that keeps every checkpoint group it hands over: each
-    level's end, plus in-level records on a cadence of ``every``
-    candidates."""
+def run_with_groups(backend, every=7, budget=None):
+    """A solo run under candidate budget ``budget`` that keeps every
+    checkpoint group it hands over: each level's end, plus in-level
+    records on a cadence of ``every`` candidates."""
     engine = Session(EngineConfig(backend=backend)).make_engine(
-        SynthesisRequest(spec=SPEC)
+        SynthesisRequest(spec=SPEC, max_generated=budget)
     )
     groups = []
     with pytest.MonkeyPatch.context() as patch:
@@ -94,9 +96,9 @@ def run_with_groups(backend, every=7):
     return groups, reference
 
 
-def run_with_records(backend, every=7):
+def run_with_records(backend, every=7, budget=None):
     """:func:`run_with_groups`, its groups flattened into one list."""
-    groups, reference = run_with_groups(backend, every)
+    groups, reference = run_with_groups(backend, every, budget)
     return [record for group in groups for record in group], reference
 
 
@@ -163,26 +165,32 @@ class TestPartialCheckpointResume:
     def test_kill_at_every_partial_point_is_bit_identical(self, backend):
         # Simulates a SIGKILL right after each record in turn: a fresh
         # engine restores the completed levels plus that record and
-        # must finish exactly as the uninterrupted run did.
-        records, reference = run_with_records(backend)
-        assert reference[0] == "success"
-        assert in_level(records), "run produced no in-level records"
-        for record in records:
-            prior = level_ends_before(records, record.cost)
-            engine = Session(EngineConfig(backend=backend)).make_engine(
-                SynthesisRequest(spec=SPEC)
-            )
-            status = engine.run(40, RunControl(restored=prior + [record]))
-            # Every record is adopted: whole levels, or one level
-            # resumed mid-way from the record's cursor.
-            assert engine.resumed_levels + engine.partial_resumes == (
-                len(prior) + 1
-            )
-            assert (
-                status, engine.generated, engine.levels_built,
-                engine.level_stats, engine.solution, engine.solution_cost,
-                len(engine.cache),
-            ) == reference, (record.cost, record.level_progress)
+        # must finish exactly as the uninterrupted run did.  A budgeted
+        # run's last record is the level its budget stopped in.
+        for budget in (None, BUDGET):
+            records, reference = run_with_records(backend, budget=budget)
+            assert reference[0] == ("success" if budget is None else "budget")
+            assert in_level(records), "run produced no in-level records"
+            if budget is not None:
+                assert records[-1].generated_total == budget
+            for record in records:
+                prior = level_ends_before(records, record.cost)
+                engine = Session(EngineConfig(backend=backend)).make_engine(
+                    SynthesisRequest(spec=SPEC, max_generated=budget)
+                )
+                status = engine.run(40, RunControl(restored=prior + [record]))
+                # Every record is adopted: whole levels, or one level
+                # resumed mid-way from the record's cursor.  The budget's
+                # own record ends the run inside its replay.
+                stopped = record.generated_total == budget
+                assert engine.resumed_levels + engine.partial_resumes == (
+                    len(prior) + (not stopped)
+                )
+                assert (
+                    status, engine.generated, engine.levels_built,
+                    engine.level_stats, engine.solution, engine.solution_cost,
+                    len(engine.cache),
+                ) == reference, (budget, record.cost, record.level_progress)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_kill_at_every_record_through_the_store_is_bit_identical(
@@ -191,32 +199,38 @@ class TestPartialCheckpointResume:
         # As above, but the records reach the fresh engine the way a
         # restarted worker's do: journalled group by group as deltas,
         # then joined again by the store's load.
-        groups, reference = run_with_groups(backend)
-        killed = 0
-        for index, group in enumerate(groups):
-            for count in range(1, len(group) + 1):
-                store = CheckpointStore(tmp_path / ("%d-%d" % (index, count)))
-                for earlier in groups[:index]:
-                    store.append("q", earlier)
-                store.append("q", group[:count])
-                restored = store.load("q")
-                assert restored[-1].level_progress == (
-                    group[count - 1].level_progress
-                )
-                engine = Session(EngineConfig(backend=backend)).make_engine(
-                    SynthesisRequest(spec=SPEC)
-                )
-                status = engine.run(40, RunControl(restored=restored))
-                assert engine.resumed_levels + engine.partial_resumes == len(
-                    restored
-                )
-                assert (
-                    status, engine.generated, engine.levels_built,
-                    engine.level_stats, engine.solution, engine.solution_cost,
-                    len(engine.cache),
-                ) == reference, (index, count)
-                killed += 1
-        assert killed == sum(len(group) for group in groups) > len(groups)
+        for budget in (None, BUDGET):
+            groups, reference = run_with_groups(backend, budget=budget)
+            killed = 0
+            for index, group in enumerate(groups):
+                for count in range(1, len(group) + 1):
+                    store = CheckpointStore(
+                        tmp_path / ("%s-%d-%d" % (budget, index, count))
+                    )
+                    for earlier in groups[:index]:
+                        store.append("q", earlier)
+                    store.append("q", group[:count])
+                    restored = store.load("q")
+                    assert restored[-1].level_progress == (
+                        group[count - 1].level_progress
+                    )
+                    engine = Session(EngineConfig(backend=backend)).make_engine(
+                        SynthesisRequest(spec=SPEC, max_generated=budget)
+                    )
+                    status = engine.run(40, RunControl(restored=restored))
+                    stopped = restored[-1].generated_total == budget
+                    assert engine.resumed_levels + engine.partial_resumes == (
+                        len(restored) - stopped
+                    )
+                    assert (
+                        status, engine.generated, engine.levels_built,
+                        engine.level_stats, engine.solution,
+                        engine.solution_cost, len(engine.cache),
+                    ) == reference, (budget, index, count)
+                    killed += 1
+            assert killed == sum(len(group) for group in groups) > len(groups)
+            if budget is not None:
+                assert groups[-1][-1].generated_total == budget
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rework_is_bounded_by_the_checkpoint_interval(self, backend):
@@ -290,6 +304,135 @@ class TestPartialCheckpointResume:
 def next_true(calls, after=5):
     calls["n"] += 1
     return calls["n"] > after
+
+
+# ----------------------------------------------------------------------
+# A budget that stops a run inside a level journals the level up to it
+# ----------------------------------------------------------------------
+def budgeted(spec, budget=BUDGET):
+    return SynthesisRequest(spec=spec, max_generated=budget)
+
+
+def assert_same_result(got, want):
+    """Two answers agree in every field but the wall time, and in their
+    per-level statistics."""
+    for field in dataclasses.fields(SynthesisResult):
+        if field.name not in ("elapsed_seconds", "extra"):
+            assert getattr(got, field.name) == getattr(want, field.name), (
+                field.name
+            )
+    assert got.extra["level_stats"] == want.extra["level_stats"]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the engines' enumeration calls (a vector batch or a
+    scalar candidate) and of journal rounds."""
+    counts = {"enumerate": 0, "journal": 0}
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(VectorEngine, "_handle_batch", "enumerate")
+    count(ScalarEngine, "_handle", "enumerate")
+    count(CheckpointStore, "append", "journal")
+    return counts
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestBudgetStopRecords:
+    def test_a_budget_inside_a_level_hands_over_an_in_level_record(
+        self, backend
+    ):
+        engine = Session(EngineConfig(backend=backend)).make_engine(
+            budgeted(SPEC)
+        )
+        groups = []
+        control = RunControl(on_checkpoint=groups.append)
+        assert engine.run(40, control) == "budget"
+        # One group, at the run's end: every level the run built, then
+        # the level the budget stopped in, up to the budget.
+        (group,) = groups
+        assert [r.cost for r in group] == list(
+            range(1, engine.levels_built + 2)
+        )
+        stopped = group[-1]
+        assert stopped.generated_total == BUDGET == engine.generated
+        assert len(stopped.rows) > 0
+        assert stopped.ordinals[-1] <= BUDGET
+        # The group holds every row the run stored.
+        assert sum(len(r.rows) for r in group) == len(engine.cache)
+
+    def test_a_budget_inside_the_seed_level_queues_none(self, backend):
+        # The two trivial candidates, then the first of the two letters.
+        engine = Session(EngineConfig(backend=backend)).make_engine(
+            budgeted(SPEC, 3)
+        )
+        groups = []
+        control = RunControl(on_checkpoint=groups.append)
+        assert engine.run(40, control) == "budget"
+        assert (engine.generated, len(engine.cache)) == (3, 1)
+        assert groups == []
+
+    def test_a_relabelled_request_with_the_same_budget_only_replays(
+        self, backend, tmp_path, calls
+    ):
+        config = EngineConfig(backend=backend)
+        store = CheckpointStore(tmp_path)
+        first = StoreBackedSession(config, checkpoint_store=store).synthesize(
+            budgeted(SPEC)
+        )
+        assert first.status == "budget"
+        calls.update(enumerate=0, journal=0)
+        session = StoreBackedSession(config, checkpoint_store=store)
+        resumed = session.synthesize(budgeted(RELABELLED))
+        assert calls == {"enumerate": 0, "journal": 0}
+        assert session.checkpoint_saves == 0
+        assert resumed.extra["resumed_levels"] == first.levels_built
+        assert resumed.extra["partial_resumes"] == 0
+        assert_same_result(
+            resumed, Session(config).synthesize(budgeted(RELABELLED))
+        )
+
+    def test_a_larger_budget_resumes_inside_the_level(
+        self, backend, tmp_path
+    ):
+        config = EngineConfig(backend=backend)
+        store = CheckpointStore(tmp_path)
+        StoreBackedSession(config, checkpoint_store=store).synthesize(
+            budgeted(SPEC)
+        )
+        larger = budgeted(RELABELLED, BUDGET + 40)
+        resumed = StoreBackedSession(config, checkpoint_store=store).synthesize(
+            larger
+        )
+        assert resumed.status == "budget"
+        assert resumed.extra["partial_resumes"] == 1
+        assert_same_result(resumed, Session(config).synthesize(larger))
+
+    def test_a_smaller_budget_stops_inside_the_record(
+        self, backend, tmp_path, calls
+    ):
+        config = EngineConfig(backend=backend)
+        store = CheckpointStore(tmp_path)
+        StoreBackedSession(config, checkpoint_store=store).synthesize(
+            budgeted(SPEC)
+        )
+        # The budget's own record, cut past its first stored rows.
+        smaller = budgeted(RELABELLED, BUDGET - 5)
+        calls.update(enumerate=0, journal=0)
+        resumed = StoreBackedSession(config, checkpoint_store=store).synthesize(
+            smaller
+        )
+        assert calls == {"enumerate": 0, "journal": 0}
+        assert resumed.generated == BUDGET - 5
+        assert_same_result(resumed, Session(config).synthesize(smaller))
 
 
 # ----------------------------------------------------------------------

@@ -17,11 +17,13 @@ import pickle
 import numpy as np
 import pytest
 
+from _fixtures import BUDGET, RELABELLED, SPEC
 import repro.core.engine as engine_module
 import repro.service.checkpoint as checkpoint_module
 from repro import EngineConfig, Session, Spec, SynthesisRequest
 from repro.core.cache import cache_version_fingerprint
 from repro.core.engine import RunControl
+from repro.core.hashset import FingerprintHashSet, PackedKeySet
 from repro.regex.cost import CostFunction
 from repro.service import (
     CheckpointStore,
@@ -43,8 +45,6 @@ from repro.testing.faults import (
     truncate_file,
 )
 
-#: Small but non-trivial: five full cost levels before the solution.
-SPEC = Spec(positive=["00", "010", "0110"], negative=["", "11", "101"])
 
 BACKENDS = ("vector", "scalar")
 
@@ -738,6 +738,117 @@ class TestCheckpointCadence:
         first = store.rounds[0][0]
         assert first.cost == 5
         assert first.generated_total - adopted >= every
+
+
+# ----------------------------------------------------------------------
+# The seen-set is filled from the cache only when a resumed run enumerates
+# ----------------------------------------------------------------------
+#: SPEC with "" moved to the positives: solved at candidate 80, inside
+#: cost level 5, which a run of SPEC journals whole.
+SOLVED_IN_REPLAY = Spec(
+    positive=["", "00", "010", "0110"], negative=["11", "101"]
+)
+
+
+def run_engine(backend, spec, restored=(), budget=None):
+    """A fresh engine run of ``spec`` that adopts ``restored``; returns
+    the engine and its outcome."""
+    engine = Session(EngineConfig(backend=backend)).make_engine(
+        SynthesisRequest(spec=spec, max_generated=budget)
+    )
+    engine.run(40, RunControl(restored=restored))
+    return engine, (
+        engine.status, engine.generated, engine.levels_built,
+        engine.level_stats, engine.solution, engine.solution_cost,
+        len(engine.cache),
+    )
+
+
+def group_of(backend, spec, budget=None):
+    """The one group a small run hands over, at its end: every level it
+    built, and the level its budget stopped in."""
+    engine = Session(EngineConfig(backend=backend)).make_engine(
+        SynthesisRequest(spec=spec, max_generated=budget)
+    )
+    groups = []
+    engine.run(40, RunControl(on_checkpoint=groups.append))
+    (group,) = groups
+    return group
+
+
+@pytest.fixture
+def seen_inserts(monkeypatch):
+    """Every seen-set insert, in call order, as ``(method, keys)``."""
+    log = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def logged(self, keys):
+            if isinstance(keys, np.ndarray):
+                keys = keys.copy()
+            log.append((name, keys))
+            return original(self, keys)
+
+        monkeypatch.setattr(owner, name, logged)
+
+    spy(PackedKeySet, "insert_novel_batch")
+    spy(PackedKeySet, "insert_batch")
+    spy(FingerprintHashSet, "insert")
+    return log
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestOnDemandSeenSet:
+    def test_a_replay_that_ends_at_the_budget_inserts_nothing(
+        self, backend, seen_inserts
+    ):
+        records = group_of(backend, SPEC, BUDGET)
+        _, cold = run_engine(backend, RELABELLED, budget=BUDGET)
+        seen_inserts.clear()
+        engine, resumed = run_engine(backend, RELABELLED, records, BUDGET)
+        assert engine.status == "budget"
+        assert seen_inserts == []
+        assert resumed == cold
+
+    def test_a_replay_that_ends_on_a_restored_solution_inserts_nothing(
+        self, backend, seen_inserts
+    ):
+        records = group_of(backend, SPEC)
+        _, cold = run_engine(backend, SOLVED_IN_REPLAY)
+        seen_inserts.clear()
+        engine, resumed = run_engine(backend, SOLVED_IN_REPLAY, records)
+        assert engine.status == "success"
+        assert engine.solution_cost == records[-1].cost == 5
+        assert seen_inserts == []
+        assert resumed == cold
+
+    def test_enumeration_after_a_replay_fills_the_seen_set_once(
+        self, backend, seen_inserts
+    ):
+        records = group_of(backend, SPEC, BUDGET)
+        adopted = np.concatenate([record.rows for record in records])
+        larger = BUDGET + 40
+        _, cold = run_engine(backend, RELABELLED, budget=larger)
+        seen_inserts.clear()
+        engine, resumed = run_engine(backend, RELABELLED, records, larger)
+        assert engine.partial_resumes == 1
+        assert resumed == cold
+        # A budget stop stores every novel candidate, so at the end the
+        # seen-set holds exactly the cache's rows.
+        if backend == "vector":
+            names = [name for name, _ in seen_inserts]
+            assert names[0] == "insert_novel_batch"
+            assert names.count("insert_novel_batch") == 1
+            assert np.array_equal(seen_inserts[0][1], adopted)
+            assert np.array_equal(
+                engine._seen.keys(), engine.cache.rows(0, len(engine.cache))
+            )
+        else:
+            cs_list = engine.cache.cs_list
+            filled = seen_inserts[: len(adopted)]
+            assert filled == [("insert", cs) for cs in cs_list[: len(adopted)]]
+            assert sorted(engine._seen) == sorted(cs_list)
 
 
 def test_batched_sweeps_checkpoint_and_resume(tmp_path):

@@ -158,8 +158,9 @@ class TestCiContract:
 
     def test_recovery_smoke_runs_a_traced_refine_benchmark_pass(self):
         # The checkpoint read path and the benchmark's probe names, end
-        # to end: the step must fail unless every answer is correct and
-        # the pass resumed journalled levels.
+        # to end: the step must fail unless every answer is correct, the
+        # pass resumed journalled levels and the median request made no
+        # seen-set probe.
         runs = [
             str(s.get("run", ""))
             for s in load("ci.yml")["jobs"]["recovery-smoke"]["steps"]
@@ -167,7 +168,8 @@ class TestCiContract:
         step = next(run for run in runs if "perfbench/run.py" in run)
         for part in ("--workload refine", "--seed 1", "--seconds 3",
                      "--trace 1", "tail -n 1", "'correct'", "'failed'",
-                     "r['metrics']['checkpoint.resumed_levels']['value'] > 0"):
+                     "r['metrics']['checkpoint.resumed_levels']['value'] > 0",
+                     "r['metrics']['engine.dedupe_s.p50']['value'] == 0"):
             assert part in step, part
 
     def test_recovery_smoke_checks_a_checkpoint_key_is_one_journal(self):
