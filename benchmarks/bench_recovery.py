@@ -12,7 +12,9 @@ The evidence behind the durability layer:
   the crash lands later in the sweep".  Cold is timed twice: a plain
   ``Session`` (``cold_seconds``) and a ``StoreBackedSession`` on an
   empty checkpoint store (``durable_cold_seconds``), which pays the
-  same journal round a resume pays.
+  same journal round a resume pays.  Each time is the median of
+  :data:`REPEATS` runs on fresh sessions and stores: a quick-scale run
+  takes a few milliseconds, too short for one shot to rank.
 * **relabel after budget** — a budgeted query runs cold on an empty
   checkpoint store and stops at its budget inside a level; then a
   relabelled query (one example moved across, the same budget) runs
@@ -34,6 +36,7 @@ to the repo root.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import shutil
@@ -73,6 +76,9 @@ RELABEL_TO = Spec(
     negative=["010", "110", "10001", "11111", "111101"],
 )
 
+#: Timed runs per median (``resume`` and ``relabel_after_budget``).
+REPEATS = 9 if is_full() else 5
+
 RETRY_SPECS = [
     Spec(positive=["00", "010", "0110"], negative=["", "11", "101"]),
     Spec(positive=["10", "101", "100"], negative=["", "0", "11"]),
@@ -91,6 +97,13 @@ def _identity(result):
     )
 
 
+def _timed(call):
+    """``(seconds, result)`` of one call."""
+    started = time.perf_counter()
+    result = call()
+    return time.perf_counter() - started, result
+
+
 def _interrupted_run(config, store, spec, levels):
     session = StoreBackedSession(config, checkpoint_store=store)
     count = {"n": 0}
@@ -107,10 +120,11 @@ def _interrupted_run(config, store, spec, levels):
 
 
 def _bench_resume(config):
-    """Kill-at-level K, resume, compare against cold re-enumeration."""
-    started = time.perf_counter()
+    """Kill-at-level K, resume, compare against cold re-enumeration.
+
+    Every timing is the median of :data:`REPEATS` runs, each on a fresh
+    session and a fresh checkpoint store."""
     reference = Session(config).synthesize(RESUME_SPEC)
-    cold_seconds = time.perf_counter() - started
     total_levels = reference.levels_built
     if is_full():
         kill_levels = list(range(1, total_levels + 1))
@@ -121,26 +135,39 @@ def _bench_resume(config):
             max(1, (3 * total_levels) // 4),
             total_levels,
         })
+    cold_seconds = statistics.median(
+        _timed(lambda: Session(config).synthesize(RESUME_SPEC))[0]
+        for _ in range(REPEATS)
+    )
     per_level = []
     root = tempfile.mkdtemp(prefix="repro-bench-recovery-")
     try:
-        store = CheckpointStore(os.path.join(root, "cold"))
-        started = time.perf_counter()
-        StoreBackedSession(config, checkpoint_store=store).synthesize(
-            RESUME_SPEC
+        paths = (os.path.join(root, "s%d" % n) for n in itertools.count())
+
+        def durable(store):
+            return StoreBackedSession(config, checkpoint_store=store)
+
+        durable_cold_seconds = statistics.median(
+            _timed(
+                lambda: durable(CheckpointStore(next(paths))).synthesize(
+                    RESUME_SPEC
+                )
+            )[0]
+            for _ in range(REPEATS)
         )
-        durable_cold_seconds = time.perf_counter() - started
         for kill_after in kill_levels:
-            store = CheckpointStore(os.path.join(root, "k%d" % kill_after))
-            _interrupted_run(config, store, RESUME_SPEC, kill_after)
-            started = time.perf_counter()
-            resumed = StoreBackedSession(
-                config, checkpoint_store=store
-            ).synthesize(RESUME_SPEC)
-            resume_seconds = time.perf_counter() - started
-            assert _identity(resumed) == _identity(reference), (
-                "resume after level %d must be bit-identical" % kill_after)
-            assert resumed.extra["resumed_levels"] >= kill_after
+            timings = []
+            for _ in range(REPEATS):
+                store = CheckpointStore(next(paths))
+                _interrupted_run(config, store, RESUME_SPEC, kill_after)
+                seconds, resumed = _timed(
+                    lambda: durable(store).synthesize(RESUME_SPEC)
+                )
+                assert _identity(resumed) == _identity(reference), (
+                    "resume after level %d must be bit-identical" % kill_after)
+                assert resumed.extra["resumed_levels"] >= kill_after
+                timings.append(seconds)
+            resume_seconds = statistics.median(timings)
             per_level.append({
                 "kill_after_level": kill_after,
                 "resumed_levels": resumed.extra["resumed_levels"],
@@ -162,6 +189,7 @@ def _bench_resume(config):
             "re-enumeration (%.3fs vs %.3fs)"
             % (deepest["resume_seconds"], cold_seconds))
     return {
+        "repeats": REPEATS,
         "cold_seconds": cold_seconds,
         "durable_cold_seconds": durable_cold_seconds,
         "levels_built": total_levels,
@@ -177,11 +205,10 @@ def _bench_relabel_after_budget(config):
 
     reference = Session(config).synthesize(budgeted(RELABEL_TO))
     assert reference.status == "budget"
-    repeats = 9 if is_full() else 5
     cold_seconds, resumed_seconds = [], []
     root = tempfile.mkdtemp(prefix="repro-bench-relabel-")
     try:
-        for index in range(repeats):
+        for index in range(REPEATS):
             store = CheckpointStore(os.path.join(root, "r%d" % index))
             started = time.perf_counter()
             first = StoreBackedSession(config, checkpoint_store=store).synthesize(
@@ -217,7 +244,7 @@ def _bench_relabel_after_budget(config):
     resume = statistics.median(resumed_seconds)
     return {
         "budget": RELABEL_BUDGET,
-        "repeats": repeats,
+        "repeats": REPEATS,
         "resumed_levels": traced.extra["resumed_levels"],
         "cold_seconds": cold,
         "resume_seconds": resume,

@@ -80,7 +80,9 @@ def state_digest(engine, status):
         "solution": engine.solution,
         "solution_cost": engine.solution_cost,
         "rows_hash": hash(rows.tobytes()),
-        "provenance_hash": hash(tuple(cache.provenance)),
+        # Provenance is decoded from the ordinals: equal ordinals (and
+        # level stats) mean equal provenance.
+        "ordinals_hash": hash(cache.ordinals.tobytes()),
     }
 
 

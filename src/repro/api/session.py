@@ -331,9 +331,7 @@ class Session:
             )
         if status == STATUS_SUCCESS:
             result.regex = reconstruct(
-                engine.solution,
-                engine.cache.provenance_lookup,
-                engine.universe.alphabet,
+                engine.solution, engine.provenance, engine.universe.alphabet
             )
             result.cost = engine.solution_cost
         self.stats.requests_served += 1
@@ -477,7 +475,7 @@ class Session:
                 query.finalize(leftover_status, engine, started)
 
         sweep_seconds = time.perf_counter() - started
-        provenance = engine.cache.provenance_lookup
+        provenance = engine.provenance
         shared_extra = {
             "batched": True,
             "batch_size": len(requests),

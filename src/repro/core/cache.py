@@ -13,10 +13,11 @@ Two concrete caches exist:
   ``(capacity, lanes)`` uint64 numpy matrix (the paper's contiguous byte
   array, power-of-two padded).
 
-Both also store, per CS, the provenance triple ``(op, left, right)`` that
-:mod:`repro.core.reconstruct` uses to rebuild a regular expression — the
-paper's "auxiliary data, allowing the conversion of a CS to a
-corresponding regular expression".
+Both also store, per CS, its 1-based generation ordinal.  The paper's
+"auxiliary data, allowing the conversion of a CS to a corresponding
+regular expression" — the provenance triple ``(op, left, right)`` that
+:mod:`repro.core.reconstruct` reads — is a function of that ordinal,
+decoded on demand by :attr:`repro.core.engine.SearchEngine.provenance`.
 """
 
 from __future__ import annotations
@@ -39,16 +40,17 @@ DEFAULT_PLANE_CACHE_BYTES = 1 << 27
 #: The on-disk-relevant layout contract of the caches.  Any change that
 #: alters what a stored level *means* — row packing, dedupe discipline
 #: (which decides what gets stored at all), provenance or ordinal
-#: encoding, the checkpoint record format (v4: each record a delta past
-#: its cost's journalled cursor) — must be reflected here so persisted
-#: checkpoints keyed by :func:`cache_version_fingerprint` invalidate
-#: instead of replaying rows under the wrong interpretation.
+#: encoding, the checkpoint record format (v5: each record a delta past
+#: its cost's journalled cursor, holding rows and ordinals only; a row's
+#: provenance is decoded from its ordinal) — must be reflected here so
+#: persisted checkpoints keyed by :func:`cache_version_fingerprint`
+#: invalidate instead of replaying rows under the wrong interpretation.
 CACHE_SCHEMA = {
     "rows": "uint64-le-lanes/pow2-padded/v1",
     "dedupe": "two-tier-fingerprint-exact/v1",
-    "provenance": "op-left-right-int64-columns/v1",
+    "provenance": "decoded-from-ordinal/v5",
     "ordinals": "absolute-1based-generation-int64/v1",
-    "checkpoints": "self-indexed-journal-cost-delta-chains/v4",
+    "checkpoints": "self-indexed-journal-cost-delta-chains/v5",
 }
 
 
@@ -105,33 +107,13 @@ class LevelIndex:
         return 0 if bounds is None else bounds[1] - bounds[0]
 
 
-class ProvenanceColumns:
-    """Row-indexable ``(op, left, right)`` triples over the three
-    provenance columns of a :class:`PackedCache`.
-
-    What :func:`repro.core.reconstruct.reconstruct` reads: a solution's
-    few dozen ancestors, without a tuple per cached row.
-    """
-
-    __slots__ = ("_columns",)
-
-    def __init__(
-        self, ops: np.ndarray, lefts: np.ndarray, rights: np.ndarray
-    ) -> None:
-        self._columns = (ops, lefts, rights)
-
-    def __getitem__(self, index: int) -> Tuple[int, int, int]:
-        return tuple(int(column[index]) for column in self._columns)
-
-
 class IntCache:
-    """Scalar language cache: CSs as Python ints, plus provenance."""
+    """Scalar language cache: CSs as Python ints, plus ordinals."""
 
-    __slots__ = ("cs_list", "provenance", "ordinals", "levels", "max_size")
+    __slots__ = ("cs_list", "ordinals", "levels", "max_size")
 
     def __init__(self, max_size: Optional[int] = None) -> None:
         self.cs_list: List[int] = []
-        self.provenance: List[Tuple[int, int, int]] = []
         self.ordinals: List[int] = []
         self.levels = LevelIndex()
         self.max_size = max_size
@@ -144,25 +126,17 @@ class IntCache:
         """True once the configured capacity has been reached."""
         return self.max_size is not None and len(self.cs_list) >= self.max_size
 
-    def append(
-        self, cs: int, op: int, left: int, right: int, ordinal: int = 0
-    ) -> int:
-        """Store a CS with its provenance; returns its global index.
+    def append(self, cs: int, ordinal: int = 0) -> int:
+        """Store a CS; returns its global index.
 
         ``ordinal`` is the 1-based absolute generation ordinal of the
         candidate (the engine's ``generated`` counter after counting
-        it) — what level checkpoints use to replay budget semantics.
+        it) — what the engine decodes the row's provenance from, and
+        what level checkpoints use to replay budget semantics.
         """
         self.cs_list.append(cs)
-        self.provenance.append((op, left, right))
         self.ordinals.append(ordinal)
         return len(self.cs_list) - 1
-
-    @property
-    def provenance_lookup(self) -> List[Tuple[int, int, int]]:
-        """Row-indexable provenance for reconstruction (the triple list
-        itself)."""
-        return self.provenance
 
     def cs_at(self, index: int) -> int:
         """The CS stored at a global index."""
@@ -174,12 +148,9 @@ class PackedCache:
 
     Rows are CSs (``lanes`` little-endian 64-bit words each, power-of-two
     padded as in the paper's second space-time trade-off); the matrix
-    grows by doubling but rows, once written, never change.
-
-    Provenance is held column-wise (three parallel int64 arrays) so a
-    batch append is three slice assignments — the store-side analogue of
-    the batched kernels; the row-wise :attr:`provenance` view used by
-    reconstruction and the equivalence tests is materialised lazily.
+    grows by doubling but rows, once written, never change.  Beside it
+    one int64 column holds each row's generation ordinal, so a batch
+    append is two slice assignments.
     """
 
     __slots__ = (
@@ -190,11 +161,7 @@ class PackedCache:
         "max_size",
         "plane_cache_bytes",
         "plane_stats",
-        "_ops",
-        "_lefts",
-        "_rights",
-        "_gen",
-        "_provenance_view",
+        "_ordinals",
         "_planes",
         "_plane_bytes",
     )
@@ -208,11 +175,7 @@ class PackedCache:
         self.lanes = lanes
         self.matrix = np.zeros((64, lanes), dtype=np.uint64)
         self.n_rows = 0
-        self._ops = np.zeros(64, dtype=np.int64)
-        self._lefts = np.zeros(64, dtype=np.int64)
-        self._rights = np.zeros(64, dtype=np.int64)
-        self._gen = np.zeros(64, dtype=np.int64)
-        self._provenance_view: Optional[List[Tuple[int, int, int]]] = None
+        self._ordinals = np.zeros(64, dtype=np.int64)
         self.levels = LevelIndex()
         self.max_size = max_size
         self.plane_cache_bytes = plane_cache_bytes
@@ -233,27 +196,9 @@ class PackedCache:
         return self.max_size is not None and self.n_rows >= self.max_size
 
     @property
-    def provenance(self) -> List[Tuple[int, int, int]]:
-        """Row-wise ``(op, left, right)`` triples (lazily materialised)."""
-        if (
-            self._provenance_view is None
-            or len(self._provenance_view) != self.n_rows
-        ):
-            n = self.n_rows
-            self._provenance_view = list(
-                zip(
-                    self._ops[:n].tolist(),
-                    self._lefts[:n].tolist(),
-                    self._rights[:n].tolist(),
-                )
-            )
-        return self._provenance_view
-
-    @property
-    def provenance_lookup(self) -> ProvenanceColumns:
-        """Row-indexable provenance for reconstruction: views of the
-        stored rows' columns, nothing materialised."""
-        return ProvenanceColumns(*self.provenance_arrays(0, self.n_rows))
+    def ordinals(self) -> np.ndarray:
+        """A read-only view of the stored rows' generation ordinals."""
+        return self._ordinals[: self.n_rows]
 
     def _ensure(self, extra: int) -> None:
         needed = self.n_rows + extra
@@ -265,76 +210,27 @@ class PackedCache:
         grown = np.zeros((capacity, self.lanes), dtype=np.uint64)
         grown[: self.n_rows] = self.matrix[: self.n_rows]
         self.matrix = grown
-        for name in ("_ops", "_lefts", "_rights", "_gen"):
-            column = getattr(self, name)
-            grown_col = np.zeros(capacity, dtype=np.int64)
-            grown_col[: self.n_rows] = column[: self.n_rows]
-            setattr(self, name, grown_col)
-
-    def append_row(
-        self,
-        row: np.ndarray,
-        op: int,
-        left: int,
-        right: int,
-        ordinal: int = 0,
-    ) -> int:
-        """Store one CS row with provenance; returns its global index."""
-        self._ensure(1)
-        self.matrix[self.n_rows] = row
-        self._ops[self.n_rows] = op
-        self._lefts[self.n_rows] = left
-        self._rights[self.n_rows] = right
-        self._gen[self.n_rows] = ordinal
-        self.n_rows += 1
-        return self.n_rows - 1
+        grown_ordinals = np.zeros(capacity, dtype=np.int64)
+        grown_ordinals[: self.n_rows] = self.ordinals
+        self._ordinals = grown_ordinals
 
     def append_rows(
-        self,
-        rows: np.ndarray,
-        op,
-        lefts: np.ndarray,
-        rights: np.ndarray,
-        ordinals: Optional[np.ndarray] = None,
+        self, rows: np.ndarray, ordinals: Optional[np.ndarray] = None
     ) -> None:
-        """Bulk-store CS rows built by one ``op`` from operand indices.
-
-        Slice assignments instead of a Python loop over provenance
-        tuples.  ``op`` may be a scalar (the usual single-operator
-        batch) or a per-row array (checkpoint replay, which restores a
-        whole mixed-operator level at once); ``ordinals`` are the rows'
-        1-based absolute generation ordinals (zeros when omitted).
-        """
+        """Bulk-store CS rows: two slice assignments.  ``ordinals`` are
+        the rows' 1-based absolute generation ordinals (zeros when
+        omitted)."""
         count = rows.shape[0]
         if count == 0:
             return
-        if count != len(lefts) or count != len(rights):
-            raise ValueError("rows and provenance lengths differ")
         if ordinals is not None and count != len(ordinals):
             raise ValueError("rows and ordinals lengths differ")
         self._ensure(count)
         lo, hi = self.n_rows, self.n_rows + count
         self.matrix[lo:hi] = rows
-        self._ops[lo:hi] = op
-        self._lefts[lo:hi] = lefts
-        self._rights[lo:hi] = rights
         if ordinals is not None:
-            self._gen[lo:hi] = ordinals
+            self._ordinals[lo:hi] = ordinals
         self.n_rows += count
-
-    def gen_ordinals(self, start: int, end: int) -> np.ndarray:
-        """A read-only view of the generation ordinals of ``[start, end)``."""
-        return self._gen[start:end]
-
-    def provenance_arrays(
-        self, start: int, end: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Column-wise ``(ops, lefts, rights)`` views of ``[start, end)``."""
-        return (
-            self._ops[start:end],
-            self._lefts[start:end],
-            self._rights[start:end],
-        )
 
     def planes(self, start: int, end: int, n_bits: int) -> np.ndarray:
         """Bit-sliced planes of rows ``[start, end)`` — sliced once,

@@ -24,13 +24,17 @@ def cache_rows(engine: SearchEngine, limit: Optional[int] = None) -> List[dict]:
     ``regex`` (a minimal-cost expression reconstructed from provenance).
     """
     rows: List[dict] = []
-    provenance = engine.cache.provenance
+    provenance = engine.provenance
     alphabet = engine.universe.alphabet
     cost_of_index = {}
     for cost in engine.cache.levels.costs():
         start, end = engine.cache.levels.bounds(cost)
         for index in range(start, end):
             cost_of_index[index] = cost
+    # Rows past the last *complete* level belong to the level after it,
+    # which a stop, a solution or a full cache (OnTheFly mode) cut short.
+    last = engine.cache.levels.last_complete_cost
+    tail_cost = engine.cost_fn.literal if last is None else last + 1
     total = len(engine.cache)
     count = total if limit is None else min(limit, total)
     for index in range(count):
@@ -39,9 +43,7 @@ def cache_rows(engine: SearchEngine, limit: Optional[int] = None) -> List[dict]:
         rows.append(
             {
                 "index": index,
-                # Rows past the last *complete* level belong to the level
-                # that was being built when the search stopped.
-                "cost": cost_of_index.get(index, engine._current_cost),
+                "cost": cost_of_index.get(index, tail_cost),
                 "bits": cs,
                 "words": engine.universe.words_of(cs),
                 "regex": to_string(regex),

@@ -15,6 +15,8 @@ property the test-suite asserts.
 
 from __future__ import annotations
 
+import bisect
+import math
 import multiprocessing
 import time
 from contextlib import nullcontext
@@ -31,6 +33,8 @@ from .bitops import int_to_lanes, popcount
 
 # Provenance opcodes.  EMPTY/EPSILON occur only as solutions of trivial
 # specifications; CHAR's ``left`` field is an index into the alphabet.
+# A candidate's ``(op, left, right)`` triple is never stored: it is a
+# function of its generation ordinal (:meth:`SearchEngine._decode`).
 OP_EMPTY = 0
 OP_EPSILON = 1
 OP_CHAR = 2
@@ -80,37 +84,22 @@ class Checkpoint:
     the next one.  A record holds everything a fresh engine needs to
     adopt one level up to its cursor without re-enumerating it: the rows
     the level stored (packed uint64, the cross-backend interchange
-    format), their provenance columns, each row's 1-based absolute
-    generation ordinal, the engine's cumulative ``generated`` counter at
-    the snapshot, and ``level_progress`` — the number of candidates the
-    level had generated by then.  A finished level is simply the cursor
-    at the level's end.  Because enumeration, dedupe and storage are
-    spec-independent, a record taken under one spec replays
-    bit-identically under any other spec over the same universe and
-    cost function.
+    format), each row's 1-based absolute generation ordinal, the
+    engine's cumulative ``generated`` counter at the snapshot, and
+    ``level_progress`` — the number of candidates the level had
+    generated by then.  A row's provenance is not recorded: the
+    adopting engine decodes it from the ordinal.  A finished level is
+    simply the cursor at the level's end.  Because enumeration, dedupe
+    and storage are spec-independent, a record taken under one spec
+    replays bit-identically under any other spec over the same universe
+    and cost function.
     """
 
     cost: int
     rows: np.ndarray  # (n, lanes) uint64
-    ops: np.ndarray  # (n,) int64
-    lefts: np.ndarray  # (n,) int64
-    rights: np.ndarray  # (n,) int64
     ordinals: np.ndarray  # (n,) int64, 1-based absolute
     generated_total: int  # cumulative ``generated`` at the snapshot
     level_progress: int  # candidates generated within this level
-
-
-def _pair_candidates(
-    pairing: Tuple[Tuple[int, int], Tuple[int, int], bool]
-) -> int:
-    """Candidate count of one ``(left, right, triangular)`` pairing —
-    the closed form the mid-level fast-forward skips whole steps with
-    (mirrors :func:`repro.core.shard.total_pair_candidates`)."""
-    (l0, l1), (r0, r1), triangular = pairing
-    if triangular:
-        n = l1 - l0
-        return n * (n - 1) // 2
-    return (l1 - l0) * (r1 - r0)
 
 
 def cs_solves(cs: int, pos_mask: int, neg_mask: int, max_errors: int) -> bool:
@@ -263,6 +252,11 @@ class SearchEngine:
         #: Levels resumed mid-way from a record's cursor (0 or 1 per run).
         self.partial_resumes = 0
         self._restored: List[Checkpoint] = []
+        #: The generation counter as each cost level started, ascending
+        #: from the seed level (which starts at 2, after ∅ and ε) and
+        #: including a level the run stopped in: what
+        #: :meth:`_decode` bisects to find a candidate's level.
+        self._level_starts: List[int] = []
         #: Cursor of the record adopted for the level being built (None
         #: when the level starts fresh); :meth:`_build_level` consumes it.
         self._level_skip: Optional[int] = None
@@ -284,7 +278,8 @@ class SearchEngine:
         self._group_monotonic = 0.0
         self._checks_disabled = False
         self.status: Optional[str] = None
-        self.solution: Optional[Tuple[int, int, int]] = None  # provenance triple
+        #: The solution's provenance triple (see :meth:`_decode`).
+        self.solution: Optional[Tuple[int, int, int]] = None
         self.solution_cost: Optional[int] = None
         self.levels_built = 0
 
@@ -401,9 +396,7 @@ class SearchEngine:
             or not self.check_uniqueness
         ):
             return False
-        from .shard import total_pair_candidates
-
-        if total_pair_candidates(pairings) < self.shard_min_candidates:
+        if sum(_pair_candidates(p) for p in pairings) < self.shard_min_candidates:
             return False
         if multiprocessing.current_process().daemon:
             return False
@@ -456,7 +449,7 @@ class SearchEngine:
             tracer.adopt(outcome.spans)
             tracer.finish(fan_span, candidates=outcome.total)
         self.sharded_emits += 1
-        return self._apply_shard_outcome(op, outcome)
+        return self._apply_shard_outcome(outcome)
 
     def _make_shard_coordinator(self):
         """Spawn the worker pool for this run (lazily, on first use)."""
@@ -479,7 +472,7 @@ class SearchEngine:
         shard workers' mirror feed)."""
         raise NotImplementedError
 
-    def _apply_shard_outcome(self, op: int, outcome) -> bool:
+    def _apply_shard_outcome(self, outcome) -> bool:
         """Reconcile a :class:`~repro.core.shard.ShardOutcome` into the
         engine state (authoritative dedupe + store + counters); return
         True iff the group produced the run's solution."""
@@ -493,17 +486,21 @@ class SearchEngine:
 
     @property
     def cache(self):
-        """The engine's language cache (has ``levels`` and ``__len__``)."""
+        """The engine's language cache (has ``levels``, ``ordinals`` and
+        ``__len__``)."""
         raise NotImplementedError
+
+    @property
+    def provenance(self) -> "Provenance":
+        """The cache rows' ``(op, left, right)`` triples, row-indexable."""
+        return Provenance(self)
 
     # ------------------------------------------------------------------
     # Checkpointing (abstract half; see the shared half below)
     # ------------------------------------------------------------------
-    def _level_payload(
-        self, start: int, end: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cache range ``[start, end)`` as ``(rows, ops, lefts, rights,
-        ordinals)`` in the packed interchange format."""
+    def _level_payload(self, start: int, end: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Cache range ``[start, end)`` as ``(rows, ordinals)`` in the
+        packed interchange format."""
         raise NotImplementedError
 
     def _adopt_restored(self, payload: Checkpoint, lo: int, hi: int) -> None:
@@ -531,9 +528,12 @@ class SearchEngine:
         """Does this CS satisfy the (possibly error-relaxed) spec?"""
         return cs_solves(cs, self.pos_mask, self.neg_mask, self.max_errors)
 
-    def _record_solution(self, op: int, left: int, right: int, cost: int) -> None:
-        self.solution = (op, left, right)
-        self.solution_cost = cost
+    def _record_solution(self) -> None:
+        """The candidate counted last (ordinal ``generated``) solves the
+        spec: the one path every engine, the shard merge and the
+        checkpoint replay record a solution through."""
+        self.solution = self._decode(self.generated)
+        self.solution_cost = self._current_cost
         self.status = STATUS_SUCCESS
 
     def disable_solution_checks(self) -> None:
@@ -754,12 +754,7 @@ class SearchEngine:
             if hit is not None:
                 self._adopt_restored(record, 0, hit)
                 self.generated = int(record.ordinals[hit])
-                self._record_solution(
-                    int(record.ops[hit]),
-                    int(record.lefts[hit]),
-                    int(record.rights[hit]),
-                    cost,
-                )
+                self._record_solution()
             elif budget is not None and record.generated_total >= budget:
                 self._adopt_restored(record, 0, cut)
                 self.generated = budget
@@ -795,6 +790,7 @@ class SearchEngine:
             self._current_cost = cost
             self._level_start_cache = start
             self._level_start_generated = generated_before
+            self._level_starts.append(generated_before)
             record = self._adopt_checkpoint(cost)
             solved = self.status == STATUS_SUCCESS or self._build(cost)
             if cost != c1:
@@ -834,11 +830,11 @@ class SearchEngine:
         """
         self.generated += 1
         if self.solves_int(0):
-            self._record_solution(OP_EMPTY, -1, -1, c1)
+            self._record_solution()
             return True
         self.generated += 1
         if self.solves_int(self.universe.eps_bit):
-            self._record_solution(OP_EPSILON, -1, -1, c1)
+            self._record_solution()
             return True
         return False
 
@@ -984,3 +980,85 @@ class SearchEngine:
                     (op, sum(_pair_candidates(p) for p in pairings), pairings)
                 )
         return steps
+
+    def _decode(self, ordinal: int) -> Tuple[int, int, int]:
+        """The ``(op, left, right)`` triple of the ``ordinal``-th
+        candidate (1-based) — enumeration order read backwards.
+
+        Ordinals 1 and 2 are ``∅`` and ``ε``.  Any other candidate's
+        level is the last one whose generation start lies below it;
+        the level's steps (:meth:`_level_steps`, which depends only on
+        the complete levels below it) then place it: an alphabet index,
+        a unary operand, or a pairing's ``(i, j)``.  Operands are cache
+        indices, and CHAR's ``left`` an alphabet index.
+        """
+        if ordinal <= 2:
+            return (OP_EMPTY if ordinal == 1 else OP_EPSILON), -1, -1
+        level = bisect.bisect_left(self._level_starts, ordinal) - 1
+        offset = ordinal - 1 - self._level_starts[level]
+        for op, count, operands in self._level_steps(self.cost_fn.literal + level):
+            if offset >= count:
+                offset -= count
+            elif op == OP_CHAR:
+                return op, offset, -1
+            elif op in (OP_QUESTION, OP_STAR):
+                return op, operands[0] + offset, -1
+            else:
+                for pairing in operands:
+                    count = _pair_candidates(pairing)
+                    if offset < count:
+                        return (op,) + _pair_at(pairing, offset)
+                    offset -= count
+        raise ValueError("candidate %d was not generated" % ordinal)
+
+
+def _pair_candidates(
+    pairing: Tuple[Tuple[int, int], Tuple[int, int], bool]
+) -> int:
+    """Candidate count of one ``(left, right, triangular)`` pairing —
+    the closed form the mid-level fast-forward skips whole steps with."""
+    (l0, l1), (r0, r1), triangular = pairing
+    if triangular:
+        n = l1 - l0
+        return n * (n - 1) // 2
+    return (l1 - l0) * (r1 - r0)
+
+
+def _pair_at(
+    pairing: Tuple[Tuple[int, int], Tuple[int, int], bool], offset: int
+) -> Tuple[int, int]:
+    """The operand cache indices of candidate ``offset`` of a pairing:
+    :func:`_pair_candidates`' inverse.  Pairs run i-major; a triangular
+    pairing's row ``i`` holds ``j = i+1 .. n-1`` and starts at offset
+    ``i(2n-1-i)/2``, so ``i`` is the floor of that quadratic's root (an
+    integer square root, off by at most one, corrected)."""
+    (l0, l1), (r0, r1), triangular = pairing
+    if not triangular:
+        i, j = divmod(offset, r1 - r0)
+        return l0 + i, r0 + j
+    n2 = 2 * (l1 - l0) - 1
+    i = (n2 - math.isqrt(n2 * n2 - 8 * offset)) // 2
+    if i * (n2 - i) // 2 > offset:
+        i -= 1
+    return l0 + i, l0 + i + 1 + offset - i * (n2 - i) // 2
+
+
+class Provenance:
+    """Row-indexable ``(op, left, right)`` triples of an engine's cache —
+    the paper's auxiliary data that turns a CS back into a regex — each
+    decoded from the row's generation ordinal when it is read, so
+    :func:`repro.core.reconstruct.reconstruct` touches only a
+    solution's few dozen ancestors."""
+
+    __slots__ = ("_engine",)
+
+    def __init__(self, engine: SearchEngine) -> None:
+        self._engine = engine
+
+    def __len__(self) -> int:
+        return len(self._engine.cache)
+
+    def __getitem__(self, index: int) -> Tuple[int, int, int]:
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        return self._engine._decode(int(self._engine.cache.ordinals[index]))

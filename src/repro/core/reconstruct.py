@@ -1,11 +1,13 @@
 """Recovering a regular expression from a synthesised CS (§3).
 
-The engines track, per cached CS, the provenance triple
-``(op, left, right)`` — the outermost regular constructor and the global
-cache indices of its operand CSs.  Because the cache is write-once and
-filled in increasing cost order, operand indices are always strictly
-smaller than the index of the CS they build, so a solution can be
-rebuilt bottom-up without recursion.
+Every cached CS has a provenance triple ``(op, left, right)`` — the
+outermost regular constructor and the global cache indices of its
+operand CSs — which the engine decodes from the row's generation
+ordinal when it is read (:attr:`repro.core.engine.SearchEngine.provenance`),
+so a reconstruction decodes only the rows it visits.  Because the cache
+is write-once and filled in increasing cost order, operand indices are
+always strictly smaller than the index of the CS they build, so a
+solution can be rebuilt bottom-up without recursion.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def reconstruct(
     ``solution`` is the triple recorded for the winning candidate (which
     itself is typically *not* in the cache — the search stops before
     storing it); its operand indices refer into ``provenance``, the
-    per-cache-row triples.
+    row-indexable per-cache-row triples.
     """
     needed: set = set()
     stack: List[int] = [

@@ -21,12 +21,7 @@ from ..regex.cost import CostFunction
 from ..spec import Spec
 from .bitops import concat_cs, concat_cs_naive, ints_to_matrix, star_cs
 from .cache import IntCache
-from .engine import (
-    OP_CHAR,
-    OP_CONCAT,
-    OP_QUESTION,
-    SearchEngine,
-)
+from .engine import OP_CONCAT, OP_QUESTION, SearchEngine
 from .hashset import FingerprintHashSet
 
 
@@ -83,8 +78,9 @@ class ScalarEngine(SearchEngine):
         return result
 
     # ------------------------------------------------------------------
-    def _handle(self, cs: int, op: int, left: int, right: int) -> bool:
-        """Uniqueness-check, solution-check and store one candidate.
+    def _handle(self, cs: int) -> bool:
+        """Uniqueness-check, solution-check and store one candidate, the
+        next in enumeration order.
 
         Returns True iff ``cs`` solves the specification.  Mirrors lines
         15–19 of Algorithm 2; in OnTheFly mode the uniqueness check and
@@ -99,13 +95,13 @@ class ScalarEngine(SearchEngine):
                 self._safe_point()
                 return False
         if self.solves_int(cs):
-            self._record_solution(op, left, right, self._current_cost)
+            self._record_solution()
             return True
         if not self.otf:
             if self._cache.is_full:
                 self.otf = True
             else:
-                self._cache.append(cs, op, left, right, self.generated)
+                self._cache.append(cs, self.generated)
         # The budget is checked *after* the candidate was fully processed,
         # so a solution at exactly the budget boundary is still found —
         # the vectorised engine truncates batches to the same boundary.
@@ -117,8 +113,8 @@ class ScalarEngine(SearchEngine):
 
     # ------------------------------------------------------------------
     def _seed_alphabet(self) -> bool:
-        for char_index, symbol in enumerate(self.universe.alphabet):
-            if self._handle(self.universe.char_cs(symbol), OP_CHAR, char_index, -1):
+        for symbol in self.universe.alphabet:
+            if self._handle(self.universe.char_cs(symbol)):
                 return True
         return False
 
@@ -127,11 +123,11 @@ class ScalarEngine(SearchEngine):
         if op == OP_QUESTION:
             eps_bit = self.universe.eps_bit
             for index in range(start, end):
-                if self._handle(cs_list[index] | eps_bit, op, index, -1):
+                if self._handle(cs_list[index] | eps_bit):
                     return True
         else:  # OP_STAR
             for index in range(start, end):
-                if self._handle(self._star(cs_list[index]), op, index, -1):
+                if self._handle(self._star(cs_list[index])):
                     return True
         return False
 
@@ -159,7 +155,7 @@ class ScalarEngine(SearchEngine):
                 skip = 0
                 left_cs = cs_list[i]
                 for j in range(j_start, right[1]):
-                    if self._handle(self._concat(left_cs, cs_list[j]), op, i, j):
+                    if self._handle(self._concat(left_cs, cs_list[j])):
                         return True
         else:  # OP_UNION
             for i in range(left[0], left[1]):
@@ -173,7 +169,7 @@ class ScalarEngine(SearchEngine):
                 skip = 0
                 left_cs = cs_list[i]
                 for j in range(j_start, right[1]):
-                    if self._handle(left_cs | cs_list[j], op, i, j):
+                    if self._handle(left_cs | cs_list[j]):
                         return True
         return False
 
@@ -185,7 +181,7 @@ class ScalarEngine(SearchEngine):
             self._cache.cs_list[start:end], self.universe.lanes
         )
 
-    def _apply_shard_outcome(self, op, outcome) -> bool:
+    def _apply_shard_outcome(self, outcome) -> bool:
         """Reconcile a sharded emit into the scalar state.
 
         The workers compute candidates with the vectorised kernels; the
@@ -205,17 +201,10 @@ class ScalarEngine(SearchEngine):
             for k in range(rows.shape[0]):
                 cs = int.from_bytes(data[k * width : (k + 1) * width], "little")
                 if seen.insert(cs):
-                    cache.append(
-                        cs,
-                        op,
-                        int(outcome.a_idx[k]),
-                        int(outcome.b_idx[k]),
-                        base + 1 + int(outcome.ordinals[k]),
-                    )
+                    cache.append(cs, base + 1 + int(outcome.ordinals[k]))
         if outcome.hit is not None:
-            ordinal, left, right = outcome.hit
-            self.generated = base + ordinal + 1
-            self._record_solution(op, left, right, self._current_cost)
+            self.generated = base + outcome.hit + 1
+            self._record_solution()
             return True
         self.generated = base + outcome.total
         self._check_budget()
@@ -228,14 +217,7 @@ class ScalarEngine(SearchEngine):
         rows = ints_to_matrix(
             self._cache.cs_list[start:end], self.universe.lanes
         )
-        provenance = self._cache.provenance[start:end]
-        return (
-            rows,
-            np.array([p[0] for p in provenance], dtype=np.int64),
-            np.array([p[1] for p in provenance], dtype=np.int64),
-            np.array([p[2] for p in provenance], dtype=np.int64),
-            np.array(self._cache.ordinals[start:end], dtype=np.int64),
-        )
+        return rows, np.array(self._cache.ordinals[start:end], dtype=np.int64)
 
     def _restored_ints(self, payload, lo: int, hi: int):
         """Rows ``[lo, hi)`` of a checkpoint as Python-int CSs."""
@@ -248,15 +230,9 @@ class ScalarEngine(SearchEngine):
         ]
 
     def _adopt_restored(self, payload, lo: int, hi: int) -> None:
-        for offset, cs in enumerate(self._restored_ints(payload, lo, hi)):
-            k = lo + offset
-            self._cache.append(
-                cs,
-                int(payload.ops[k]),
-                int(payload.lefts[k]),
-                int(payload.rights[k]),
-                int(payload.ordinals[k]),
-            )
+        ordinals = payload.ordinals[lo:hi].tolist()
+        for cs, ordinal in zip(self._restored_ints(payload, lo, hi), ordinals):
+            self._cache.append(cs, ordinal)
 
     def _fill_seen(self, start: int, end: int) -> None:
         insert = self._seen.insert

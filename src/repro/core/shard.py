@@ -20,7 +20,7 @@ enumeration"):
   contiguous span of candidate *ordinals*.  The planner is a pure
   function, unit-tested deterministically.
 * **Shared read-only state.**  Each worker holds a mirror of the
-  language cache (rows only — provenance stays in the coordinator) fed
+  language cache's rows, fed
   by per-level broadcasts of the reconciled novel rows, a
   :class:`~repro.core.cache.PackedCache` plane cache over it, and a
   confirmed-key :class:`~repro.core.hashset.PackedKeySet` bulk-loaded
@@ -252,18 +252,6 @@ def plan_shards(weights: Sequence[int], n_shards: int) -> List[ShardRange]:
     ]
 
 
-def total_pair_candidates(pairings: Sequence[Pairing]) -> int:
-    """Candidate count of a pair group (closed form, no layout build)."""
-    total = 0
-    for (l0, l1), (r0, r1), triangular in pairings:
-        if triangular:
-            n = l1 - l0
-            total += n * (n - 1) // 2
-        else:
-            total += (l1 - l0) * (r1 - r0)
-    return total
-
-
 # ----------------------------------------------------------------------
 # Worker-side block generation (enumeration order, row sub-ranges)
 # ----------------------------------------------------------------------
@@ -275,11 +263,11 @@ def _concat_shard_blocks(
     row_lo: int,
     row_hi: int,
     max_batch: int,
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """Concat candidates of left rows ``[row_lo, row_hi)`` × the whole
-    right level, as ``(rows, a_idx, b_idx)`` blocks in enumeration
-    order — the same plane-resident kernel path as the serial engine,
-    restricted to a row sub-range."""
+    right level, as row blocks in enumeration order — the same
+    plane-resident kernel path as the serial engine, restricted to a row
+    sub-range."""
     n_b = right[1] - right[0]
     if n_b == 0 or row_hi <= row_lo:
         return
@@ -296,14 +284,9 @@ def _concat_shard_blocks(
                 left_planes, right_planes, i0 - left[0], i1 - left[0]
             )
             padded = unbitslice_rows(planes, (i1 - i0) * b8 * 8, lanes)
-            rows = padded.reshape(i1 - i0, b8 * 8, lanes)[:, :n_b].reshape(
+            yield padded.reshape(i1 - i0, b8 * 8, lanes)[:, :n_b].reshape(
                 -1, lanes
             )
-            a_idx = np.repeat(np.arange(i0, i1, dtype=np.int64), n_b)
-            b_idx = np.tile(
-                np.arange(right[0], right[0] + n_b, dtype=np.int64), i1 - i0
-            )
-            yield rows, a_idx, b_idx
     else:
         col_block = max_batch >> 3  # byte-columns per block
         for i in range(row_lo, row_hi):
@@ -316,13 +299,7 @@ def _concat_shard_blocks(
                     i - left[0] + 1,
                 )
                 padded = unbitslice_rows(planes, (c1 - c0) * 8, lanes)
-                j_lo = c0 * 8
-                j_hi = min(c1 * 8, n_b)
-                width = j_hi - j_lo
-                rows = padded[:width]
-                a_idx = np.full(width, i, dtype=np.int64)
-                b_idx = np.arange(right[0] + j_lo, right[0] + j_hi, dtype=np.int64)
-                yield rows, a_idx, b_idx
+                yield padded[: min(c1 * 8, n_b) - c0 * 8]
 
 
 def _union_index_blocks(
@@ -383,14 +360,14 @@ def _union_shard_blocks(
     row_lo: int,
     row_hi: int,
     max_batch: int,
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     matrix = cache.matrix
     for a_idx, b_idx in _union_index_blocks(
         left, right, triangular, row_lo, row_hi, max_batch
     ):
         rows = matrix.take(a_idx, axis=0)
         rows |= matrix.take(b_idx, axis=0)
-        yield rows, a_idx, b_idx
+        yield rows
 
 
 # ----------------------------------------------------------------------
@@ -424,8 +401,7 @@ class _ShardWorker:
 
     def append(self, rows: np.ndarray) -> None:
         """Mirror reconciled novel rows: cache matrix + confirmed keys."""
-        zeros = np.zeros(rows.shape[0], dtype=np.int64)
-        self.cache.append_rows(rows, 0, zeros, zeros)
+        self.cache.append_rows(rows)
         self.confirmed.insert_novel_batch(rows)
 
     def emit(
@@ -435,23 +411,19 @@ class _ShardWorker:
         unit_lo: int,
         unit_hi: int,
         stop_ordinal: int,
-    ) -> Tuple[
-        Optional[Tuple[int, int, int]], np.ndarray, np.ndarray, np.ndarray
-    ]:
+    ) -> Tuple[Optional[int], np.ndarray, np.ndarray]:
         """Build, check and locally dedupe this shard's candidates.
 
-        Returns ``(hit, rows, a_idx, b_idx)``: the first satisfying
-        candidate of the shard as ``(global ordinal, left, right)`` (or
-        None), and the locally novel candidates *before* it, in
-        enumeration order.
+        Returns ``(hit, rows, ordinals)``: the group ordinal of the
+        shard's first satisfying candidate (or None), and the locally
+        novel candidates *before* it, in enumeration order, with their
+        group ordinals.
         """
         layout = PairGroupLayout(pairings)
         local = PackedKeySet(self.cache.lanes, initial_capacity=1 << 12)
         kept_rows: List[np.ndarray] = []
-        kept_a: List[np.ndarray] = []
-        kept_b: List[np.ndarray] = []
         kept_ord: List[np.ndarray] = []
-        hit: Optional[Tuple[int, int, int]] = None
+        hit: Optional[int] = None
         for index, row_lo, row_hi, ordinal in layout.slices(unit_lo, unit_hi):
             if ordinal >= stop_ordinal or ordinal >= self.stop_value.value:
                 break
@@ -476,33 +448,24 @@ class _ShardWorker:
                     row_hi,
                     self.max_batch,
                 )
-            for rows, a_idx, b_idx in stream:
+            for rows in stream:
                 block_ordinal = ordinal
                 ordinal += rows.shape[0]
                 if block_ordinal >= stop_ordinal:
-                    return self._reply(hit, kept_rows, kept_a, kept_b, kept_ord)
+                    return self._reply(hit, kept_rows, kept_ord)
                 if block_ordinal >= self.stop_value.value:
                     # Advisory early-out: another shard already found a
                     # solution at a smaller ordinal, so everything from
                     # here on would be discarded by the coordinator.
-                    return self._reply(hit, kept_rows, kept_a, kept_b, kept_ord)
+                    return self._reply(hit, kept_rows, kept_ord)
                 if ordinal > stop_ordinal:
-                    keep = stop_ordinal - block_ordinal
-                    rows = rows[:keep]
-                    a_idx = a_idx[:keep]
-                    b_idx = b_idx[:keep]
+                    rows = rows[: stop_ordinal - block_ordinal]
                 flags = self.matcher.flags(rows)
                 hits = np.flatnonzero(flags)
                 if hits.size:
                     first = int(hits[0])
-                    hit = (
-                        block_ordinal + first,
-                        int(a_idx[first]),
-                        int(b_idx[first]),
-                    )
+                    hit = block_ordinal + first
                     rows = rows[:first]
-                    a_idx = a_idx[:first]
-                    b_idx = b_idx[:first]
                 if rows.shape[0]:
                     rows = np.ascontiguousarray(rows)
                     present = self.confirmed.contains_batch(rows)
@@ -510,29 +473,22 @@ class _ShardWorker:
                     keep_pos = np.flatnonzero(novel & ~present)
                     if keep_pos.size:
                         kept_rows.append(rows.take(keep_pos, axis=0))
-                        kept_a.append(a_idx.take(keep_pos))
-                        kept_b.append(b_idx.take(keep_pos))
                         kept_ord.append(block_ordinal + keep_pos)
                 if hit is not None:
                     with self.stop_value.get_lock():
-                        if hit[0] + 1 < self.stop_value.value:
-                            self.stop_value.value = hit[0] + 1
-                    return self._reply(hit, kept_rows, kept_a, kept_b, kept_ord)
-        return self._reply(hit, kept_rows, kept_a, kept_b, kept_ord)
+                        if hit + 1 < self.stop_value.value:
+                            self.stop_value.value = hit + 1
+                    return self._reply(hit, kept_rows, kept_ord)
+        return self._reply(hit, kept_rows, kept_ord)
 
-    def _reply(self, hit, kept_rows, kept_a, kept_b, kept_ord):
-        lanes = self.cache.lanes
+    def _reply(self, hit, kept_rows, kept_ord):
         if kept_rows:
             rows = np.concatenate(kept_rows)
-            a_idx = np.concatenate(kept_a)
-            b_idx = np.concatenate(kept_b)
             ordinals = np.concatenate(kept_ord).astype(np.int64, copy=False)
         else:
-            rows = np.zeros((0, lanes), dtype=np.uint64)
-            a_idx = np.zeros(0, dtype=np.int64)
-            b_idx = np.zeros(0, dtype=np.int64)
+            rows = np.zeros((0, self.cache.lanes), dtype=np.uint64)
             ordinals = np.zeros(0, dtype=np.int64)
-        return hit, rows, a_idx, b_idx, ordinals
+        return hit, rows, ordinals
 
 
 def _shard_worker_main(
@@ -625,22 +581,19 @@ class ShardOutcome:
 
     ``total`` is the number of candidates the group *generated* under
     the budget stop (``min(group candidates, remaining budget)``);
-    ``rows``/``a_idx``/``b_idx`` are the locally-novel survivors in
-    enumeration order, still subject to the engine's authoritative
-    dedupe, and ``ordinals`` their 0-based group-relative generation
-    ordinals (what level checkpoints turn into absolute ordinals);
-    ``hit`` is the winning solution as ``(group ordinal, left, right)``
-    or None.  ``spans`` are the wire-form trace spans the workers
+    ``rows`` are the locally-novel survivors in enumeration order, still
+    subject to the engine's authoritative dedupe, and ``ordinals`` their
+    0-based group-relative generation ordinals (what the engine turns
+    into absolute ordinals); ``hit`` is the winning solution's group
+    ordinal, or None.  ``spans`` are the wire-form trace spans the workers
     recorded during the round (empty on an untraced run) — timing
     metadata only, reconciled into the engine's tracer, never into
     enumeration state.
     """
 
     total: int
-    hit: Optional[Tuple[int, int, int]]
+    hit: Optional[int]
     rows: np.ndarray
-    a_idx: np.ndarray
-    b_idx: np.ndarray
     ordinals: np.ndarray
     spans: List[dict] = field(default_factory=list)
 
@@ -784,35 +737,27 @@ class ShardCoordinator:
         # its timing is exactly what the timeline must show.
         spans: List[dict] = []
         for reply in replies:
-            spans.extend(reply[5])
+            spans.extend(reply[3])
         best_hit = None
         hit_shard = None
         for shard, reply in enumerate(replies):
             hit = reply[0]
-            if hit is not None and (best_hit is None or hit[0] < best_hit[0]):
+            if hit is not None and (best_hit is None or hit < best_hit):
                 best_hit = hit
                 hit_shard = shard
         if best_hit is not None:
             replies = replies[: hit_shard + 1]
-        rows = [reply[1] for reply in replies if reply[1].shape[0]]
-        if rows:
-            merged_rows = np.concatenate(rows)
-            merged_a = np.concatenate([r[2] for r in replies if r[1].shape[0]])
-            merged_b = np.concatenate([r[3] for r in replies if r[1].shape[0]])
-            merged_ord = np.concatenate(
-                [r[4] for r in replies if r[1].shape[0]]
-            )
+        kept = [reply for reply in replies if reply[1].shape[0]]
+        if kept:
+            merged_rows = np.concatenate([reply[1] for reply in kept])
+            merged_ord = np.concatenate([reply[2] for reply in kept])
         else:
             merged_rows = np.zeros((0, self.lanes), dtype=np.uint64)
-            merged_a = np.zeros(0, dtype=np.int64)
-            merged_b = np.zeros(0, dtype=np.int64)
             merged_ord = np.zeros(0, dtype=np.int64)
         return ShardOutcome(
             total=stop,
             hit=best_hit,
             rows=merged_rows,
-            a_idx=merged_a,
-            b_idx=merged_b,
             ordinals=merged_ord,
             spans=spans,
         )

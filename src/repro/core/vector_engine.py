@@ -52,11 +52,9 @@ from .bitops import (
 )
 from .cache import PackedCache
 from .engine import (
-    OP_CHAR,
     OP_CONCAT,
     OP_QUESTION,
     OP_STAR,
-    OP_UNION,
     STATUS_BUDGET,
     SearchEngine,
     SweepStopped,
@@ -296,7 +294,7 @@ class VectorEngine(SearchEngine):
         self._refresh_active_lanes()
         # Fused-emit accumulator: candidate blocks of the current
         # constructor, flushed to `_handle_batch` near `max_batch` rows.
-        self._accum: List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = []
+        self._accum: List[np.ndarray] = []
         self._accum_rows = 0
 
     @property
@@ -320,14 +318,9 @@ class VectorEngine(SearchEngine):
         self._refresh_active_lanes()
 
     # ------------------------------------------------------------------
-    def _handle_batch(
-        self,
-        op: int,
-        rows: np.ndarray,
-        a_idx: np.ndarray,
-        b_idx: Optional[np.ndarray],
-    ) -> bool:
-        """Dedupe, solution-check and store a batch of candidates.
+    def _handle_batch(self, rows: np.ndarray) -> bool:
+        """Dedupe, solution-check and store a batch of candidates, the
+        next ``len(rows)`` in enumeration order.
 
         Algorithm 2's order (lines 15–19), as the scalar engine runs it:
         the whole batch goes into the seen-set first, and only its novel
@@ -356,9 +349,6 @@ class VectorEngine(SearchEngine):
                 raise SweepStopped(STATUS_BUDGET)
             if rows.shape[0] > remaining:
                 rows = rows[:remaining]
-                a_idx = a_idx[:remaining]
-                if b_idx is not None:
-                    b_idx = b_idx[:remaining]
                 truncated = True
         base = self.generated
         kept, novel = self._dedupe(rows)
@@ -374,13 +364,11 @@ class VectorEngine(SearchEngine):
             # counter match the scalar engine's sequential behaviour
             # exactly.
             self.generated = base + first + 1
-            kept = kept[:h]
-            self._store_rows(op, novel[:h], kept, a_idx, b_idx, base + 1 + kept)
-            right = -1 if b_idx is None else int(b_idx[first])
-            self._record_solution(op, int(a_idx[first]), right, self._current_cost)
+            self._store_rows(novel[:h], base + 1 + kept[:h])
+            self._record_solution()
             return True
         self.generated = base + rows.shape[0]
-        self._store_rows(op, novel, kept, a_idx, b_idx, base + 1 + kept)
+        self._store_rows(novel, base + 1 + kept)
         if truncated:
             raise SweepStopped(STATUS_BUDGET)
         self._check_budget()
@@ -407,71 +395,48 @@ class VectorEngine(SearchEngine):
         self.phase_seconds["dedupe"] += time.perf_counter() - started
         return kept, rows
 
-    def _store_rows(
-        self,
-        op: int,
-        novel: np.ndarray,
-        kept: np.ndarray,
-        a_idx: np.ndarray,
-        b_idx: Optional[np.ndarray],
-        ordinals: np.ndarray,
-    ) -> None:
-        """Bulk-append deduped rows to the cache.
+    def _store_rows(self, novel: np.ndarray, ordinals: np.ndarray) -> None:
+        """Bulk-append deduped rows, whose generation ordinals are
+        ``ordinals``, to the cache.
 
-        Row ``i`` of ``novel`` is batch candidate ``kept[i]``, whose
-        operands sit at ``a_idx[kept[i]]`` and ``b_idx[kept[i]]``, and
-        whose ordinal is ``ordinals[i]``.  A bounded cache stores the
-        prefix that fits and enters OnTheFly mode (paper §3), exactly as
-        the scalar engine does one candidate at a time.
+        A bounded cache stores the prefix that fits and enters OnTheFly
+        mode (paper §3), exactly as the scalar engine does one candidate
+        at a time.
         """
         if self.otf:
             return
         if self._cache.max_size is not None:
             space = self._cache.max_size - len(self._cache)
-            if kept.size > space:
-                kept, novel, ordinals = (
-                    kept[:space], novel[:space], ordinals[:space]
-                )
+            if ordinals.size > space:
+                novel, ordinals = novel[:space], ordinals[:space]
                 self.otf = True
-        if kept.size == 0:
+        if ordinals.size == 0:
             return
         started = time.perf_counter()
-        if b_idx is None:
-            rights = np.full(kept.size, -1, dtype=np.int64)
-        else:
-            rights = b_idx[kept]
-        self._cache.append_rows(novel, op, a_idx[kept], rights, ordinals)
+        self._cache.append_rows(novel, ordinals)
         self.phase_seconds["store"] += time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # Fused emit accumulator
     # ------------------------------------------------------------------
-    def _flush(self, op: int) -> bool:
+    def _flush(self) -> bool:
         """Hand the accumulated candidate blocks to `_handle_batch`."""
         if not self._accum:
             return False
         if len(self._accum) == 1:
-            rows, a_idx, b_idx = self._accum[0]
+            rows = self._accum[0]
         else:
-            rows = np.concatenate([block[0] for block in self._accum])
-            a_idx = np.concatenate([block[1] for block in self._accum])
-            b_idx = np.concatenate([block[2] for block in self._accum])
+            rows = np.concatenate(self._accum)
         self._accum.clear()
         self._accum_rows = 0
-        return self._handle_batch(op, rows, a_idx, b_idx)
+        return self._handle_batch(rows)
 
-    def _push(
-        self,
-        op: int,
-        rows: np.ndarray,
-        a_idx: np.ndarray,
-        b_idx: np.ndarray,
-    ) -> bool:
+    def _push(self, rows: np.ndarray) -> bool:
         """Accumulate one candidate block; flush near the batch bound."""
-        self._accum.append((rows, a_idx, b_idx))
+        self._accum.append(rows)
         self._accum_rows += rows.shape[0]
         if self._accum_rows >= self._max_batch:
-            return self._flush(op)
+            return self._flush()
         return False
 
     def _emit_pair_group_serial(
@@ -510,7 +475,7 @@ class VectorEngine(SearchEngine):
                         left, right, triangular, pair_skip
                     ):
                         return True
-            return self._flush(op)
+            return self._flush()
         finally:
             self._accum.clear()
             self._accum_rows = 0
@@ -521,7 +486,7 @@ class VectorEngine(SearchEngine):
     def _shard_rows(self, start: int, end: int) -> np.ndarray:
         return self._cache.matrix[start:end]
 
-    def _apply_shard_outcome(self, op: int, outcome) -> bool:
+    def _apply_shard_outcome(self, outcome) -> bool:
         """Phase two of the sharded dedupe: the locally-novel survivors
         pass through the engine's normal dedupe and store (authoritative
         seen-set insert, order-preserving), and the counters advance by
@@ -529,18 +494,10 @@ class VectorEngine(SearchEngine):
         serial batch semantics."""
         base = self.generated
         kept, novel = self._dedupe(outcome.rows)
-        self._store_rows(
-            op,
-            novel,
-            kept,
-            outcome.a_idx,
-            outcome.b_idx,
-            base + 1 + outcome.ordinals[kept],
-        )
+        self._store_rows(novel, base + 1 + outcome.ordinals[kept])
         if outcome.hit is not None:
-            ordinal, left, right = outcome.hit
-            self.generated = base + ordinal + 1
-            self._record_solution(op, left, right, self._current_cost)
+            self.generated = base + outcome.hit + 1
+            self._record_solution()
             return True
         self.generated = base + outcome.total
         self._check_budget()
@@ -549,26 +506,14 @@ class VectorEngine(SearchEngine):
     # ------------------------------------------------------------------
     # Checkpointing (see RunControl.restored)
     # ------------------------------------------------------------------
-    def _level_payload(
-        self, start: int, end: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _level_payload(self, start: int, end: int) -> Tuple[np.ndarray, np.ndarray]:
         # Views, not copies: the sink runs inside the hand-over, and
         # cache rows are write-once, so a view stays valid even after
         # the cache grows into new arrays.
-        return (
-            self._cache.rows(start, end),
-            *self._cache.provenance_arrays(start, end),
-            self._cache.gen_ordinals(start, end),
-        )
+        return self._cache.rows(start, end), self._cache.ordinals[start:end]
 
     def _adopt_restored(self, payload, lo: int, hi: int) -> None:
-        self._cache.append_rows(
-            payload.rows[lo:hi],
-            payload.ops[lo:hi],
-            payload.lefts[lo:hi],
-            payload.rights[lo:hi],
-            payload.ordinals[lo:hi],
-        )
+        self._cache.append_rows(payload.rows[lo:hi], payload.ordinals[lo:hi])
 
     def _fill_seen(self, start: int, end: int) -> None:
         self._seen.insert_novel_batch(self._cache.rows(start, end))
@@ -618,7 +563,6 @@ class VectorEngine(SearchEngine):
         right_planes = self._cache.planes(right[0], right[1], n_words)
         b8 = right_planes.shape[1]
         lanes = kernels.lanes
-        right_all = None
         for i0, i1, c0, c1 in self._concat_blocks(n_a, n_b, b8):
             j_lo = c0 * 8
             j_hi = min(c1 * 8, n_b)
@@ -635,26 +579,10 @@ class VectorEngine(SearchEngine):
                 padded.reshape(i1 - i0, cb8 * 8, lanes)[:, :width]
                 .reshape(-1, lanes)
             )
-            a_idx = np.repeat(
-                np.arange(left[0] + i0, left[0] + i1, dtype=np.int64), width
-            )
-            if c0 == 0 and c1 == b8:
-                if right_all is None:
-                    right_all = np.arange(
-                        right[0], right[0] + width, dtype=np.int64
-                    )
-                j_range = right_all
-            else:
-                j_range = np.arange(
-                    right[0] + j_lo, right[0] + j_hi, dtype=np.int64
-                )
-            b_idx = np.tile(j_range, i1 - i0)
             if skip:
                 rows = rows[skip:]
-                a_idx = a_idx[skip:]
-                b_idx = b_idx[skip:]
                 skip = 0
-            if self._push(OP_CONCAT, rows, a_idx, b_idx):
+            if self._push(rows):
                 return True
         return False
 
@@ -727,7 +655,7 @@ class VectorEngine(SearchEngine):
                 skip = 0
             rows = matrix.take(a_idx, axis=0)
             rows |= matrix.take(b_idx, axis=0)
-            if self._push(OP_UNION, rows, a_idx, b_idx):
+            if self._push(rows):
                 return True
         return False
 
@@ -740,8 +668,7 @@ class VectorEngine(SearchEngine):
             [universe.char_cs(symbol) for symbol in universe.alphabet],
             universe.lanes,
         )
-        indices = np.arange(len(universe.alphabet), dtype=np.int64)
-        return self._handle_batch(OP_CHAR, rows, indices, None)
+        return self._handle_batch(rows)
 
     def _emit_unary(self, op: int, start: int, end: int) -> bool:
         kernels = self._kernels
@@ -759,7 +686,6 @@ class VectorEngine(SearchEngine):
                 # the star fixpoint never re-slices the operands.
                 segment = plane_segment(level_planes, lo - start, hi - start)
                 out = kernels.star_planes(segment, hi - lo)
-            indices = np.arange(lo, hi, dtype=np.int64)
-            if self._handle_batch(op, out, indices, None):
+            if self._handle_batch(out):
                 return True
         return False

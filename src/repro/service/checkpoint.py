@@ -5,16 +5,18 @@ in it is a prefix of completed levels plus a cursor inside the next one
 (the multicore-recovery recipe: log only what is new, and recovery
 replays only the tail).  The :class:`CheckpointStore` persists
 :class:`~repro.core.engine.Checkpoint` records — one level's stored rows
-up to a cursor, where a finished level is the cursor at the level's
-end — per *checkpoint key*: the content address of an enumeration,
-hashed over the staging fingerprint, the cost function, the guide-table
-toggle and the :func:`~repro.core.cache.cache_version_fingerprint` (so
-a layout, dedupe or record-format change invalidates stale journals
-wholesale, never replaying rows under the wrong interpretation).  The
+and their generation ordinals up to a cursor, where a finished level is
+the cursor at the level's end — per *checkpoint key*: the content
+address of an enumeration, hashed over the staging fingerprint, the
+cost function, the guide-table toggle and the
+:func:`~repro.core.cache.cache_version_fingerprint` (so a layout, dedupe
+or record-format change invalidates stale journals wholesale, never
+replaying rows under the wrong interpretation).  The
 spec's masks and the backend are deliberately **excluded**: enumeration
 is spec-independent and bit-identical across backends, so one query's
 checkpoints serve every query over the same universe and cost function,
-from either engine.
+from either engine.  A row's provenance is not journalled: replay
+re-derives it from the ordinal, as enumeration order is deterministic.
 
 A key is one file, ``<key>.journal``: append-only records, each ::
 
@@ -87,8 +89,9 @@ _RECORD_MAGIC = b"RCKP"
 _HEADER = struct.Struct("<4sQQQQ")
 _DIGEST_SIZE = hashlib.sha256().digest_size
 
-#: A record's per-row array fields.
-_ARRAYS = ("rows", "ops", "lefts", "rights", "ordinals")
+#: A record's per-row array fields (a row's provenance is decoded from
+#: its ordinal, so the journal holds no operand columns).
+_ARRAYS = ("rows", "ordinals")
 
 #: One journalled delta: ``(base cursor, level cursor, file offset)``.
 _Link = Tuple[int, int, int]

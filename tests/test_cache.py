@@ -44,58 +44,61 @@ class TestLevelIndex:
 class TestIntCache:
     def test_append_returns_indices(self):
         cache = IntCache()
-        assert cache.append(5, 2, 0, -1) == 0
-        assert cache.append(9, 3, 0, -1) == 1
+        assert cache.append(5, 3) == 0
+        assert cache.append(9, 7) == 1
         assert cache.cs_at(0) == 5
-        assert cache.provenance[1] == (3, 0, -1)
+        assert cache.ordinals == [3, 7]
         assert len(cache) == 2
 
     def test_capacity(self):
         cache = IntCache(max_size=2)
         assert not cache.is_full
-        cache.append(1, 0, 0, -1)
-        cache.append(2, 0, 0, -1)
+        cache.append(1)
+        cache.append(2)
         assert cache.is_full
 
     def test_unbounded_never_full(self):
         cache = IntCache()
-        cache.append(1, 0, 0, -1)
+        cache.append(1)
         assert not cache.is_full
 
 
 class TestPackedCache:
     def test_append_and_read(self):
         cache = PackedCache(lanes=2)
-        row = np.array([7, 1], dtype=np.uint64)
-        index = cache.append_row(row, 5, 3, 4)
-        assert index == 0
+        rows = np.array([[7, 1]], dtype=np.uint64)
+        cache.append_rows(rows, np.array([5], dtype=np.int64))
+        assert len(cache) == 1
         assert list(cache.row(0)) == [7, 1]
-        assert cache.provenance[0] == (5, 3, 4)
+        assert cache.ordinals.tolist() == [5]
 
     def test_growth_preserves_rows(self):
         cache = PackedCache(lanes=1)
-        for value in range(200):
-            cache.append_row(np.array([value], dtype=np.uint64), 0, value, -1)
+        _fill(cache, range(200))
         assert len(cache) == 200
         assert int(cache.row(123)[0]) == 123
+        assert cache.ordinals.tolist() == list(range(1, 201))
         assert cache.matrix.shape[0] >= 200
 
     def test_rows_view(self):
         cache = PackedCache(lanes=1)
-        for value in range(10):
-            cache.append_row(np.array([value], dtype=np.uint64), 0, value, -1)
+        _fill(cache, range(10))
         view = cache.rows(2, 5)
         assert [int(v[0]) for v in view] == [2, 3, 4]
 
     def test_capacity(self):
         cache = PackedCache(lanes=1, max_size=1)
-        cache.append_row(np.zeros(1, dtype=np.uint64), 0, 0, -1)
+        cache.append_rows(np.zeros((1, 1), dtype=np.uint64))
         assert cache.is_full
 
 
 def _fill(cache, values):
+    """Append one row per value, one row at a time, ordinals 1, 2, ..."""
     for value in values:
-        cache.append_row(np.array([value], dtype=np.uint64), 0, 0, -1)
+        cache.append_rows(
+            np.array([[value]], dtype=np.uint64),
+            np.array([len(cache) + 1], dtype=np.int64),
+        )
 
 
 class TestPlaneCache:

@@ -36,7 +36,8 @@ def assert_equivalent(scalar, vector):
         lanes_to_int(vector.cache.matrix[i]) for i in range(len(vector.cache))
     ]
     assert scalar.cache.cs_list == unpacked
-    assert scalar.cache.provenance == vector.cache.provenance
+    assert scalar.cache.ordinals == vector.cache.ordinals.tolist()
+    assert list(scalar.provenance) == list(vector.provenance)
     assert scalar.cache.levels.costs() == vector.cache.levels.costs()
 
 

@@ -34,7 +34,7 @@ class TestCacheInvariants:
             previous_end = end
 
     def test_provenance_operands_precede_their_row(self, finished_engine):
-        provenance = finished_engine.cache.provenance
+        provenance = finished_engine.provenance
         for index, (op, a, b) in enumerate(provenance):
             if op in (OP_QUESTION, OP_STAR):
                 assert 0 <= a < index
@@ -60,7 +60,7 @@ class TestCacheInvariants:
 
         cost_fn = CostFunction.uniform()
         levels = finished_engine.cache.levels
-        provenance = finished_engine.cache.provenance
+        provenance = finished_engine.provenance
         for cost in levels.costs():
             start, end = levels.bounds(cost)
             for index in range(start, end):
@@ -74,7 +74,7 @@ class TestCacheInvariants:
         from repro.core.reconstruct import reconstruct
         from repro.core.cache_view import _cs_at
 
-        provenance = finished_engine.cache.provenance
+        provenance = finished_engine.provenance
         universe = finished_engine.universe
         for index in range(len(finished_engine.cache)):
             regex = reconstruct(provenance[index], provenance,
@@ -141,7 +141,7 @@ class TestConstructorOrderWithinLevel:
         levels = engine.cache.levels
         for cost in levels.costs():
             start, end = levels.bounds(cost)
-            ops = [engine.cache.provenance[i][0] for i in range(start, end)]
+            ops = [engine.provenance[i][0] for i in range(start, end)]
             ops = [op for op in ops if op in order]
             ranks = [order[op] for op in ops]
             assert ranks == sorted(ranks), "cost level %d" % cost

@@ -153,7 +153,7 @@ def assert_same_record(got, want):
     assert (got.cost, got.generated_total, got.level_progress) == (
         want.cost, want.generated_total, want.level_progress
     )
-    for field in ("rows", "ops", "lefts", "rights", "ordinals"):
+    for field in ("rows", "ordinals"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 

@@ -71,7 +71,7 @@ class TestComposite:
         engine = make_engine(intro_spec, CostFunction.uniform(),
                              backend="scalar")
         assert engine.run(20) == "success"
-        regex = reconstruct(engine.solution, engine.cache.provenance,
+        regex = reconstruct(engine.solution, engine.provenance,
                             engine.universe.alphabet)
         assert to_string(regex) == "10(0+1)*"
 
@@ -80,11 +80,12 @@ class TestFoundAnswers:
     def test_vector_answers_never_materialise_the_row_wise_provenance(
         self, monkeypatch
     ):
-        # A found answer reads its few dozen ancestors only, so neither
-        # a solo nor a batched vector answer may build one tuple per
-        # cached row.
+        # A found answer decodes its few dozen ancestors only — at most
+        # one ordinal per node of the answer — so neither a solo nor a
+        # batched vector answer decodes a triple per cached row.
         from repro import EngineConfig, Session, Spec
-        from repro.core.cache import PackedCache
+        from repro.core.engine import SearchEngine
+        from repro.regex.ast import size
 
         specs = [
             Spec(positive=["00", "010", "0110"], negative=["", "11", "101"]),
@@ -94,14 +95,22 @@ class TestFoundAnswers:
         want = [scalar.synthesize(spec) for spec in specs]
         assert [result.status for result in want] == ["success"] * 2
 
-        def materialised(cache):
-            raise AssertionError("the whole provenance was materialised")
+        decoded = set()
+        decode = SearchEngine._decode
 
-        monkeypatch.setattr(PackedCache, "provenance", property(materialised))
+        def counted(engine, ordinal):
+            decoded.add(ordinal)
+            return decode(engine, ordinal)
+
+        monkeypatch.setattr(SearchEngine, "_decode", counted)
         session = Session(EngineConfig(backend="vector"))
-        got = [session.synthesize(specs[0])] + session.synthesize_many(specs)
+        solo = session.synthesize(specs[0])
+        assert 0 < len(decoded) <= size(solo.regex) < solo.unique_cs
+        decoded.clear()
+        batched = session.synthesize_many(specs)
         assert session.stats.batch_groups == 1
-        for result, reference in zip(got, want[:1] + want):
+        assert 0 < len(decoded) <= sum(size(result.regex) for result in batched)
+        for result, reference in zip([solo] + batched, want[:1] + want):
             assert (result.regex, result.cost) == (
                 reference.regex, reference.cost
             )

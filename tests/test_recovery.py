@@ -266,7 +266,7 @@ class TestCheckpointStore:
         for got, want in zip(loaded, levels):
             assert got.generated_total == want.generated_total
             assert got.level_progress == want.level_progress
-            for field in ("rows", "ops", "lefts", "rights", "ordinals"):
+            for field in ("rows", "ordinals"):
                 assert np.array_equal(getattr(got, field), getattr(want, field))
 
     def fill(self, tmp_path):

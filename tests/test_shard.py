@@ -24,15 +24,10 @@ import pytest
 
 from repro import EngineConfig, Session, Spec, SynthesisRequest
 from repro.core.cache import IntCache
-from repro.core.engine import cs_solves
+from repro.core.engine import _pair_candidates, cs_solves
 from repro.core.bitops import int_to_lanes, ints_to_matrix, lanes_to_int
 from repro.core.scalar_engine import ScalarEngine
-from repro.core.shard import (
-    LaneMatcher,
-    PairGroupLayout,
-    plan_shards,
-    total_pair_candidates,
-)
+from repro.core.shard import LaneMatcher, PairGroupLayout, plan_shards
 from repro.core.vector_engine import VectorEngine
 from repro.language.guide_table import GuideTable
 from repro.language.universe import Universe
@@ -142,7 +137,7 @@ class TestPairGroupLayout:
         layout = PairGroupLayout(pairings)
         pairs = brute_force_pairs(pairings)
         assert layout.total == len(pairs)
-        assert total_pair_candidates(pairings) == len(pairs)
+        assert sum(map(_pair_candidates, pairings)) == len(pairs)
 
     @pytest.mark.parametrize("pairings", PAIRINGS)
     def test_slices_cover_ordinals_exactly(self, pairings):
@@ -245,7 +240,8 @@ def engine_state(engine, status):
         "solution": engine.solution,
         "solution_cost": engine.solution_cost,
         "rows": rows,
-        "provenance": list(cache.provenance),
+        "ordinals": [int(ordinal) for ordinal in cache.ordinals],
+        "provenance": list(engine.provenance),
     }
 
 

@@ -43,6 +43,22 @@ class TestCacheRows:
         assert len(cache_rows(engine, limit=3)) == 3
 
 
+@pytest.mark.parametrize("backend", ["scalar", "vector"])
+def test_annotation_cost_matches_level_in_onthefly_mode(backend):
+    # The cache fills inside cost 11, and the solution lies in cost 12,
+    # which runs wholly in OnTheFly mode: the rows past the last
+    # complete level (10) are cost 11's.
+    cost_fn = CostFunction.from_tuple((1, 2, 2, 2, 2))
+    spec = Spec(["10", "101", "100"], ["", "0", "1", "11"])
+    engine = make_engine(spec, cost_fn, backend=backend, max_cache_size=111)
+    engine.run(80)
+    assert engine.otf and engine.solution_cost == 12
+    rows = cache_rows(engine)
+    assert rows[-1]["cost"] == 11
+    for row in rows:
+        assert cost_fn.cost(parse(row["regex"])) == row["cost"]
+
+
 class TestRenderCache:
     def test_render_contains_universe_and_rows(self, engine):
         text = render_cache(engine, limit=10)
