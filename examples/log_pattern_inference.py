@@ -27,7 +27,8 @@ def main() -> None:
 
     # Both routing questions — "what is legacy?" and "what is modern?" —
     # are partitions of the same identifier set, so the session serves
-    # them from one staging build and one shared enumeration sweep.
+    # them from one staging build, and the second search replays the
+    # levels the first one built.
     session = Session()
     result, modern = session.synthesize_many([
         SynthesisRequest(spec=spec, tag="legacy"),
@@ -36,8 +37,8 @@ def main() -> None:
     assert result.found and modern.found
     print("legacy-service pattern:", result.regex_str)
     print("modern-service pattern:", modern.regex_str)
-    print("cost %d, %d shared-sweep candidates, %.3fs (staging builds: %d)"
-          % (result.cost, result.extra["sweep_generated"],
+    print("cost %d, %d candidates, %.3fs (staging builds: %d)"
+          % (result.cost, result.generated,
              result.elapsed_seconds, session.stats.staging_builds))
 
     # Deploy-time sanity check: classify unseen identifiers.

@@ -10,8 +10,8 @@ anything that serves it at scale:
   capability-aware engine registration (aliases, duplicate rejection).
 * :class:`~repro.api.session.Session` — staged-artifact reuse across
   requests, per-request budgets/cancellation/progress, and
-  :meth:`~repro.api.session.Session.synthesize_many` batched
-  multi-spec serving from one shared enumeration sweep.
+  :meth:`~repro.api.session.Session.synthesize_many`, which serves a
+  batch as solo calls that replay each other's checkpoint records.
 
 :func:`repro.synthesize` remains as a thin backward-compatible facade
 over this layer.

@@ -5,8 +5,8 @@ Two small frozen dataclasses replace the keyword sprawl of the original
 
 * :class:`EngineConfig` — *how* to search: which backend, cache
   capacity, ablation switches, and a default candidate budget.  Configs
-  are hashable, so the session layer can use them as part of batch
-  grouping keys.
+  are hashable, so the session layer can use them as part of the keys
+  that let identical requests of a batch share one answer.
 * :class:`SynthesisRequest` — *what* to search for: the specification
   plus everything that varies per request (cost function, cost ceiling,
   error tolerance, budgets, progress/cancellation hooks).
@@ -81,9 +81,10 @@ class SynthesisRequest:
     :class:`~repro.api.progress.CancellationToken`) is polled at the
     engine's safe points and level ends; ``time_limit`` bounds the
     search wall-clock in seconds, checked at the same points.  Either
-    stops the run with ``status="cancelled"``.  Requests carrying hooks,
-    a time limit or a private budget are always served individually —
-    they never join a shared batch sweep.
+    stops the run with ``status="cancelled"``.  In
+    :meth:`~repro.api.session.Session.synthesize_many` a request with a
+    hook, a time limit or a trace of its own never shares another
+    request's answer.
 
     ``preempt`` is the preemption probe, polled at the same points: a
     truthy return makes the run stop with ``status="preempted"`` —

@@ -16,8 +16,6 @@ inherit the registration.
 Capabilities are advisory flags the serving layer consults:
 
 * ``"vectorised"`` — batched array-level kernels.
-* ``"batch-serving"`` — the engine's cache layout supports the shared
-  multi-spec sweep of :meth:`repro.api.session.Session.synthesize_many`.
 * ``"guide-table-ablation"`` — honours ``use_guide_table=False``.
 * ``"onthefly"`` — degrades gracefully when the cache capacity is hit.
 """
@@ -140,22 +138,14 @@ def _build_default() -> BackendRegistry:
         "scalar",
         ScalarEngine,
         aliases=("cpu",),
-        capabilities=(
-            "batch-serving",
-            "guide-table-ablation",
-            "onthefly",
-        ),
+        capabilities=("guide-table-ablation", "onthefly"),
         description="the paper's CPU implementation: one CS at a time",
     )
     registry.register(
         "vector",
         VectorEngine,
         aliases=("gpu", "gpu-sim"),
-        capabilities=(
-            "batch-serving",
-            "onthefly",
-            "vectorised",
-        ),
+        capabilities=("onthefly", "vectorised"),
         description="the paper's GPU implementation (numpy-simulated)",
     )
     return registry

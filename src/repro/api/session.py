@@ -10,49 +10,40 @@ any number of requests over the same strings pay the staging cost once.
 :meth:`Session.synthesize_many` goes one step further.  The enumeration
 sweep itself — which candidates are built, in which order, and which
 survive dedupe into the cache — depends only on ``(universe, cost
-function)``; the specification is consulted *only* to decide when to
-stop.  So requests that share a universe and a cost function are served
-from **one** shared sweep: an enumeration-only engine builds the cost
-levels, and after each level every still-open request scans the newly
-stored CSs for its own first satisfying candidate.  Because the first
-satisfying candidate of a spec can never be a duplicate of an earlier
-CS (its earlier occurrence would already have satisfied the spec), the
-answer each request receives is bit-identical to what a solo
-:func:`repro.synthesize` call returns — the property the test-suite and
-``BENCH_session.json`` both assert.
+function)``; the specification only decides where to stop.  So for the
+duration of one call the session keeps every run's checkpoint records
+in memory, keyed like the checkpoint journal, and each later engine
+over the same universe and cost function replays them — the levels an
+earlier request completed and the level it stopped in — before it
+enumerates past them.  A replay is bit-identical to a cold run, so
+every answer, ``generated`` and ``unique_cs`` included, equals what a
+solo :meth:`Session.synthesize` returns — the property the test-suite
+and ``BENCH_session.json`` both assert.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
-from ..core.bitops import int_to_lanes
-from ..core.cache import PackedCache
+from ..core.cache import checkpoint_key
 from ..core.engine import (
-    OP_EMPTY,
-    OP_EPSILON,
-    STATUS_BUDGET,
-    STATUS_NOT_FOUND,
     STATUS_PREEMPTED,
     STATUS_SUCCESS,
+    Checkpoint,
     RunControl,
     SearchEngine,
-    cs_solves,
-    max_errors_for,
 )
 from ..core.reconstruct import reconstruct
 from ..core.result import SynthesisResult
-from ..core.shard import LaneMatcher
 from ..language.guide_table import GuideTable
 from ..language.universe import Universe
 from ..obs.export import trace_payload
 from ..obs.trace import TraceContext, Tracer
-from ..regex.cost import CostFunction
 from ..spec import Spec
 from .config import EngineConfig, SynthesisRequest
 from .progress import ProgressEvent
@@ -70,8 +61,6 @@ class SessionStats:
     staging_builds: int = 0
     staging_hits: int = 0
     requests_served: int = 0
-    batch_groups: int = 0
-    batch_requests: int = 0
 
 
 def staging_key_of(spec: Spec) -> StagingKey:
@@ -149,6 +138,9 @@ class Session:
         self._staged: "OrderedDict[StagingKey, Tuple[Universe, GuideTable]]" = (
             OrderedDict()
         )
+        #: The checkpoint records of the running :meth:`synthesize_many`
+        #: call, by checkpoint key and cost (None outside one).
+        self._records: Optional[Dict[str, Dict[int, Checkpoint]]] = None
         # Fail fast on a bad default backend name.
         default_registry().resolve(self.config.backend)
 
@@ -230,15 +222,36 @@ class Session:
         )
 
     def _durability(self, engine: SearchEngine, control: RunControl) -> RunControl:
-        """The run control with durable checkpoints added (here: the
-        control unchanged).
+        """The run control with checkpoint replay added.
 
-        Called once per engine, right before ``run``.
+        Called once per engine, right before ``run``.  Inside
+        :meth:`synthesize_many`, a replayable engine
+        (:attr:`~repro.core.engine.SearchEngine.replayable`) restores the
+        records the call's earlier runs filed under its checkpoint key,
+        and files its own: the furthest record per cost.  Elsewhere the
+        control is returned unchanged.
         :class:`~repro.service.store.StoreBackedSession` overrides it to
-        restore records from its checkpoint store and to arm the
+        restore records from its checkpoint journal and to arm the
         journal as the checkpoint sink.
         """
-        return control
+        if self._records is None or not engine.replayable:
+            return control
+        held = self._records.setdefault(
+            checkpoint_key(engine.universe, engine.cost_fn, engine.use_guide_table),
+            {},
+        )
+
+        def keep(records) -> None:
+            for record in records:
+                kept = held.get(record.cost)
+                if kept is None or record.level_progress > kept.level_progress:
+                    held[record.cost] = record
+
+        return dataclasses.replace(
+            control,
+            restored=[held[cost] for cost in sorted(held)],
+            on_checkpoint=keep,
+        )
 
     def synthesize(
         self,
@@ -356,310 +369,60 @@ class Session:
     # Batched multi-request serving
     # ------------------------------------------------------------------
     def synthesize_many(self, requests: Iterable[object]) -> List[SynthesisResult]:
-        """Serve many requests, sharing work wherever it is shareable.
+        """Serve many requests in request order, each answer equal to a
+        solo :meth:`synthesize` of the same request.
 
-        Requests are grouped by ``(example-string set, alphabet, cost
-        function, engine config)``; each group of two or more is served
-        from one shared enumeration sweep (see the module docstring),
-        the rest individually — but still through the staging cache.
-        Results come back in request order, each bit-identical to a solo
-        :meth:`synthesize` of the same request.
+        Each request runs through :meth:`synthesize`, except that a
+        hook-free request identical to an earlier one gets its own copy
+        of that answer.  For the duration of the call every engine
+        replays the records the earlier runs over its universe and cost
+        function left (see :meth:`_durability`), so no later request
+        re-enumerates what an earlier one built; the records are
+        dropped when the call returns.
         """
-        reqs = [SynthesisRequest.of(r) for r in requests]
-        results: List[Optional[SynthesisResult]] = [None] * len(reqs)
-        groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        solo: List[int] = []
-        for i, req in enumerate(reqs):
-            key = self._batch_key(req)
-            if key is None:
-                solo.append(i)
-            else:
-                groups.setdefault(key, []).append(i)
-        for members in groups.values():
-            if len(members) < 2:
-                solo.extend(members)
-                continue
-            self._serve_batch([reqs[i] for i in members], members, results)
-            self.stats.batch_groups += 1
-            self.stats.batch_requests += len(members)
-        for i in sorted(solo):
-            results[i] = self.synthesize(reqs[i])
-        return results  # type: ignore[return-value]
+        answers: Dict[tuple, SynthesisResult] = {}
+        results: List[SynthesisResult] = []
+        self._records = {}
+        try:
+            for request in map(SynthesisRequest.of, requests):
+                key = self._answer_key(request)
+                answer = answers.get(key)
+                if answer is None:
+                    answer = self.synthesize(request)
+                    if key is not None:
+                        answers[key] = answer
+                else:
+                    answer = dataclasses.replace(
+                        answer, extra=copy.deepcopy(answer.extra)
+                    )
+                    self.stats.requests_served += 1
+                results.append(answer)
+        finally:
+            self._records = None
+        return results
 
-    def _batch_key(self, request: SynthesisRequest) -> Optional[tuple]:
-        """The sweep-sharing group of a request, or None if it must be
-        served solo (hooks, private budgets, bounded caches, tracing, or
-        a backend without the ``batch-serving`` capability).  Traced
-        requests stay solo so every span on a timeline belongs to
-        exactly one request."""
+    def _answer_key(self, request: SynthesisRequest) -> Optional[tuple]:
+        """What decides a request's answer — spec, cost function, cost
+        ceiling, error tolerance, budget and resolved config — or None
+        for a request that must run on its own: one with a hook, a time
+        limit or a trace of its own."""
         config = request.config if request.config is not None else self.config
-        info = default_registry().resolve(config.backend)
         if (
             request.on_progress is not None
             or request.cancel is not None
             or request.preempt is not None
             or request.time_limit is not None
-            or request.max_generated is not None
             or request.trace_ctx is not None
             or request.tracer is not None
             or config.trace
-            or config.max_cache_size is not None
-            or config.max_generated is not None
-            or not info.supports("batch-serving")
         ):
             return None
         cost_fn = request.effective_cost_fn()
-        # Normalise the backend to its canonical name so alias spellings
-        # ("gpu" vs "vector") share one sweep group.
         return (
-            staging_key_of(request.spec),
-            config.replace(backend=info.name),
+            request.spec,
             cost_fn.as_tuple(),
+            request.effective_max_cost(cost_fn),
+            request.allowed_error,
+            request.max_generated,
+            config.replace(backend=default_registry().canonical(config.backend)),
         )
-
-    def _serve_batch(
-        self,
-        requests: Sequence[SynthesisRequest],
-        indices: Sequence[int],
-        results: List[Optional[SynthesisResult]],
-    ) -> None:
-        """Serve a shared-universe, shared-cost-function group from one
-        enumeration-only sweep."""
-        config = requests[0].config if requests[0].config is not None else self.config
-        info = default_registry().resolve(config.backend)
-        cost_fn = requests[0].effective_cost_fn()
-        staging_started = time.perf_counter()
-        universe, guide = self.staging_for(requests[0].spec)
-        staging_seconds = time.perf_counter() - staging_started
-        probe = requests[0].replace(
-            allowed_error=0.0, on_progress=None, cancel=None, time_limit=None
-        )
-        engine = self.make_engine(probe, universe=universe, guide=guide)
-        engine.disable_solution_checks()
-        packed = isinstance(engine.cache, PackedCache)
-
-        started = time.perf_counter()
-        queries = [
-            _BatchQuery(request, universe, cost_fn, packed) for request in requests
-        ]
-        pending: List[_BatchQuery] = []
-        for query in queries:
-            if not query.check_trivials(universe, cost_fn.literal, started):
-                pending.append(query)
-
-        if pending:
-            c1 = cost_fn.literal
-
-            def scan_level(cost: int, start: int, end: int) -> bool:
-                still: List[_BatchQuery] = []
-                for query in pending:
-                    # The solo sweep seeds (and solution-checks) the
-                    # literal level unconditionally, even when max_cost
-                    # is below it — only levels past c1 respect the
-                    # ceiling.  Mirror that exactly.
-                    if cost > query.max_cost and cost > c1:
-                        query.finalize(STATUS_NOT_FOUND, engine, started)
-                    elif not query.scan(engine, cost, start, end, started):
-                        still.append(query)
-                pending[:] = still
-                return not pending
-
-            engine.run(
-                max(query.max_cost for query in pending),
-                self._durability(engine, RunControl(on_level=scan_level)),
-            )
-            leftover_status = (
-                STATUS_BUDGET if engine.status == STATUS_BUDGET else STATUS_NOT_FOUND
-            )
-            for query in pending:
-                query.finalize(leftover_status, engine, started)
-
-        sweep_seconds = time.perf_counter() - started
-        provenance = engine.provenance
-        shared_extra = {
-            "batched": True,
-            "batch_size": len(requests),
-            "sweep_seconds": sweep_seconds,
-            "sweep_generated": engine.generated,
-            "sharded_emits": engine.sharded_emits,
-            "resumed_levels": engine.resumed_levels,
-            "shard_failovers": engine.shard_failovers,
-            "phase_seconds": _phase_breakdown(
-                engine, staging_seconds, sweep_seconds
-            ),
-        }
-        plane_stats = getattr(engine.cache, "plane_stats", None)
-        if plane_stats is not None:
-            shared_extra["plane_stats"] = dict(plane_stats)
-        for query, index in zip(queries, indices):
-            results[index] = query.to_result(
-                info.name, cost_fn, universe, provenance, shared_extra
-            )
-            self.stats.requests_served += 1
-
-
-class _BatchQuery:
-    """One request attached to a shared enumeration sweep."""
-
-    __slots__ = (
-        "request",
-        "pos_mask",
-        "neg_mask",
-        "max_errors",
-        "matcher",
-        "max_cost",
-        "status",
-        "solution",
-        "solution_cost",
-        "generated",
-        "unique_cs",
-        "levels_built",
-        "elapsed_seconds",
-    )
-
-    def __init__(
-        self,
-        request: SynthesisRequest,
-        universe: Universe,
-        cost_fn: CostFunction,
-        packed: bool,
-    ) -> None:
-        spec = request.spec
-        self.request = request
-        self.pos_mask = universe.cs_of(spec.positive)
-        self.neg_mask = universe.cs_of(spec.negative)
-        self.max_errors = max_errors_for(request.allowed_error, spec.n_examples)
-        # The vector engine's own batch predicate, on this query's masks.
-        self.matcher = (
-            LaneMatcher(
-                int_to_lanes(self.pos_mask, universe.lanes),
-                int_to_lanes(self.neg_mask, universe.lanes),
-                self.max_errors,
-            )
-            if packed
-            else None
-        )
-        self.max_cost = request.effective_max_cost(cost_fn)
-        self.status: Optional[str] = None
-        self.solution: Optional[Tuple[int, int, int]] = None
-        self.solution_cost: Optional[int] = None
-        self.generated = 0
-        self.unique_cs = 0
-        self.levels_built = 0
-        self.elapsed_seconds = 0.0
-
-    # ------------------------------------------------------------------
-    def solves_int(self, cs: int) -> bool:
-        """The engines' solution predicate, per-query."""
-        return cs_solves(cs, self.pos_mask, self.neg_mask, self.max_errors)
-
-    def check_trivials(self, universe: Universe, c1: int, started: float) -> bool:
-        """The per-spec ``∅``/``ε`` checks of Algorithm 1 (lines 4–5),
-        mirroring the solo engine's candidate counting."""
-        if self.solves_int(0):
-            self._resolve((OP_EMPTY, -1, -1), c1, 1, 0, 0, started)
-            return True
-        if self.solves_int(universe.eps_bit):
-            self._resolve((OP_EPSILON, -1, -1), c1, 2, 0, 0, started)
-            return True
-        return False
-
-    def scan(
-        self,
-        engine: SearchEngine,
-        cost: int,
-        start: int,
-        end: int,
-        started: float,
-    ) -> bool:
-        """Scan the level's newly stored CSs ``[start, end)`` for this
-        query's first satisfying candidate; True iff resolved."""
-        cache = engine.cache
-        hit: Optional[int] = None
-        if isinstance(cache, PackedCache):
-            hits = np.flatnonzero(self.matcher.flags(cache.rows(start, end)))
-            if hits.size:
-                hit = start + int(hits[0])
-        else:
-            cs_list = cache.cs_list
-            for index in range(start, end):
-                if self.solves_int(cs_list[index]):
-                    hit = index
-                    break
-        if hit is None:
-            return False
-        self._resolve(
-            hit,
-            cost,
-            engine.generated,
-            len(cache),
-            engine.levels_built,
-            started,
-        )
-        return True
-
-    def finalize(self, status: str, engine: SearchEngine, started: float) -> None:
-        """Close an unsolved query (cost ceiling or budget exhausted)."""
-        self.status = status
-        self.generated = engine.generated
-        self.unique_cs = len(engine.cache)
-        self.levels_built = engine.levels_built
-        self.elapsed_seconds = time.perf_counter() - started
-
-    def _resolve(
-        self,
-        solution,
-        cost: int,
-        generated: int,
-        unique_cs: int,
-        levels_built: int,
-        started: float,
-    ) -> None:
-        self.status = STATUS_SUCCESS
-        self.solution = solution
-        self.solution_cost = cost
-        self.generated = generated
-        self.unique_cs = unique_cs
-        self.levels_built = levels_built
-        self.elapsed_seconds = time.perf_counter() - started
-
-    # ------------------------------------------------------------------
-    def to_result(
-        self,
-        backend: str,
-        cost_fn: CostFunction,
-        universe: Universe,
-        provenance: Sequence[Tuple[int, int, int]],
-        shared_extra: Dict[str, object],
-    ) -> SynthesisResult:
-        """Materialise the per-request :class:`SynthesisResult`.
-
-        ``generated``/``unique_cs`` are *shared-sweep* snapshots taken
-        when this request resolved (the sweep does not stop at one
-        request's solution the way a solo run does); the regex, cost and
-        status are bit-identical to the solo run's.
-        """
-        result = SynthesisResult(
-            status=self.status or STATUS_NOT_FOUND,
-            spec=self.request.spec,
-            backend=backend,
-            cost_function=cost_fn.as_tuple(),
-            allowed_error=self.request.allowed_error,
-            max_cost=self.max_cost,
-            generated=self.generated,
-            unique_cs=self.unique_cs,
-            universe_size=universe.n_words,
-            padded_bits=universe.padded_bits,
-            levels_built=self.levels_built,
-            elapsed_seconds=self.elapsed_seconds,
-            extra=dict(shared_extra),
-        )
-        if result.status == STATUS_SUCCESS:
-            triple = (
-                self.solution
-                if isinstance(self.solution, tuple)
-                else provenance[self.solution]
-            )
-            result.regex = reconstruct(triple, provenance, universe.alphabet)
-            result.cost = self.solution_cost
-        return result

@@ -65,6 +65,31 @@ def cache_version_fingerprint() -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def checkpoint_key(universe, cost_fn, use_guide_table: bool = True) -> str:
+    """Content address of one enumeration's level sequence: what its
+    checkpoint records are filed under, in the durable journal and in
+    :meth:`repro.api.session.Session.synthesize_many`'s per-call store.
+
+    Hashed over the universe's shortlex words and alphabet — the
+    engine's own universe, which may be a superset of a spec's infixes
+    (an incremental removal keeps the wider one) — the cost function,
+    the guide-table toggle and :func:`cache_version_fingerprint`.  Spec
+    masks, budgets and the backend are excluded on purpose: none of
+    them changes what a level's record contains (the spec only decides
+    when the sweep *stops*, budgets only where it is cut, and the
+    engines are bit-identical).
+    """
+    payload = {
+        "words": list(universe.words),
+        "alphabet": list(universe.alphabet),
+        "cost_fn": list(cost_fn.as_tuple()),
+        "use_guide_table": bool(use_guide_table),
+        "cache_version": cache_version_fingerprint(),
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class LevelIndex:
     """``startPoints``: cost level → half-open global index range.
 

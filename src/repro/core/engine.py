@@ -21,7 +21,7 @@ import multiprocessing
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,14 +63,17 @@ STATUS_PREEMPTED = "preempted"
 #: as one group once this many candidates — or this many seconds — of
 #: enumerated work have passed since the last group, when the run stops
 #: and when it returns.  The check runs at level ends and at emit-loop
-#: safe points; a safe point that finds it due, or that stops the run,
-#: adds an in-level record of the level being built, and so does a
-#: budget that runs out inside a level past the seed level.  A solution
-#: adds none.  Candidates adopted from restored records are not work
-#: and do not count.  A small job therefore hands over one group, when
-#: its run returns, and a SIGKILL loses at most one interval of
-#: unjournalled enumeration, whether inside one wide level or across
-#: many small ones.
+#: safe points; a safe point that finds it due adds an in-level record
+#: of the level being built.  One rule covers every way a run can end
+#: inside a level past the seed level — a stop, its budget or a
+#: solution: it queues a record of that level up to the last candidate
+#: it stored or counted (the one before a solution), unless the record
+#: would hold no candidate the run did not adopt
+#: (:meth:`SearchEngine._queue_stop_record`).  Candidates adopted from
+#: restored records are not work and do not count.  A small job
+#: therefore hands over one group, when its run returns, and a SIGKILL
+#: loses at most one interval of unjournalled enumeration, whether
+#: inside one wide level or across many small ones.
 CHECKPOINT_EVERY_CANDIDATES = 250_000
 CHECKPOINT_EVERY_S = 2.0
 
@@ -105,10 +108,9 @@ class Checkpoint:
 def cs_solves(cs: int, pos_mask: int, neg_mask: int, max_errors: int) -> bool:
     """Does a CS satisfy the (possibly error-relaxed) mask pair?
 
-    The single source of truth for the solution predicate: the engines'
-    per-candidate checks and the session layer's batched multi-spec
-    scans both delegate here (or mirror it lane-wise), so solo and
-    batched serving can never drift apart.
+    The single source of truth for the solution predicate: the scalar
+    engine's per-candidate checks delegate here, and the vector engine's
+    :class:`~repro.core.shard.LaneMatcher` evaluates it lane-wise.
     """
     if max_errors == 0:
         return (cs & pos_mask) == pos_mask and (cs & neg_mask) == 0
@@ -143,8 +145,8 @@ class RunControl:
 
     * ``on_level(cost, start, end)`` runs after each completed level
       with the cache range the level stored; a truthy return stops the
-      sweep with :data:`STATUS_CANCELLED`.  Progress streaming and the
-      shared batch sweep plug in here.
+      sweep with :data:`STATUS_CANCELLED`.  Progress streaming plugs in
+      here.
     * ``cancel`` and ``preempt`` are zero-argument truth-valued probes
       and ``deadline`` is a ``time.perf_counter()`` instant; see
       :meth:`SearchEngine._poll`.
@@ -276,7 +278,12 @@ class SearchEngine:
         self._queued: List[Tuple[int, int, int, int, int]] = []
         self._group_generated = 0
         self._group_monotonic = 0.0
-        self._checks_disabled = False
+        #: ``generated`` as the level being built began enumerating,
+        #: past any candidates adopted for it: a stop record must go
+        #: beyond it (:meth:`_queue_stop_record`).
+        self._level_entered = 0
+        #: Each level's emit steps, computed once (:meth:`_level_steps`).
+        self._steps: Dict[int, List[Tuple[int, int, object]]] = {}
         self.status: Optional[str] = None
         #: The solution's provenance triple (see :meth:`_decode`).
         self.solution: Optional[Tuple[int, int, int]] = None
@@ -536,22 +543,6 @@ class SearchEngine:
         self.solution_cost = self._current_cost
         self.status = STATUS_SUCCESS
 
-    def disable_solution_checks(self) -> None:
-        """Turn the run into a pure enumeration sweep.
-
-        Replaces the spec masks with an unsatisfiable pair (the same bit
-        required set and clear), so no candidate ever registers as a
-        solution and the sweep only stops via ``max_cost``, the budget,
-        or a :attr:`RunControl.on_level` hook.  Batched multi-spec serving drives
-        one such sweep and answers every attached query from the shared
-        cache — sound because enumeration order, dedupe and storage are
-        all independent of the specification.
-        """
-        self.pos_mask = 1
-        self.neg_mask = 1
-        self.max_errors = 0
-        self._checks_disabled = True
-
     # ------------------------------------------------------------------
     # The sweep (Algorithm 1)
     # ------------------------------------------------------------------
@@ -636,19 +627,47 @@ class SearchEngine:
     # ------------------------------------------------------------------
     # Checkpointing (shared half)
     # ------------------------------------------------------------------
-    def _queue_record(self) -> None:
-        """Queue the level being built, up to the current point."""
+    @property
+    def replayable(self) -> bool:
+        """Do this engine's checkpoint records replay in another run?
+        Not with a bounded cache (OnTheFly mode changes what is stored)
+        or with dedupe off (the stored sequence is no longer the
+        canonical first-occurrence one)."""
+        return self.max_cache_size is None and self.check_uniqueness
+
+    def _queue_record(self, generated: Optional[int] = None) -> None:
+        """Queue the level being built, up to candidate ``generated``
+        (default: the current point); the cache holds every row the
+        level stored up to it."""
         if self._control.on_checkpoint is None:
             return
+        if generated is None:
+            generated = self.generated
         self._queued.append(
             (
                 self._current_cost,
                 self._level_start_cache,
                 len(self.cache),
-                self.generated,
-                self.generated - self._level_start_generated,
+                generated,
+                generated - self._level_start_generated,
             )
         )
+
+    def _queue_stop_record(self, generated: int) -> None:
+        """The rule for a run that ends inside a level — a stop, its
+        budget or a solution: queue the level up to candidate
+        ``generated``, the last one it stored or counted, so a later
+        run over the same universe replays that far instead of
+        re-enumerating it.  Not in the seed level (:meth:`_build_level`
+        cannot resume inside the alphabet step), not once OnTheFly mode
+        stopped storing rows, and not when the record would hold no
+        candidate past those the run adopted for the level."""
+        if (
+            self._safe_points_armed
+            and not self.otf
+            and generated > self._level_entered
+        ):
+            self._queue_record(generated)
 
     def _group_due(self) -> bool:
         """Is a sink armed, with a cadence interval of enumerated work
@@ -714,7 +733,7 @@ class SearchEngine:
             return
         status = self._poll()
         if status is not None:
-            self._queue_record()
+            self._queue_stop_record(self.generated)
             self._stop(status)
         if self._group_due():
             self._queue_record()
@@ -750,7 +769,7 @@ class SearchEngine:
             cut = n
             if budget is not None:
                 cut = int(np.searchsorted(record.ordinals, budget, side="right"))
-            hit = None if self._checks_disabled else self._scan_restored(record, cut)
+            hit = self._scan_restored(record, cut)
             if hit is not None:
                 self._adopt_restored(record, 0, hit)
                 self.generated = int(record.ordinals[hit])
@@ -854,22 +873,23 @@ class SearchEngine:
 
     def _build(self, cost: int) -> bool:
         """:meth:`_build_level` with safe points armed past the seed
-        level (seeding has none).  A budget that runs out inside an
-        armed level queues an in-level record of it up to the budget,
-        for the run-end group to journal."""
+        level (seeding has none).  A solution or a budget that ends the
+        run inside the level queues its record up to the candidate
+        before the solution, or up to the budget
+        (:meth:`_queue_stop_record`), for the run-end group to journal."""
         self._safe_points_armed = cost != self.cost_fn.literal and not self.otf
+        self._level_entered = self.generated
         try:
             if self._control.tracer is None:
-                return self._build_level(cost)
-            return self._build_level_traced(cost)
+                solved = self._build_level(cost)
+            else:
+                solved = self._build_level_traced(cost)
+            if solved:
+                self._queue_stop_record(self.generated - 1)
+            return solved
         except SweepStopped as stop:
-            if (
-                stop.status == STATUS_BUDGET
-                and self._safe_points_armed
-                and not self.otf
-                and self.generated > self._level_start_generated
-            ):
-                self._queue_record()
+            if stop.status == STATUS_BUDGET:
+                self._queue_stop_record(self.generated)
             raise
         finally:
             self._safe_points_armed = False
@@ -946,13 +966,19 @@ class SearchEngine:
         """Level ``cost``'s emit steps in enumeration order, as ``(op,
         candidates, operands)``: the alphabet at the literal cost, else
         ``?`` and ``*`` over one operand range, then ``·`` and ``+``
-        over operand-level pairings (line 12 of Algorithm 1)."""
+        over operand-level pairings (line 12 of Algorithm 1).  They
+        depend only on the complete levels below ``cost``, which do not
+        change once it starts, so each level's are computed once."""
+        steps = self._steps.get(cost)
+        if steps is not None:
+            return steps
+        steps = self._steps[cost] = []
         cf = self.cost_fn
         c1 = cf.literal
         if cost == c1:
-            return [(OP_CHAR, len(self.universe.alphabet), None)]
+            steps.append((OP_CHAR, len(self.universe.alphabet), None))
+            return steps
         levels = self.cache.levels
-        steps: List[Tuple[int, int, object]] = []
         for op, op_cost in ((OP_QUESTION, cf.question), (OP_STAR, cf.star)):
             bounds = levels.bounds(cost - op_cost)
             if bounds is not None and bounds[0] < bounds[1]:

@@ -4,7 +4,7 @@ Every cached CS has a provenance triple ``(op, left, right)`` — the
 outermost regular constructor and the global cache indices of its
 operand CSs — which the engine decodes from the row's generation
 ordinal when it is read (:attr:`repro.core.engine.SearchEngine.provenance`),
-so a reconstruction decodes only the rows it visits.  Because the cache
+so a reconstruction decodes only the rows it visits, each once.  Because the cache
 is write-once and filled in increasing cost order, operand indices are
 always strictly smaller than the index of the CS they build, so a
 solution can be rebuilt bottom-up without recursion.
@@ -50,23 +50,19 @@ def reconstruct(
     storing it); its operand indices refer into ``provenance``, the
     row-indexable per-cache-row triples.
     """
-    needed: set = set()
+    triples: dict = {}
     stack: List[int] = [
         index for index in _operand_indices(solution) if index >= 0
     ]
     while stack:
         index = stack.pop()
-        if index in needed:
+        if index in triples:
             continue
-        needed.add(index)
-        stack.extend(
-            child
-            for child in _operand_indices(provenance[index])
-            if child >= 0
-        )
+        triple = triples[index] = provenance[index]
+        stack.extend(child for child in _operand_indices(triple) if child >= 0)
     built: dict = {}
-    for index in sorted(needed):
-        built[index] = _build_node(provenance[index], built, alphabet)
+    for index in sorted(triples):
+        built[index] = _build_node(triples[index], built, alphabet)
     return _build_node(solution, built, alphabet)
 
 

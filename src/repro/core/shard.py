@@ -90,16 +90,12 @@ class LaneMatcher:
     only the uint64 lanes the specification masks actually touch (most
     lanes of a wide spec are all-zero in both masks), supporting the
     error-relaxed variant.  Shared by the vectorised engine's batch
-    checks, the shard workers and the batched serving scans of
-    :meth:`repro.api.session.Session.synthesize_many`, so all of them
-    evaluate the exact same predicate.
+    checks, its checkpoint replay scans and the shard workers, so all
+    of them evaluate the exact same predicate.
 
     The precise check runs lane by lane: per active lane ``k`` it ANDs
     ``(col & pos[k]) == pos[k]`` and ``(col & neg[k]) == 0`` into the
     verdicts, with no ``(n, lanes)`` intermediate and no axis reduction.
-    The two compares stay separate: folded into ``(col & (pos | neg))
-    == pos`` they would accept rows under the unsatisfiable masks
-    ``pos = neg = 1`` of :meth:`SearchEngine.disable_solution_checks`.
     """
 
     __slots__ = ("max_errors", "active", "pos", "neg", "lanes", "_columns")

@@ -289,9 +289,13 @@ class VectorEngine(SearchEngine):
         # chunk size must be a multiple of 8.
         self._max_batch = max(8, max_batch & ~7)
         self._shard_max_batch = self._max_batch
-        self._pos_lanes = int_to_lanes(self.pos_mask, universe.lanes)
-        self._neg_lanes = int_to_lanes(self.neg_mask, universe.lanes)
-        self._refresh_active_lanes()
+        # The batch solution check skips the lanes where both spec
+        # masks are all-zero — most lanes of a wide spec.
+        self._matcher = LaneMatcher(
+            int_to_lanes(self.pos_mask, universe.lanes),
+            int_to_lanes(self.neg_mask, universe.lanes),
+            self.max_errors,
+        )
         # Fused-emit accumulator: candidate blocks of the current
         # constructor, flushed to `_handle_batch` near `max_batch` rows.
         self._accum: List[np.ndarray] = []
@@ -300,22 +304,6 @@ class VectorEngine(SearchEngine):
     @property
     def cache(self) -> PackedCache:
         return self._cache
-
-    def _refresh_active_lanes(self) -> None:
-        """Rebuild the lane-restricted batch matcher (it skips the
-        lanes where both spec masks are all-zero — most lanes of a wide
-        spec; shard workers run the identical matcher)."""
-        self._matcher = LaneMatcher(
-            self._pos_lanes, self._neg_lanes, self.max_errors
-        )
-
-    def disable_solution_checks(self) -> None:
-        """See :meth:`SearchEngine.disable_solution_checks`; also resets
-        the precomputed lane-array masks the batched check uses."""
-        super().disable_solution_checks()
-        self._pos_lanes = int_to_lanes(self.pos_mask, self.universe.lanes)
-        self._neg_lanes = int_to_lanes(self.neg_mask, self.universe.lanes)
-        self._refresh_active_lanes()
 
     # ------------------------------------------------------------------
     def _handle_batch(self, rows: np.ndarray) -> bool:

@@ -23,7 +23,8 @@ into a long-running, multi-core, restart-durable service:
 benchmarks all drive.
 """
 
-from .checkpoint import CheckpointStore, checkpoint_key
+from ..core.cache import checkpoint_key
+from .checkpoint import CheckpointStore
 from .pool import WorkerPool
 from .queue import (
     JOB_CANCELLED,

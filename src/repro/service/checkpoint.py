@@ -6,9 +6,10 @@ in it is a prefix of completed levels plus a cursor inside the next one
 replays only the tail).  The :class:`CheckpointStore` persists
 :class:`~repro.core.engine.Checkpoint` records — one level's stored rows
 and their generation ordinals up to a cursor, where a finished level is
-the cursor at the level's end — per *checkpoint key*: the content
-address of an enumeration, hashed over the staging fingerprint, the
-cost function, the guide-table toggle and the
+the cursor at the level's end — per *checkpoint key*
+(:func:`~repro.core.cache.checkpoint_key`): the content address of an
+enumeration, hashed over the engine's universe, the cost function, the
+guide-table toggle and the
 :func:`~repro.core.cache.cache_version_fingerprint` (so a layout, dedupe
 or record-format change invalidates stale journals wholesale, never
 replaying rows under the wrong interpretation).  The
@@ -72,12 +73,9 @@ from typing import IO, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.cache import cache_version_fingerprint
 from ..core.engine import Checkpoint
-from ..regex.cost import CostFunction
 from ..testing.faults import fault_point
 from .store import _fsync_directory
-from .wire import _sha256_of
 
 try:  # POSIX only; the store degrades to lock-free on other platforms
     import fcntl
@@ -95,26 +93,6 @@ _ARRAYS = ("rows", "ordinals")
 
 #: One journalled delta: ``(base cursor, level cursor, file offset)``.
 _Link = Tuple[int, int, int]
-
-
-def checkpoint_key(
-    staging_fp: str, cost_fn: CostFunction, use_guide_table: bool = True
-) -> str:
-    """Content address of one enumeration's level sequence.
-
-    Spec masks, budgets and the backend are excluded on purpose — none
-    of them changes what a level's record contains (the spec only
-    decides when the sweep *stops*, budgets only where it is cut, and
-    the engines are bit-identical).
-    """
-    return _sha256_of(
-        {
-            "staging": staging_fp,
-            "cost_fn": list(cost_fn.as_tuple()),
-            "use_guide_table": bool(use_guide_table),
-            "cache_version": cache_version_fingerprint(),
-        }
-    )
 
 
 def _scan(handle) -> Tuple[Dict[int, List[_Link]], int, int]:

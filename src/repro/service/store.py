@@ -26,6 +26,7 @@ from typing import Iterator, Optional, Tuple
 
 from ..api.config import EngineConfig
 from ..api.session import Session, staging_key_of
+from ..core.cache import checkpoint_key
 from ..core.result import SynthesisResult
 from ..language.guide_table import GuideTable
 from ..language.universe import Universe
@@ -262,28 +263,22 @@ class StoreBackedSession(Session):
     # ------------------------------------------------------------------
     def _durability(self, engine, control):
         """Add the engine's checkpoint records and the journal writer
-        to ``control``.
+        to ``control`` (without a checkpoint store, the base session's
+        replay within one :meth:`~repro.api.session.Session.synthesize_many`
+        call).
 
-        Eligibility mirrors what makes a checkpoint replayable at all:
-        engines with a bounded cache (OnTheFly fallback changes what is
-        stored) or with dedupe disabled (the stored sequence is no
-        longer the canonical first-occurrence sequence) are excluded.
+        Only engines whose records replay
+        (:attr:`~repro.core.engine.SearchEngine.replayable`) take part.
         Durability must never make a query fail that would otherwise
         succeed, so a failed restore runs cold and a failed write is
         skipped — each counted in :attr:`checkpoint_errors`.
         """
         store = self.checkpoint_store
         if store is None:
+            return super()._durability(engine, control)
+        if not engine.replayable:
             return control
-        if engine.max_cache_size is not None or not engine.check_uniqueness:
-            return control
-        from .checkpoint import checkpoint_key
-
-        key = checkpoint_key(
-            staging_fingerprint(engine.spec),
-            engine.cost_fn,
-            engine.use_guide_table,
-        )
+        key = checkpoint_key(engine.universe, engine.cost_fn, engine.use_guide_table)
         tracer = control.tracer
         span = tracer.start("checkpoint-restore") if tracer is not None else None
         try:

@@ -137,7 +137,7 @@ class TestBackendsCommand:
         out = capsys.readouterr().out
         assert "scalar" in out and "vector" in out
         assert "cpu" in out and "gpu" in out
-        assert "batch-serving" in out and "vectorised" in out
+        assert "onthefly" in out and "vectorised" in out
 
 
 class TestServeAndSubmit:

@@ -80,9 +80,10 @@ class TestFoundAnswers:
     def test_vector_answers_never_materialise_the_row_wise_provenance(
         self, monkeypatch
     ):
-        # A found answer decodes its few dozen ancestors only — at most
-        # one ordinal per node of the answer — so neither a solo nor a
-        # batched vector answer decodes a triple per cached row.
+        # A found answer decodes its few dozen ancestors only, each
+        # once — at most one ordinal per node of the answer — so neither
+        # a solo nor a batched vector answer decodes a triple per
+        # cached row.
         from repro import EngineConfig, Session, Spec
         from repro.core.engine import SearchEngine
         from repro.regex.ast import size
@@ -95,20 +96,21 @@ class TestFoundAnswers:
         want = [scalar.synthesize(spec) for spec in specs]
         assert [result.status for result in want] == ["success"] * 2
 
-        decoded = set()
+        decoded = []
         decode = SearchEngine._decode
 
         def counted(engine, ordinal):
-            decoded.add(ordinal)
+            decoded.append((engine, ordinal))
             return decode(engine, ordinal)
 
         monkeypatch.setattr(SearchEngine, "_decode", counted)
         session = Session(EngineConfig(backend="vector"))
         solo = session.synthesize(specs[0])
+        assert len(decoded) == len(set(decoded))
         assert 0 < len(decoded) <= size(solo.regex) < solo.unique_cs
         decoded.clear()
         batched = session.synthesize_many(specs)
-        assert session.stats.batch_groups == 1
+        assert len(decoded) == len(set(decoded))
         assert 0 < len(decoded) <= sum(size(result.regex) for result in batched)
         for result, reference in zip([solo] + batched, want[:1] + want):
             assert (result.regex, result.cost) == (

@@ -24,6 +24,7 @@ from repro import EngineConfig, Session, Spec, SynthesisRequest
 from repro.core.cache import cache_version_fingerprint
 from repro.core.engine import RunControl
 from repro.core.hashset import FingerprintHashSet, PackedKeySet
+from repro.language.universe import Universe
 from repro.regex.cost import CostFunction
 from repro.service import (
     CheckpointStore,
@@ -31,7 +32,6 @@ from repro.service import (
     StoreBackedSession,
     WorkerPool,
     checkpoint_key,
-    staging_fingerprint,
 )
 from repro.service.pool import _session_stats
 from repro.service.store import StagingStore, atomic_write_bytes
@@ -47,6 +47,9 @@ from repro.testing.faults import (
 
 
 BACKENDS = ("vector", "scalar")
+
+#: The universe SPEC's runs enumerate: their journal's key.
+SPEC_UNIVERSE = Universe(SPEC.all_words, alphabet=SPEC.alphabet)
 
 #: Result fields that must match bit-for-bit between an uninterrupted
 #: run and a resumed one.
@@ -197,13 +200,15 @@ class TestPickleStoreQuarantine:
 # The checkpoint store
 # ----------------------------------------------------------------------
 def checkpoints_of(backend, spec):
-    """The checkpoint records of a solo run: one per completed level
-    (the run is far too small for an in-level record)."""
+    """The checkpoint records of a solo run: one per completed level,
+    then the level its solution stopped in, up to the candidate before
+    the solution (the run is far too small for a cadence record)."""
     session = Session(EngineConfig(backend=backend))
     engine = session.make_engine(SynthesisRequest(spec=spec))
     taken = []
     engine.run(40, RunControl(on_checkpoint=taken.extend))
-    assert [r.cost for r in taken] == list(range(1, engine.levels_built + 1))
+    assert [r.cost for r in taken] == list(range(1, engine.levels_built + 2))
+    assert taken[-1].generated_total == engine.generated - 1
     return taken
 
 
@@ -245,18 +250,21 @@ def race_loads(root, levels, rounds, barrier):
 
 class TestCheckpointStore:
     def test_key_is_stable_and_cost_fn_sensitive(self):
-        fp = staging_fingerprint(SPEC)
-        uniform = checkpoint_key(fp, CostFunction.uniform())
-        assert uniform == checkpoint_key(fp, CostFunction.uniform())
-        other = checkpoint_key(fp, CostFunction.from_tuple((1, 1, 10, 1, 1)))
+        uniform = checkpoint_key(SPEC_UNIVERSE, CostFunction.uniform())
+        assert uniform == checkpoint_key(
+            Universe(SPEC.all_words), CostFunction.uniform()
+        )
+        other = checkpoint_key(
+            SPEC_UNIVERSE, CostFunction.from_tuple((1, 1, 10, 1, 1))
+        )
         assert uniform != other
-        assert cache_version_fingerprint() != fp  # distinct namespaces
+        assert cache_version_fingerprint() != uniform  # distinct namespaces
 
     def test_roundtrip_and_duplicate_dedupe(self, tmp_path):
         store = CheckpointStore(tmp_path)
         levels = checkpoints_of("vector", SPEC)
         assert len(levels) >= 4
-        key = checkpoint_key(staging_fingerprint(SPEC), CostFunction.uniform())
+        key = checkpoint_key(SPEC_UNIVERSE, CostFunction.uniform())
         assert store.append(key, levels) == len(levels)
         assert store.append(key, levels[:1]) == 0  # already there
         # The skipped duplicate wrote nothing: one record per level.
@@ -272,7 +280,7 @@ class TestCheckpointStore:
     def fill(self, tmp_path):
         store = CheckpointStore(tmp_path)
         levels = checkpoints_of("vector", SPEC)
-        key = checkpoint_key(staging_fingerprint(SPEC), CostFunction.uniform())
+        key = checkpoint_key(SPEC_UNIVERSE, CostFunction.uniform())
         store.append(key, levels)
         return store, key, levels
 
@@ -456,7 +464,7 @@ class TestCheckpointPrune:
     def test_pruned_key_recovers_as_a_cold_run(self, tmp_path):
         store = CheckpointStore(tmp_path)
         levels = checkpoints_of("vector", SPEC)
-        key = checkpoint_key(staging_fingerprint(SPEC), CostFunction.uniform())
+        key = checkpoint_key(SPEC_UNIVERSE, CostFunction.uniform())
         store.append(key, levels)
         assert store.prune(max_bytes=0)["removed_keys"] == 1
         assert store.load(key) == []  # cold, not corrupt
@@ -561,10 +569,10 @@ class TestCheckpointResume:
         config = EngineConfig(backend=backend)
         store = CheckpointStore(tmp_path)
         StoreBackedSession(config, checkpoint_store=store).synthesize(SPEC)
-        import repro.service.checkpoint as checkpoint_module
+        import repro.core.cache as cache_module
 
         monkeypatch.setattr(
-            checkpoint_module,
+            cache_module,
             "cache_version_fingerprint",
             lambda: "a-new-packed-layout",
         )
@@ -662,21 +670,23 @@ class TestCheckpointCadence:
         ((status, group),) = groups
         assert status == "success"
         assert [r.cost for r in group] == list(
-            range(1, engine.levels_built + 1)
+            range(1, engine.levels_built + 2)
         )
-        # Every record is its level's end.
+        # Every record but the last is its level's end; the last holds
+        # the solved level up to the candidate before the solution.
         assert [r.level_progress for r in group[1:]] == [
-            stats["generated"] for stats in engine.level_stats[:-1]
-        ]
+            stats["generated"] for stats in engine.level_stats
+        ][:-1] + [engine.level_stats[-1]["generated"] - 1]
+        assert group[-1].generated_total == engine.generated - 1
         store = RoundKeepingStore(tmp_path)
         session = StoreBackedSession(
             EngineConfig(backend=backend), checkpoint_store=store
         )
         result = session.synthesize(SPEC)
         assert [len(records) for records in store.rounds] == [
-            result.levels_built
+            result.levels_built + 1
         ]
-        assert session.checkpoint_saves == result.levels_built
+        assert session.checkpoint_saves == result.levels_built + 1
 
     def test_groups_across_the_cadence_bound_the_rework(
         self, backend, monkeypatch
@@ -722,7 +732,7 @@ class TestCheckpointCadence:
         restored = [last[cost] for cost in range(1, 5)] + [partial]
         adopted = sum(record.level_progress for record in restored)
         store = RoundKeepingStore(tmp_path)
-        key = checkpoint_key(staging_fingerprint(SPEC), CostFunction.uniform())
+        key = checkpoint_key(SPEC_UNIVERSE, CostFunction.uniform())
         assert store.append(key, restored) == 5
         # Fewer candidates than the resumed run adopts, so counting them
         # would force a group at its first safe point; more than level
@@ -766,7 +776,7 @@ def run_engine(backend, spec, restored=(), budget=None):
 
 def group_of(backend, spec, budget=None):
     """The one group a small run hands over, at its end: every level it
-    built, and the level its budget stopped in."""
+    built, and the level its budget or solution stopped in."""
     engine = Session(EngineConfig(backend=backend)).make_engine(
         SynthesisRequest(spec=spec, max_generated=budget)
     )
@@ -819,7 +829,10 @@ class TestOnDemandSeenSet:
         seen_inserts.clear()
         engine, resumed = run_engine(backend, SOLVED_IN_REPLAY, records)
         assert engine.status == "success"
-        assert engine.solution_cost == records[-1].cost == 5
+        # Solved inside the cost-5 record, before the replay reached
+        # SPEC's solved level.
+        assert engine.solution_cost == records[-2].cost == 5
+        assert records[-1].cost == 6
         assert seen_inserts == []
         assert resumed == cold
 
@@ -1021,3 +1034,32 @@ def test_dead_shard_worker_falls_back_to_serial(backend, tmp_path, monkeypatch):
     assert sharded.level_stats == serial.level_stats
     assert sharded.solution == serial.solution
     assert sharded.solution_cost == serial.solution_cost
+
+
+# ----------------------------------------------------------------------
+# A journal is keyed by the universe the engine enumerated
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_superset_universe_journals_under_its_own_key(backend, tmp_path):
+    # After a removal the incremental synthesizer searches the 19-word
+    # universe of the original examples; a key taken from the smaller
+    # spec's 15 words would let a fresh session replay those rows as
+    # the 15-word enumeration and answer 1+(01*)*, which rejects 1011.
+    from repro.core.incremental import IncrementalSynthesizer
+
+    config = EngineConfig(backend=backend)
+    store = CheckpointStore(tmp_path)
+    incremental = IncrementalSynthesizer(
+        Spec(["1", "1011"], ["10", "11", "01101", "10011"]),
+        backend=backend,
+        session=StoreBackedSession(config, checkpoint_store=store),
+    )
+    relaxed = incremental.remove_example("01101")
+    assert relaxed.universe_size == 19
+    spec = incremental.spec
+    replayed = StoreBackedSession(config, checkpoint_store=store).synthesize(spec)
+    cold = Session(config).synthesize(spec)
+    assert cold.universe_size == 15
+    assert (cold.regex_str, cold.cost) == ("1(011)?", 8)
+    assert_identical(replayed, cold)
+    assert spec.is_satisfied_by(replayed.regex)

@@ -70,9 +70,9 @@ class TestRegistration:
 
     def test_registered_backend_is_usable(self):
         registry = BackendRegistry()
-        registry.register("mine", ScalarEngine, capabilities=("batch-serving",))
+        registry.register("mine", ScalarEngine, capabilities=("onthefly",))
         info = registry.resolve("mine")
-        assert info.supports("batch-serving")
+        assert info.supports("onthefly")
         assert not info.supports("vectorised")
 
 
@@ -81,9 +81,9 @@ class TestCapabilities:
         assert default_registry().resolve("vector").supports("vectorised")
         assert not default_registry().resolve("scalar").supports("vectorised")
 
-    def test_both_engines_support_batch_serving(self):
+    def test_both_engines_support_onthefly(self):
         for name in ("scalar", "vector"):
-            assert default_registry().resolve(name).supports("batch-serving")
+            assert default_registry().resolve(name).supports("onthefly")
 
     def test_guide_table_ablation_is_scalar_only(self):
         assert default_registry().resolve("scalar").supports(

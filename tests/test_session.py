@@ -1,6 +1,7 @@
 """Session & serving-layer tests: staging reuse, request/config objects,
 batched multi-spec serving, progress streaming and cancellation."""
 
+import dataclasses
 import gc
 import time
 import weakref
@@ -9,7 +10,7 @@ import pytest
 
 import repro.api.session as session_module
 import repro.core.engine as engine_module
-from _fixtures import WIDE_SPEC
+from _fixtures import BUDGET, RELABELLED, SPEC, WIDE_SPEC
 from repro import (
     CancellationToken,
     EngineConfig,
@@ -41,6 +42,25 @@ def _partitions_of(words, count, stride=3):
 
 def _key(result):
     return (result.status, result.regex_str, result.cost)
+
+
+def _answer(result):
+    """Everything a batched answer shares with a solo run's."""
+    return (
+        result.status,
+        result.regex_str,
+        result.cost,
+        result.generated,
+        result.unique_cs,
+        result.levels_built,
+    )
+
+
+def _assert_solo(config, requests, batch):
+    """Each batched answer equals a solo run of its request."""
+    assert len(batch) == len(requests)
+    for request, result in zip(requests, batch):
+        assert _answer(result) == _answer(Session(config).synthesize(request))
 
 
 def _level_ends(result):
@@ -156,68 +176,108 @@ class TestSessionResults:
 @pytest.mark.parametrize("backend", ["scalar", "vector"])
 class TestSynthesizeMany:
     def test_batch_is_bit_identical_to_solo(self, backend):
-        session = Session(EngineConfig(backend=backend))
-        specs = _partitions_of(INTRO_SPEC.all_words, 6)
+        config = EngineConfig(backend=backend)
+        session = Session(config)
+        specs = _partitions_of(INTRO_SPEC.all_words, 6)  # 3 distinct
         batch = session.synthesize_many(specs)
-        for spec, result in zip(specs, batch):
-            solo = synthesize(spec, backend=backend)
-            assert _key(result) == _key(solo)
-            assert result.extra.get("batched") is True
-        assert session.stats.batch_groups == 1
+        _assert_solo(config, specs, batch)
+        # The later distinct requests replay the records the earlier
+        # ones left.
+        assert [r.extra["resumed_levels"] > 0 for r in batch[:3]] == [
+            False, True, True
+        ]
         assert session.stats.staging_builds == 1
+        assert session.stats.requests_served == len(specs)
 
     def test_batch_with_allowed_error(self, backend):
-        session = Session(EngineConfig(backend=backend))
+        config = EngineConfig(backend=backend)
         requests = [
             SynthesisRequest(spec=INTRO_SPEC, allowed_error=e)
             for e in (0.0, 0.2, 0.4)
         ]
-        batch = session.synthesize_many(requests)
-        for request, result in zip(requests, batch):
-            solo = synthesize(request.spec, backend=backend,
-                              allowed_error=request.allowed_error)
-            assert _key(result) == _key(solo)
+        _assert_solo(config, requests, Session(config).synthesize_many(requests))
 
     def test_batch_respects_per_request_max_cost(self, backend):
-        session = Session(EngineConfig(backend=backend))
+        config = EngineConfig(backend=backend)
         hard = _partitions_of(INTRO_SPEC.all_words, 3)
         requests = [SynthesisRequest(spec=s, max_cost=2) for s in hard]
         requests.append(SynthesisRequest(spec=hard[0]))
-        batch = session.synthesize_many(requests)
-        for request, result in zip(requests, batch):
-            solo = synthesize(request.spec, backend=backend,
-                              max_cost=request.max_cost)
-            assert _key(result) == _key(solo)
+        batch = Session(config).synthesize_many(requests)
+        _assert_solo(config, requests, batch)
         assert batch[0].status == "not_found"
         assert batch[-1].found
 
     def test_batch_matches_solo_below_literal_cost(self, backend):
         # The solo sweep seeds the literal level even when max_cost is
-        # below it, so a cost-c1 solution is still found; the batch
-        # scan must mirror that.
-        session = Session(EngineConfig(backend=backend))
+        # below it, so a cost-c1 solution is still found.
+        config = EngineConfig(backend=backend)
         requests = [
             SynthesisRequest(spec=Spec(["0"], ["1"]), max_cost=0),
             SynthesisRequest(spec=Spec(["1"], ["0"]), max_cost=0),
         ]
-        batch = session.synthesize_many(requests)
-        for request, result in zip(requests, batch):
-            solo = synthesize(request.spec, backend=backend, max_cost=0)
-            assert _key(result) == _key(solo)
-            assert result.found  # the literal level solves both
+        batch = Session(config).synthesize_many(requests)
+        _assert_solo(config, requests, batch)
+        assert all(result.found for result in batch)
 
     def test_trivial_solutions_in_batch(self, backend):
         # ∅ (reject everything) and ε solve at cost c1 without a sweep.
-        session = Session(EngineConfig(backend=backend))
+        config = EngineConfig(backend=backend)
         requests = [
             SynthesisRequest(spec=Spec([], ["0", "1"])),
             SynthesisRequest(spec=Spec([""], ["0", "1"])),
             SynthesisRequest(spec=Spec(["0"], ["1", ""])),
         ]
+        _assert_solo(config, requests, Session(config).synthesize_many(requests))
+
+    def test_budgets_that_stop_inside_a_level(self, backend):
+        # SPEC and RELABELLED both stop at BUDGET inside cost level 6;
+        # unbudgeted and larger-budget members resume from the level
+        # the budgeted ones left.
+        config = EngineConfig(backend=backend)
+        requests = [
+            SynthesisRequest(spec=SPEC, max_generated=BUDGET),
+            SynthesisRequest(spec=RELABELLED, max_generated=BUDGET),
+            SynthesisRequest(spec=RELABELLED, max_generated=BUDGET + 40),
+            SynthesisRequest(spec=SPEC),
+            SynthesisRequest(spec=RELABELLED),
+        ]
+        batch = Session(config).synthesize_many(requests)
+        _assert_solo(config, requests, batch)
+        assert [result.status for result in batch] == (
+            ["budget"] * 3 + ["success"] * 2
+        )
+        assert batch[2].extra["partial_resumes"] == 1
+
+    def test_duplicates_share_one_answer_each_its_own_copy(
+        self, backend, monkeypatch
+    ):
+        config = EngineConfig(backend=backend)
+        engines = []
+        make_engine = Session.make_engine
+
+        def counting(self, *args, **kwargs):
+            engines.append(None)
+            return make_engine(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "make_engine", counting)
+        first, second = _partitions_of(INTRO_SPEC.all_words, 2)
+        requests = [
+            SynthesisRequest(spec=first),
+            SynthesisRequest(spec=second, max_generated=200),
+            SynthesisRequest(spec=first, tag="again"),
+            SynthesisRequest(spec=second, max_generated=200),
+            SynthesisRequest(spec=first, config=EngineConfig(backend=backend)),
+        ]
+        session = Session(config)
         batch = session.synthesize_many(requests)
-        for request, result in zip(requests, batch):
-            solo = synthesize(request.spec, backend=backend)
-            assert _key(result) == _key(solo)
+        assert len(engines) == 2
+        assert session.stats.requests_served == len(requests)
+        _assert_solo(config, requests, batch)
+        for copy, answer in ((batch[2], batch[0]), (batch[3], batch[1]),
+                             (batch[4], batch[0])):
+            assert copy is not answer
+            assert copy.extra is not answer.extra
+            assert copy.extra == answer.extra
 
 
 #: Five words of ``WIDE_SPEC``'s universe that all sit in lane 1 (its
@@ -228,8 +288,6 @@ LANE_1_WORDS = ("0011001100", "0110100101", "1010010110", "001100110",
                 "110100101")
 
 
-# No ``max_generated`` budget: a budgeted request is served solo, past
-# the batched scan.  Every partition here is solved by cost 7.
 @pytest.mark.parametrize("backend", ["scalar", "vector"])
 @pytest.mark.parametrize("allowed_error", [0.0, 0.2])
 @pytest.mark.parametrize(
@@ -247,62 +305,80 @@ def test_batch_over_a_two_lane_universe_is_bit_identical_to_solo(
         SynthesisRequest(spec=spec, allowed_error=allowed_error)
         for spec in _partitions_of(list(words), 3)
     ]
-    session = Session(EngineConfig(backend=backend))
-    batch = session.synthesize_many(requests)
-    assert session.stats.batch_groups == 1
-    for request, result in zip(requests, batch):
-        solo = synthesize(request.spec, backend=backend,
-                          allowed_error=allowed_error)
-        assert result.found
-        assert _key(result) == _key(solo)
+    # A budgeted member, cut short of the deepest answer.
+    config = EngineConfig(backend=backend)
+    deepest = max(
+        (Session(config).synthesize(request) for request in requests),
+        key=lambda result: result.generated,
+    )
+    requests.append(
+        SynthesisRequest(
+            spec=deepest.spec,
+            allowed_error=allowed_error,
+            max_generated=deepest.generated - 1,
+        )
+    )
+    batch = Session(config).synthesize_many(requests)
+    _assert_solo(config, requests, batch)
+    assert all(result.found for result in batch[:-1])
+    assert batch[-1].status == "budget"
 
 
 class TestSynthesizeManyGrouping:
     def test_mixed_universes_group_separately(self):
-        session = Session()
+        config = EngineConfig()
+        session = Session(config)
         group_a = _partitions_of(INTRO_SPEC.all_words, 3)
         group_b = _partitions_of(("", "a", "ab", "abb", "b"), 3)
         interleaved = [v for pair in zip(group_a, group_b) for v in pair]
         batch = session.synthesize_many(interleaved)
-        for spec, result in zip(interleaved, batch):
-            assert _key(result) == _key(synthesize(spec))
-        assert session.stats.batch_groups == 2
+        _assert_solo(config, interleaved, batch)
+        # Each universe replays its own records only.
+        assert [bool(r.extra["resumed_levels"]) for r in batch] == (
+            [False, False] + [True] * 4
+        )
         assert session.stats.staging_builds == 2
 
     def test_different_cost_functions_do_not_share_a_sweep(self):
-        session = Session()
+        config = EngineConfig()
+        session = Session(config)
         requests = [
             SynthesisRequest(spec=INTRO_SPEC),
             SynthesisRequest(spec=INTRO_SPEC,
                              cost_fn=CostFunction.from_tuple((1, 1, 10, 1, 1))),
         ]
         batch = session.synthesize_many(requests)
-        assert session.stats.batch_groups == 0
-        assert all(r.extra.get("batched") is None for r in batch)
+        _assert_solo(config, requests, batch)
+        assert [r.extra["resumed_levels"] for r in batch] == [0, 0]
         assert session.stats.staging_builds == 1  # staging still shared
 
     def test_backend_aliases_share_a_sweep_group(self):
-        session = Session()
+        # Records are filed without the backend: a request spelled
+        # "gpu" replays what a "vector" one left, and so does a scalar
+        # one.  Identical requests under alias spellings share one
+        # answer.
+        config = EngineConfig()
+        session = Session(config)
         specs = _partitions_of(INTRO_SPEC.all_words, 2)
-        batch = session.synthesize_many([
-            SynthesisRequest(spec=specs[0],
-                             config=EngineConfig(backend="gpu")),
-            SynthesisRequest(spec=specs[1],
-                             config=EngineConfig(backend="vector")),
-        ])
-        assert session.stats.batch_groups == 1
-        for spec, result in zip(specs, batch):
-            assert _key(result) == _key(synthesize(spec))
+        requests = [
+            SynthesisRequest(spec=specs[0], config=EngineConfig(backend="gpu")),
+            SynthesisRequest(spec=specs[1], config=EngineConfig(backend="vector")),
+            SynthesisRequest(spec=specs[1], config=EngineConfig(backend="gpu")),
+            SynthesisRequest(spec=specs[1], config=EngineConfig(backend="cpu")),
+        ]
+        batch = session.synthesize_many(requests)
+        _assert_solo(config, requests, batch)
+        assert batch[1].extra["resumed_levels"] > 0
+        assert batch[2] is not batch[1] and _answer(batch[2]) == _answer(batch[1])
+        assert batch[3].backend == "scalar"
+        assert batch[3].extra["resumed_levels"] > 0
 
     def test_bounded_cache_forces_solo_serving(self):
-        session = Session(EngineConfig(max_cache_size=10_000))
+        config = EngineConfig(max_cache_size=10_000)
         specs = _partitions_of(INTRO_SPEC.all_words, 3)
-        batch = session.synthesize_many(specs)
-        assert session.stats.batch_groups == 0
-        for spec, result in zip(specs, batch):
-            assert _key(result) == _key(
-                synthesize(spec, max_cache_size=10_000)
-            )
+        batch = Session(config).synthesize_many(specs)
+        _assert_solo(config, specs, batch)
+        assert [r.extra["resumed_levels"] for r in batch] == [0, 0, 0]
 
     def test_empty_batch(self):
         assert Session().synthesize_many([]) == []
@@ -443,7 +519,10 @@ class TestEngineLifetime:
     run)."""
 
     @staticmethod
-    def _engines_alive(monkeypatch, serve):
+    def _engines_alive(monkeypatch, serve, refs=()):
+        """Which engines ``serve`` made, then which of the weak
+        references in ``refs`` (filled while serving), are still alive
+        once it returns, with the cyclic collector off."""
         engines = []
         make_engine = Session.make_engine
 
@@ -457,7 +536,7 @@ class TestEngineLifetime:
         gc.disable()
         try:
             serve()
-            alive = [ref() is not None for ref in engines]
+            alive = [ref() is not None for ref in engines + list(refs)]
         finally:
             gc.enable()
         assert engines
@@ -488,13 +567,37 @@ class TestEngineLifetime:
             )
             assert alive == [False]
 
-    def test_shared_sweep_engine_is_freed(self, monkeypatch):
+    def test_batch_engines_and_records_die_with_the_call(self, monkeypatch):
+        # The records a batch replays live in the session only while
+        # synthesize_many runs: no engine or record outlives the call,
+        # and the next call starts with none.
+        records = []
+        durability = Session._durability
+
+        def tracking(self, engine, control):
+            control = durability(self, engine, control)
+            sink = control.on_checkpoint
+            if sink is None:
+                return control
+
+            def keep(group):
+                records.extend(weakref.ref(record) for record in group)
+                sink(group)
+
+            return dataclasses.replace(control, on_checkpoint=keep)
+
+        monkeypatch.setattr(Session, "_durability", tracking)
         words = ["0", "1", "00", "01", "10", "11", "010", "101"]
         specs = _partitions_of(words, 3)
+        session = Session()
         alive = self._engines_alive(
-            monkeypatch, lambda: Session().synthesize_many(specs)
+            monkeypatch, lambda: session.synthesize_many(specs), records
         )
-        assert alive == [False]
+        assert records
+        assert alive == [False] * (len(specs) + len(records))
+        again = session.synthesize_many(specs)
+        assert again[0].extra["resumed_levels"] == 0
+        assert _answer(again[0]) == _answer(Session().synthesize(specs[0]))
 
 
 class TestRequestObjects:
